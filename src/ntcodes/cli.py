@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 property-check fail findings, 2 usage errors,
 
 import argparse
 import json
-import os
 import sys
 
 from . import codes as codes_mod
@@ -29,18 +28,6 @@ EXIT_RESOURCE = 3
 
 class UsageError(Exception):
     pass
-
-
-def worker_threads():
-    """Worker bound from JOHNSON_NT_THREADS (computations run on one)."""
-    raw = os.environ.get("JOHNSON_NT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"JOHNSON_NT_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise UsageError("JOHNSON_NT_THREADS must be >= 1")
-    return n
 
 
 # ---- group spec grammar ------------------------------------------------------
@@ -139,6 +126,11 @@ def parse_code_file(path):
     return parse_code_dict(data)
 
 
+def _is_int(x):
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_code_dict(data):
     if not isinstance(data, dict):
         raise UsageError("code file: top level must be an object")
@@ -146,7 +138,7 @@ def parse_code_dict(data):
         if field not in data:
             raise UsageError(f"code file: missing field {field!r}")
     v, k = data["v"], data["k"]
-    if not (isinstance(v, int) and isinstance(k, int) and 1 <= k < v):
+    if not (_is_int(v) and _is_int(k) and 1 <= k < v):
         raise UsageError("code file: need integers 1 <= k < v")
     words = data["codewords"]
     if not isinstance(words, list) or not words:
@@ -155,7 +147,7 @@ def parse_code_dict(data):
     for i, w in enumerate(words):
         loc = f"codewords[{i}]"
         if (not isinstance(w, list) or len(w) != k
-                or not all(isinstance(x, int) for x in w)):
+                or not all(_is_int(x) for x in w)):
             raise UsageError(f"code file: {loc} must be a list of {k} integers")
         if any(not 0 <= x < v for x in w):
             raise UsageError(f"code file: {loc} has an index outside 0..{v-1}")
@@ -252,9 +244,12 @@ def cmd_search(args):
         raise UsageError(
             f"unknown predicate {args.predicate!r}; choose from "
             + ", ".join(sorted(codes_mod.PREDICATES)))
-    found = codes_mod.classify_search(
-        G, args.k, args.predicate, max_union=args.max_union,
-        cap=args.cap_orbit)
+    try:
+        found = codes_mod.classify_search(
+            G, args.k, args.predicate, max_union=args.max_union,
+            cap=args.cap_orbit)
+    except ValueError as exc:
+        raise UsageError(f"search: {exc}")
     text = json.dumps([c.as_dict() for c in found], indent=2) + "\n"
     _write_output(text, args.output)
     return EXIT_OK
@@ -317,7 +312,6 @@ def main(argv=None):
         # argparse exits 2 on usage errors already; normalize others
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        worker_threads()
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -7,14 +7,14 @@ computations; resource caps surface as "not computed" (None), never as a
 silently false flag.
 """
 
-from functools import reduce
+from functools import cached_property
 from itertools import combinations
 from math import comb, gcd
 
 from . import geometry, johnson
 from .johnson import Code, jdistance, min_distance, neighbour_set
 from .perm import (DEFAULT_ORBIT_CAP, PermGroup, Permutation,
-                   ResourceCapError, bits, mask_of)
+                   ResourceCapError, bits, mask_of, schreier_orbit)
 
 
 class ConstructionError(ValueError):
@@ -269,12 +269,7 @@ def build_j93():
 
 
 def _elements_by_order(G, n, cap=DEFAULT_ORBIT_CAP):
-    return [g for g in G.elements(cap=cap) if _perm_order(g) == n]
-
-
-def _perm_order(g):
-    from math import lcm
-    return reduce(lcm, (len(c) for c in g.cycles()), 1)
+    return [g for g in G.elements(cap=cap) if g.order() == n]
 
 
 def build_unitary_bases(max_candidates=200):
@@ -431,66 +426,138 @@ def _transitive_with_witness(G, masks):
     """(True, None) or (False, (reached_rep, unreached)) on a mask set."""
     masks = set(masks)
     start = min(masks)
-    seen = {start}
-    queue = [start]
-    for m in queue:
-        for g in G.generators:
-            im = g.apply_mask(m)
-            if im not in masks:
-                return False, (start, im)
-            if im not in seen:
-                seen.add(im)
-                queue.append(im)
-    if len(seen) == len(masks):
+    members, _, escape = schreier_orbit(
+        start, [g.apply_mask for g in G.generators], masks)
+    if escape is not None:
+        return False, (start, escape)
+    if len(members) == len(masks):
         return True, None
-    return False, (start, min(masks - seen))
+    return False, (start, min(masks.difference(members)))
 
 
-def _incidence_transitive(code, G, gamma1, cap=DEFAULT_ORBIT_CAP):
-    """Single G-orbit on adjacent (codeword, neighbour) pairs.
+class _Facts:
+    """What the flags of one (code, group) pair share, each computed at most
+    once: the code's orbit test, the neighbour set Gamma_1, the stabilizer
+    G_gamma of codeword 0 and the distance partition (None past
+    cap_partition, with the cap error kept in partition_error)."""
 
-    Uses the explicit pair orbit when the incidence set is small, else the
-    equivalent test via the stabilizer of one codeword (both require the
-    code itself to be a single orbit, checked by the caller).
-    """
-    if len(code) * code.k * (code.v - code.k) <= cap:
-        total = 0
-        start = None
-        for w in code.codewords:
-            for nb in sorted(johnson.vertex_neighbours(w, code.v)):
-                if nb in gamma1:
-                    total += 1
-                    if start is None:
-                        start = (w, nb)
-        if start is None:
-            return True, None
-        seen = {start}
-        queue = [start]
-        for (cw, nb) in queue:
-            for g in G.generators:
-                pair = (g.apply_mask(cw), g.apply_mask(nb))
-                if pair not in seen:
-                    seen.add(pair)
-                    queue.append(pair)
-        if len(seen) == total:
-            return True, None
-        return False, ("incidence orbit covers", len(seen), "of", total)
-    gamma = code.codewords[0]
-    stab = G.setwise_stabilizer(gamma, cap=cap)
-    local = johnson.vertex_neighbours(gamma, code.v) & gamma1
+    def __init__(self, code, G, cap_orbit=DEFAULT_ORBIT_CAP,
+                 cap_partition=johnson.DEFAULT_PARTITION_CAP):
+        self.code = code
+        self.G = G
+        self.cap_orbit = cap_orbit
+        self.cap_partition = cap_partition
+        self.partition_error = None
+
+    @cached_property
+    def code_orbit(self):
+        return _transitive_with_witness(self.G, self.code.codewords)
+
+    @cached_property
+    def gamma1(self):
+        return neighbour_set(self.code)
+
+    @cached_property
+    def stabilizer(self):
+        return self.G.setwise_stabilizer(self.code.codewords[0],
+                                         cap=self.cap_orbit)
+
+    @cached_property
+    def partition(self):
+        try:
+            return johnson.distance_partition(self.code,
+                                              cap=self.cap_partition)
+        except ResourceCapError as exc:
+            self.partition_error = exc
+            return None
+
+    @cached_property
+    def regularity(self):
+        return johnson.equitable_matrix(self.partition, self.code.v)
+
+
+# Each flag maps _Facts to (value, witness): value is True, False, or None
+# when the distance partition is over its cap; the witness backs a False.
+
+_NOT_ONE_ORBIT = ("code is not a single orbit",)
+
+
+def _code_transitive(f):
+    return f.code_orbit
+
+
+def _gamma1_transitive(f):
+    if not f.gamma1:
+        return False, ("neighbour set is empty",)
+    return _transitive_with_witness(f.G, f.gamma1)
+
+
+def _neighbour_transitive(f):
+    if f.code_orbit[0] and f.gamma1:
+        return _gamma1_transitive(f)
+    return f.code_orbit
+
+
+def _incidence_transitive(f):
+    """Single G-orbit on adjacent (codeword, neighbour) pairs: for a
+    single-orbit code, by orbit-stabilizer, G_gamma transitive on the
+    neighbours of gamma in Gamma_1."""
+    if not f.code_orbit[0]:
+        return False, _NOT_ONE_ORBIT
+    gamma = f.code.codewords[0]
+    local = johnson.vertex_neighbours(gamma, f.code.v) & f.gamma1
     if not local:
         return True, None
-    return _transitive_with_witness(stab, local)
+    return _transitive_with_witness(f.stabilizer, local)
+
+
+def _strong_pairs(f):
+    """G_gamma transitive on (point of gamma) x (point outside gamma)."""
+    gamma = f.code.codewords[0]
+    inside = list(bits(gamma))
+    outside = [x for x in range(f.code.v) if not (gamma >> x) & 1]
+    ok = f.stabilizer.is_transitive_on_product(inside, outside)
+    return ok, None if ok else ("pair action on gamma x complement splits",)
 
 
 def _strongly_incidence_transitive(code, G, cap=DEFAULT_ORBIT_CAP):
-    """G_gamma transitive on (point of gamma) x (point outside gamma)."""
-    gamma = code.codewords[0]
-    stab = G.setwise_stabilizer(gamma, cap=cap)
-    inside = list(bits(gamma))
-    outside = [x for x in range(code.v) if not (gamma >> x) & 1]
-    ok = stab.is_transitive_on_product(inside, outside)
-    return ok, None if ok else ("pair action on gamma x complement splits",)
+    """The pair test of _strong_pairs alone, without the flag's check that
+    the code is a single orbit."""
+    return _strong_pairs(_Facts(code, G, cap_orbit=cap))
+
+
+def _strongly(f):
+    if not f.code_orbit[0]:
+        return False, _NOT_ONE_ORBIT
+    return _strong_pairs(f)
+
+
+def _completely_transitive(f):
+    if f.partition is None:
+        return None, None
+    for cell in f.partition.cells:
+        ok, wit = _transitive_with_witness(f.G, cell)
+        if not ok:
+            return False, wit
+    return True, None
+
+
+def _completely_regular(f):
+    if f.partition is None:
+        return None, None
+    ok, detail = f.regularity
+    return ok, None if ok else detail
+
+
+FLAGS = {
+    "code_transitive": _code_transitive,
+    "neighbour_transitive": _neighbour_transitive,
+    "gamma1_transitive": _gamma1_transitive,
+    "incidence_transitive": _incidence_transitive,
+    "strongly_incidence_transitive": _strongly,
+    "completely_transitive": _completely_transitive,
+    "completely_regular": _completely_regular,
+}
 
 
 class PropertyReport:
@@ -549,66 +616,19 @@ def check_properties(code, G, cap_orbit=DEFAULT_ORBIT_CAP,
                 raise ValueError(
                     "group does not preserve the code (not an automorphism "
                     f"group: generator moves a codeword out of the code)")
+    facts = _Facts(code, G, cap_orbit, cap_partition)
     flags = {}
     witnesses = {}
+    for name in PropertyReport.FLAG_ORDER:
+        flags[name], wit = FLAGS[name](facts)
+        if flags[name] is False:
+            witnesses[name] = wit
     notes = list(code.notes)
-    gamma1 = neighbour_set(code)
-    delta = min_distance(code)
-
-    ok, wit = _transitive_with_witness(G, code.codewords)
-    flags["code_transitive"] = ok
-    if not ok:
-        witnesses["code_transitive"] = wit
-
-    if flags["code_transitive"] and gamma1:
-        ok, wit = _transitive_with_witness(G, gamma1)
-    elif not gamma1:
-        ok, wit = flags["code_transitive"], witnesses.get("code_transitive")
-    else:
-        ok, wit = False, witnesses["code_transitive"]
-    flags["neighbour_transitive"] = ok
-    if not ok:
-        witnesses["neighbour_transitive"] = wit or ("code orbit splits",)
-
-    if flags["code_transitive"]:
-        ok, wit = _incidence_transitive(code, G, gamma1, cap=cap_orbit)
-    else:
-        ok, wit = False, ("code is not a single orbit",)
-    flags["incidence_transitive"] = ok
-    if not ok:
-        witnesses["incidence_transitive"] = wit
-
-    if flags["code_transitive"]:
-        ok, wit = _strongly_incidence_transitive(code, G, cap=cap_orbit)
-    else:
-        ok, wit = False, ("code is not a single orbit",)
-    flags["strongly_incidence_transitive"] = ok
-    if not ok:
-        witnesses["strongly_incidence_transitive"] = wit
-
-    intersection_numbers = None
-    try:
-        part = johnson.distance_partition(code, cap=cap_partition)
-        ok = True
-        wit = None
-        for cell in part.cells:
-            cok, cwit = _transitive_with_witness(G, cell)
-            if not cok:
-                ok, wit = False, cwit
-                break
-        flags["completely_transitive"] = ok
-        if not ok:
-            witnesses["completely_transitive"] = wit
-        creg, detail = johnson.is_completely_regular(code, cap=cap_partition)
-        flags["completely_regular"] = creg
-        if creg:
-            intersection_numbers = detail
-        else:
-            witnesses["completely_regular"] = detail
-    except ResourceCapError as exc:
-        flags["completely_transitive"] = None
-        flags["completely_regular"] = None
-        notes.append(f"distance partition not computed: {exc}")
+    if facts.partition_error is not None:
+        notes.append(f"distance partition not computed: "
+                     f"{facts.partition_error}")
+    intersection_numbers = (facts.regularity[1]
+                            if flags["completely_regular"] else None)
 
     prim, _ = G.primitivity()
     group_facts = {
@@ -616,8 +636,8 @@ def check_properties(code, G, cap_orbit=DEFAULT_ORBIT_CAP,
         "primitive_on_V": prim == "primitive",
         "two_transitive_on_V": G.is_2transitive(),
     }
-    return PropertyReport(code, G.order(), flags, witnesses, delta,
-                          len(gamma1), group_facts,
+    return PropertyReport(code, G.order(), flags, witnesses,
+                          min_distance(code), len(facts.gamma1), group_facts,
                           intersection_numbers=intersection_numbers,
                           notes=notes)
 
@@ -679,52 +699,20 @@ def check_theorem_consistency(code, G=None, report=None):
 # classification search
 # ---------------------------------------------------------------------------
 
-def _pred_code_transitive(code, G):
-    return _transitive_with_witness(G, code.codewords)[0]
+def _predicate(flag):
+    """A search predicate (code, G) -> bool from a flag; a distance
+    partition over its cap raises, as every exceeded cap does in search."""
+    def holds(code, G):
+        facts = _Facts(code, G)
+        ok = flag(facts)[0]
+        if ok is None:
+            raise facts.partition_error
+        return ok
+    return holds
 
 
-def _pred_gamma1_transitive(code, G):
-    gamma1 = neighbour_set(code)
-    if not gamma1:
-        return False
-    return _transitive_with_witness(G, gamma1)[0]
-
-
-def _pred_neighbour_transitive(code, G):
-    return _pred_code_transitive(code, G) and _pred_gamma1_transitive(code, G)
-
-
-def _pred_incidence_transitive(code, G):
-    if not _pred_code_transitive(code, G):
-        return False
-    return _incidence_transitive(code, G, neighbour_set(code))[0]
-
-
-def _pred_strong(code, G):
-    if not _pred_code_transitive(code, G):
-        return False
-    return _strongly_incidence_transitive(code, G)[0]
-
-
-def _pred_completely_regular(code, G):
-    return johnson.is_completely_regular(code)[0]
-
-
-def _pred_completely_transitive(code, G):
-    part = johnson.distance_partition(code)
-    return all(_transitive_with_witness(G, cell)[0] for cell in part.cells)
-
-
-PREDICATES = {
-    "code_transitive": _pred_code_transitive,
-    "neighbour_transitive": _pred_neighbour_transitive,
-    "gamma1_transitive": _pred_gamma1_transitive,
-    "incidence_transitive": _pred_incidence_transitive,
-    "strongly_incidence_transitive": _pred_strong,
-    "strong": _pred_strong,
-    "completely_regular": _pred_completely_regular,
-    "completely_transitive": _pred_completely_transitive,
-}
+PREDICATES = {name: _predicate(flag) for name, flag in FLAGS.items()}
+PREDICATES["strong"] = PREDICATES["strongly_incidence_transitive"]
 
 
 def subset_orbits(G, k, cap=DEFAULT_ORBIT_CAP):

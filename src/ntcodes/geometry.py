@@ -86,9 +86,6 @@ def build_space(kind, **params):
         if len(pts) != q ** 3 + 1:
             raise GeometryError("isotropic point count mismatch")
         return GeometrySpace("hermitian_isotropic", pts, F, {"q": q})
-    if kind == "abstract":
-        v = params["v"]
-        return GeometrySpace("abstract", list(range(v)), None, {"v": v})
     raise GeometryError(f"unknown space kind {kind!r}")
 
 

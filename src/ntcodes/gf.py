@@ -191,9 +191,6 @@ class Field:
             raise FieldError("inversion of zero")
         return self.exp[(-self.log[e]) % (self.q - 1)]
 
-    def div(self, e, f):
-        return self.mul(e, self.inv(f))
-
     def pow(self, e, n):
         if e == 0:
             if n < 0:

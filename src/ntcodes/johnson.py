@@ -18,10 +18,6 @@ class JohnsonError(ValueError):
     pass
 
 
-def mask_to_tuple(mask):
-    return tuple(bits(mask))
-
-
 def all_ksubsets(v, k):
     """All k-subset masks of {0..v-1}, ascending by mask value."""
     return sorted(mask_of(c) for c in combinations(range(v), k))
@@ -165,13 +161,17 @@ def distance_partition(code, cap=DEFAULT_PARTITION_CAP):
 
 
 def is_completely_regular(code, cap=DEFAULT_PARTITION_CAP):
-    """Equitability of the distance partition.
+    """Equitability of the distance partition (see equitable_matrix)."""
+    return equitable_matrix(distance_partition(code, cap=cap), code.v)
+
+
+def equitable_matrix(part, v):
+    """Equitability of a partition of the vertices of J(v,k).
 
     Returns (True, matrix) where matrix[i][j] is the constant number of
     cell-j neighbours of a cell-i vertex, or (False, witness) with the first
     (i, j, vertex_a, vertex_b, count_a, count_b) violation found.
     """
-    part = distance_partition(code, cap=cap)
     cell_index = {}
     for i, cell in enumerate(part.cells):
         for m in cell:
@@ -183,7 +183,7 @@ def is_completely_regular(code, cap=DEFAULT_PARTITION_CAP):
         first = None
         for m in sorted(cell):
             counts = [0] * r
-            for nb in vertex_neighbours(m, code.v):
+            for nb in vertex_neighbours(m, v):
                 counts[cell_index[nb]] += 1
             if row is None:
                 row = counts

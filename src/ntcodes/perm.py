@@ -7,9 +7,11 @@ domain travel as integer bitmasks throughout.
 The stabilizer chain is built by a deterministic Schreier-Sims: base points
 are the smallest non-fixed points, orbits grow breadth-first in generator
 order, so orders, transversals and element enumeration are reproducible.
+Every orbit (of points, subsets or pairs) is grown by schreier_orbit.
 """
 
 import re
+from math import lcm
 
 MAX_DEGREE = 4096
 DEFAULT_ORBIT_CAP = 10 ** 6
@@ -119,12 +121,7 @@ class Permutation:
         return all(i == j for j, i in enumerate(self.images))
 
     def order(self):
-        n = 1
-        g = self
-        while not g.is_identity():
-            g = g * self
-            n += 1
-        return n
+        return lcm(*map(len, self.cycles()))
 
     def cycles(self):
         seen = set()
@@ -154,51 +151,88 @@ class Permutation:
         return hash(self.images)
 
 
-def act(p, x):
-    """Image of a point or bitmask-subset under p."""
-    if isinstance(x, int) and x < p.degree and x >= 0 and False:
-        pass
-    if isinstance(x, frozenset) or isinstance(x, (set, list, tuple)):
-        return type(x)(p.images[i] for i in x)
-    raise PermError("use __call__ for points or apply_mask for masks")
+def schreier_orbit(start, moves, domain=None, cap=None):
+    """Breadth-first orbit of start under the image functions in moves.
+
+    Returns (members, schreier, escape).  members is the orbit in BFS order,
+    each member's images taken in the order of moves; schreier maps start to
+    None and every other member to (predecessor, move index).  When domain
+    is given, the search stops at the first image outside it and returns
+    that image as escape (otherwise escape is None).  More than cap members
+    raise ResourceCapError.
+    """
+    members = [start]
+    schreier = {start: None}
+    for x in members:
+        for i, move in enumerate(moves):
+            y = move(x)
+            if y in schreier:
+                continue
+            if domain is not None and y not in domain:
+                return members, schreier, y
+            schreier[y] = (x, i)
+            members.append(y)
+            if cap is not None and len(members) > cap:
+                raise ResourceCapError(f"orbit exceeds cap {cap}")
+    return members, schreier, None
 
 
-class SubsetOrbit:
-    """Orbit of a k-subset with Schreier bookkeeping.
+def _point_moves(generators):
+    return [g.images.__getitem__ for g in generators]
 
-    members is in BFS order; schreier maps each non-representative member
-    to (predecessor member, generator index), so a group word mapping the
-    representative to any member can be reconstructed.
+
+class Orbit:
+    """Orbit of a point or a bitmask subset, with Schreier bookkeeping.
+
+    moves[i] is the action of generators[i]; members and schreier are as
+    returned by schreier_orbit, so a group word mapping the representative
+    to any member can be reconstructed.
     """
 
-    def __init__(self, group, representative, members, schreier):
-        self.group = group
+    def __init__(self, generators, degree, representative, moves,
+                 cap=None):
+        self.generators = generators
+        self.degree = degree
         self.representative = representative
-        self.members = members
-        self.schreier = schreier
-        self._transversal = {representative: Permutation.identity(group.degree)}
+        self.moves = moves
+        self.members, self.schreier, _ = schreier_orbit(
+            representative, moves, cap=cap)
+        self._transversal = {representative: Permutation.identity(degree)}
 
     def __len__(self):
         return len(self.members)
 
-    def __contains__(self, mask):
-        return mask == self.representative or mask in self.schreier
+    def __contains__(self, x):
+        return x in self.schreier
 
-    def transversal(self, mask):
-        """A group element mapping the representative to mask."""
+    def transversal(self, x):
+        """A group element mapping the representative to x."""
         cache = self._transversal
-        if mask in cache:
-            return cache[mask]
+        if x in cache:
+            return cache[x]
         path = []
-        m = mask
+        m = x
         while m not in cache:
             path.append(m)
             m = self.schreier[m][0]
         g = cache[m]
         for m in reversed(path):
-            g = g * self.group.generators[self.schreier[m][1]]
+            g = g * self.generators[self.schreier[m][1]]
             cache[m] = g
-        return cache[mask]
+        return cache[x]
+
+    def stabilizer(self):
+        """Stabilizer of the representative, from Schreier generators."""
+        gens = []
+        seen = set()
+        for m in self.members:
+            u = self.transversal(m)
+            for g, move in zip(self.generators, self.moves):
+                s = (u * g) * self.transversal(move(m)).inverse()
+                if not s.is_identity() and s.images not in seen:
+                    seen.add(s.images)
+                    gens.append(s)
+        return PermGroup(self.degree, gens)
 
 
 class PermGroup:
@@ -274,17 +308,9 @@ class PermGroup:
             return True
 
         def rebuild_transversal(i):
-            b = base[i]
-            tr = {b: Permutation.identity(n)}
-            queue = [b]
-            for pt in queue:
-                u = tr[pt]
-                for g in level_gens[i]:
-                    im = g.images[pt]
-                    if im not in tr:
-                        tr[im] = u * g
-                        queue.append(im)
-            transversals[i] = tr
+            gens = level_gens[i]
+            orb = Orbit(gens, n, base[i], _point_moves(gens))
+            transversals[i] = {pt: orb.transversal(pt) for pt in orb.members}
 
         def strip(g, start):
             for i in range(start, len(base)):
@@ -379,15 +405,7 @@ class PermGroup:
     def orbit(self, x):
         if not (0 <= x < self.degree):
             raise PermError(f"point {x} out of range")
-        seen = {x}
-        queue = [x]
-        for pt in queue:
-            for g in self.generators:
-                im = g.images[pt]
-                if im not in seen:
-                    seen.add(im)
-                    queue.append(im)
-        return seen
+        return set(schreier_orbit(x, _point_moves(self.generators))[0])
 
     def orbits(self):
         rest = set(range(self.degree))
@@ -398,65 +416,21 @@ class PermGroup:
             rest -= o
         return out
 
-    def point_transversal(self, x):
-        """(orbit in BFS order, dict point -> rep with x^rep = point)."""
-        tr = {x: Permutation.identity(self.degree)}
-        queue = [x]
-        for pt in queue:
-            u = tr[pt]
-            for g in self.generators:
-                im = g.images[pt]
-                if im not in tr:
-                    tr[im] = u * g
-                    queue.append(im)
-        return queue, tr
-
     def point_stabilizer(self, x):
         """Stabilizer of the point x, from Schreier generators."""
-        queue, tr = self.point_transversal(x)
-        gens = []
-        seen = set()
-        for pt in queue:
-            u = tr[pt]
-            for g in self.generators:
-                s = (u * g) * tr[g.images[pt]].inverse()
-                if not s.is_identity() and s.images not in seen:
-                    seen.add(s.images)
-                    gens.append(s)
-        return PermGroup(self.degree, gens)
+        gens = self.generators
+        return Orbit(gens, self.degree, x, _point_moves(gens)).stabilizer()
 
     def subset_orbit(self, mask, cap=DEFAULT_ORBIT_CAP):
         """Orbit of a bitmask subset under the induced action on subsets."""
         if mask >> self.degree:
             raise PermError("subset not contained in the domain")
-        schreier = {}
-        members = [mask]
-        seen = {mask}
-        for m in members:
-            for gi, g in enumerate(self.generators):
-                im = g.apply_mask(m)
-                if im not in seen:
-                    seen.add(im)
-                    schreier[im] = (m, gi)
-                    members.append(im)
-                    if len(members) > cap:
-                        raise ResourceCapError(
-                            f"subset orbit exceeds cap {cap}")
-        return SubsetOrbit(self, mask, members, schreier)
+        return Orbit(self.generators, self.degree, mask,
+                     [g.apply_mask for g in self.generators], cap=cap)
 
     def setwise_stabilizer(self, mask, cap=DEFAULT_ORBIT_CAP):
         """Stabilizer of a subset (as bitmask), via subset-orbit Schreier generators."""
-        orb = self.subset_orbit(mask, cap=cap)
-        gens = []
-        seen = set()
-        for m in orb.members:
-            u = orb.transversal(m)
-            for g in self.generators:
-                s = (u * g) * orb.transversal(g.apply_mask(m)).inverse()
-                if not s.is_identity() and s.images not in seen:
-                    seen.add(s.images)
-                    gens.append(s)
-        return PermGroup(self.degree, gens)
+        return self.subset_orbit(mask, cap=cap).stabilizer()
 
     # ---- transitivity and primitivity --------------------------------------
 
@@ -468,37 +442,21 @@ class PermGroup:
         masks = set(masks)
         if not masks:
             return True
-        start = min(masks)
-        seen = {start}
-        queue = [start]
-        for m in queue:
-            for g in self.generators:
-                im = g.apply_mask(m)
-                if im not in masks:
-                    return False
-                if im not in seen:
-                    seen.add(im)
-                    queue.append(im)
-        return len(seen) == len(masks)
+        members, _, escape = schreier_orbit(
+            min(masks), [g.apply_mask for g in self.generators], masks)
+        return escape is None and len(members) == len(masks)
 
     def is_transitive_on_product(self, aset, bset):
         """True iff the action on ordered pairs A x B has a single orbit."""
         aset, bset = set(aset), set(bset)
         if not aset or not bset:
             raise PermError("empty factor in product-transitivity test")
-        target = len(aset) * len(bset)
-        start = (min(aset), min(bset))
-        seen = {start}
-        queue = [start]
-        for (x, y) in queue:
-            for g in self.generators:
-                pair = (g.images[x], g.images[y])
-                if pair[0] not in aset or pair[1] not in bset:
-                    return False
-                if pair not in seen:
-                    seen.add(pair)
-                    queue.append(pair)
-        return len(seen) == target
+        pairs = {(x, y) for x in aset for y in bset}
+        moves = [lambda p, img=g.images: (img[p[0]], img[p[1]])
+                 for g in self.generators]
+        members, _, escape = schreier_orbit(
+            (min(aset), min(bset)), moves, pairs)
+        return escape is None and len(members) == len(pairs)
 
     def minimal_block(self, x):
         """Smallest block of imprimitivity containing {0, x} (Atkinson)."""

@@ -1,6 +1,10 @@
-"""Command-line interface tests (all run in-process through main())."""
+"""Command-line interface tests (run in-process through main(), except the
+traced-launcher check, which runs a subprocess)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -74,6 +78,22 @@ def test_code_file_validation(mutate, message):
     mutate(data)
     with pytest.raises(UsageError, match=message):
         parse_code_dict(data)
+
+
+# JSON true loads as a bool, which Python counts as the integer 1; each of
+# these was read as a valid code with a 1 in place of the true.
+@pytest.mark.parametrize("data", [
+    {"v": True, "k": 1, "codewords": [[0]]},
+    {"v": 6, "k": True, "codewords": [[0], [1]]},
+    {"v": 6, "k": 2, "codewords": [[0, True], [2, 3]]},
+], ids=["v", "k", "codeword"])
+def test_code_file_rejects_json_booleans(tmp_path, capsys, data):
+    with pytest.raises(UsageError, match="integer"):
+        parse_code_dict(data)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    rc, _, err = run(capsys, "verify", str(path), "--group", "sym:6")
+    assert rc == 2 and "error:" in err
 
 
 # ---- construct -----------------------------------------------------------------
@@ -177,6 +197,15 @@ def test_search_bad_predicate(capsys):
     assert rc == 2 and "predicate" in err
 
 
+@pytest.mark.parametrize("extra", [["--k", "2", "--max-union", "4"],
+                                   ["--k", "-1"]])
+def test_search_bad_arguments_exit_2(capsys, extra):
+    rc, _, err = run(capsys, "search", "--group", "sym:5",
+                     "--predicate", "code_transitive", *extra)
+    assert rc == 2 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_search_resource_cap(capsys):
     rc, _, err = run(capsys, "search", "--group", "sym:24", "--k", "12",
                      "--predicate", "neighbour_transitive",
@@ -184,7 +213,7 @@ def test_search_resource_cap(capsys):
     assert rc == 3 and "resource cap" in err
 
 
-# ---- catalog and environment -----------------------------------------------------
+# ---- catalog and argparse -----------------------------------------------------
 
 def test_catalog_lists_every_family(capsys):
     rc, out, _ = run(capsys, "catalog")
@@ -193,18 +222,26 @@ def test_catalog_lists_every_family(capsys):
         assert fam in out
 
 
-def test_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("JOHNSON_NT_THREADS", "banana")
-    rc, _, err = run(capsys, "catalog")
-    assert rc == 2 and "JOHNSON_NT_THREADS" in err
-    monkeypatch.setenv("JOHNSON_NT_THREADS", "0")
-    rc, _, _ = run(capsys, "catalog")
-    assert rc == 2
-    monkeypatch.setenv("JOHNSON_NT_THREADS", "4")
-    rc, _, _ = run(capsys, "catalog")
-    assert rc == 0
-
-
 def test_usage_exit_code_from_argparse(capsys):
     assert main(["no-such-verb"]) == 2
     assert main([]) == 2
+
+
+# ---- benchmark tracer contract ----------------------------------------------
+
+def test_perfbench_tracer_wraps_existing_names(tmp_path):
+    # perfbench/traced_cli.py wraps functions and methods by name and
+    # crashes if one is missing
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code, _ = codes.build("subfield_line")
+    path = tmp_path / "c.json"
+    path.write_text(code_to_json(code))
+    trace = tmp_path / "t.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "traced_cli.py"),
+         str(trace), "verify", str(path), "--group", "agammal:1,16"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spans = {span[0] for span in json.loads(trace.read_text())["spans"]}
+    assert {"perm.setwise_stabilizer", "codes.check_properties"} <= spans

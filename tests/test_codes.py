@@ -10,7 +10,8 @@ from ntcodes.codes import (CATALOG, ConstructionError, PREDICATES, blowup_code,
                            build, check_properties, check_theorem_consistency,
                            classify_search, delta_block, subset_orbits,
                            utype_gamma1_target, utype_target)
-from ntcodes.johnson import Code, all_ksubsets, min_distance, neighbour_set, u_type
+from ntcodes.johnson import (Code, all_ksubsets, min_distance, neighbour_set,
+                             u_type, vertex_neighbours)
 from ntcodes.perm import PermGroup, bits, mask_of
 
 
@@ -246,18 +247,42 @@ def test_check_properties_rejects_non_preserving_group():
         check_properties(code, PermGroup.symmetric(16))
 
 
-def test_incidence_explicit_and_stabilizer_paths_agree():
-    # the two paths are equivalent only for single-orbit codes, so only
-    # code-transitive examples are compared
-    for family, params in [("subfield_line", {}),
-                           ("utype", {"a": 2, "b": 3, "line": 3, "k": 3}),
-                           ("intransitive", {"v": 8, "u": 5, "k": 3})]:
+def _one_orbit(G, items, image):
+    """Reference BFS: is items a single orbit under image(g, item)?"""
+    items = set(items)
+    start = min(items)
+    seen = {start}
+    queue = [start]
+    for x in queue:
+        for g in G.generators:
+            y = image(g, x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen == items
+
+
+def test_incidence_flag_matches_pair_orbit():
+    # The flag is decided through the stabilizer of one codeword, which is
+    # equivalent to one orbit on adjacent (codeword, neighbour) pairs for
+    # single-orbit codes.  unitary_bases (63 x 12 x 16 pairs) is left out
+    # for time; cap_partition=0 skips the distance partition, which this
+    # flag does not use.
+    checked = 0
+    for family, params in CATALOG:
         code, G = build(family, **params)
-        g1 = neighbour_set(code)
-        explicit = codes._incidence_transitive(code, G, g1, cap=10 ** 9)
-        forced = len(code) * code.k * (code.v - code.k) - 1
-        fallback = codes._incidence_transitive(code, G, g1, cap=forced)
-        assert explicit[0] == fallback[0], family
+        if (family == "unitary_bases" or not _one_orbit(
+                G, code.codewords, lambda g, w: g.apply_mask(w))):
+            continue
+        gamma1 = neighbour_set(code)
+        pairs = {(w, nb) for w in code.codewords
+                 for nb in vertex_neighbours(w, code.v) if nb in gamma1}
+        expected = _one_orbit(G, pairs, lambda g, p: (g.apply_mask(p[0]),
+                                                      g.apply_mask(p[1])))
+        rep = check_properties(code, G, cap_partition=0)
+        assert rep.flags["incidence_transitive"] is expected, (family, params)
+        checked += 1
+    assert checked == 23
 
 
 def test_report_as_dict_shape():

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ntcodes.codes import CATALOG, build
 from ntcodes.geometry import group_generators, wreath_stabilizer
 from ntcodes.perm import (PermError, PermGroup, Permutation,
                           ResourceCapError, bits, mask_of)
@@ -261,3 +262,36 @@ def test_product_inverse_property(a, b):
     p, q = Permutation(a), Permutation(b)
     assert (p * q).inverse() == q.inverse() * p.inverse()
     assert p.order() >= 1
+
+
+# ---- independent oracle: sympy.combinatorics ------------------------------------
+
+def _subset_orbit_size(G, mask):
+    # plain BFS over masks, sharing no code with PermGroup
+    seen = {mask}
+    queue = [mask]
+    for m in queue:
+        for g in G.generators:
+            im = mask_of(g.images[x] for x in bits(m))
+            if im not in seen:
+                seen.add(im)
+                queue.append(im)
+    return len(seen)
+
+
+@pytest.mark.parametrize("family,params", CATALOG,
+                         ids=["-".join([f] + [f"{k}{v}" for k, v in p.items()])
+                              for f, p in CATALOG])
+def test_catalog_groups_against_sympy(family, params):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    code, G = build(family, **params)
+    S = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g.images)) for g in G.generators])
+    assert G.order() == S.order()
+    assert G.point_stabilizer(0).order() == S.stabilizer(0).order()
+    assert G.is_transitive() == S.is_transitive()
+    assert G.is_primitive() == (S.is_transitive() and S.is_primitive())
+    assert G.is_2transitive() == (S.transitivity_degree >= 2)
+    mask = code.codewords[0]
+    assert (G.setwise_stabilizer(mask).order()
+            * _subset_orbit_size(G, mask)) == S.order()
