@@ -161,8 +161,13 @@ def parse_code_dict(data):
         raise UsageError("code file: duplicate codeword")
     if any(words[j] > words[j + 1] for j in range(len(words) - 1)):
         raise UsageError("code file: codewords are not sorted lexicographically")
-    return Code(v, k, masks, name=data.get("name", ""),
-                params=data.get("params") or {})
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise UsageError("code file: name must be a string")
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise UsageError("code file: params must be an object")
+    return Code(v, k, masks, name=name, params=params)
 
 
 # ---- verbs -------------------------------------------------------------------
@@ -266,6 +271,18 @@ def cmd_catalog(_args):
     return EXIT_OK
 
 
+def _positive_int(text):
+    # argparse type for the caps; a cap below 1 is a usage error
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="ntcodes",
@@ -285,8 +302,8 @@ def build_parser():
     pv = sub.add_parser("verify", help="verify a (code file, group) pair")
     pv.add_argument("code_file")
     pv.add_argument("--group", required=True)
-    pv.add_argument("--cap-orbit", type=int, default=10 ** 6)
-    pv.add_argument("--cap-partition", type=int, default=10 ** 6)
+    pv.add_argument("--cap-orbit", type=_positive_int, default=10 ** 6)
+    pv.add_argument("--cap-partition", type=_positive_int, default=10 ** 6)
     pv.add_argument("-o", "--output", default=None)
     pv.set_defaults(func=cmd_verify)
 
@@ -295,7 +312,7 @@ def build_parser():
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--predicate", required=True)
     ps.add_argument("--max-union", type=int, default=1)
-    ps.add_argument("--cap-orbit", type=int, default=10 ** 6)
+    ps.add_argument("--cap-orbit", type=_positive_int, default=10 ** 6)
     ps.add_argument("-o", "--output", default=None)
     ps.set_defaults(func=cmd_search)
 

@@ -438,16 +438,20 @@ def _transitive_with_witness(G, masks):
 class _Facts:
     """What the flags of one (code, group) pair share, each computed at most
     once: the code's orbit test, the neighbour set Gamma_1, the stabilizer
-    G_gamma of codeword 0 and the distance partition (None past
-    cap_partition, with the cap error kept in partition_error)."""
+    G_gamma of codeword 0, the quotient of J(v,k) by the G-orbits on its
+    vertices and the code's distance partition on that quotient (None past
+    cap_partition, with the cap error kept in partition_error).  A caller
+    that already holds the quotient, as classify_search does, passes it."""
 
     def __init__(self, code, G, cap_orbit=DEFAULT_ORBIT_CAP,
-                 cap_partition=johnson.DEFAULT_PARTITION_CAP):
+                 cap_partition=johnson.DEFAULT_PARTITION_CAP, quotient=None):
         self.code = code
         self.G = G
         self.cap_orbit = cap_orbit
         self.cap_partition = cap_partition
         self.partition_error = None
+        if quotient is not None:
+            self.quotient = quotient
 
     @cached_property
     def code_orbit(self):
@@ -463,17 +467,23 @@ class _Facts:
                                          cap=self.cap_orbit)
 
     @cached_property
+    def quotient(self):
+        orbits = subset_orbits(self.G, self.code.k, cap=self.cap_partition)
+        return johnson.OrbitQuotient(orbits, self.code.v)
+
+    @cached_property
     def partition(self):
         try:
-            return johnson.distance_partition(self.code,
-                                              cap=self.cap_partition)
+            johnson.check_partition_cap(self.code.v, self.code.k,
+                                        self.cap_partition)
         except ResourceCapError as exc:
             self.partition_error = exc
             return None
+        return self.quotient.distance_partition(self.code)
 
     @cached_property
     def regularity(self):
-        return johnson.equitable_matrix(self.partition, self.code.v)
+        return self.quotient.equitable_matrix(self.partition)
 
 
 # Each flag maps _Facts to (value, witness): value is True, False, or None
@@ -533,12 +543,15 @@ def _strongly(f):
 
 
 def _completely_transitive(f):
+    """Every cell of the distance partition is one orbit; the witness is
+    the smallest vertex of the first split cell and the smallest member of
+    its second orbit."""
     if f.partition is None:
         return None, None
+    orbits = f.quotient.orbits
     for cell in f.partition.cells:
-        ok, wit = _transitive_with_witness(f.G, cell)
-        if not ok:
-            return False, wit
+        if len(cell) > 1:
+            return False, (orbits[cell[0]][0], orbits[cell[1]][0])
     return True, None
 
 
@@ -700,10 +713,12 @@ def check_theorem_consistency(code, G=None, report=None):
 # ---------------------------------------------------------------------------
 
 def _predicate(flag):
-    """A search predicate (code, G) -> bool from a flag; a distance
-    partition over its cap raises, as every exceeded cap does in search."""
-    def holds(code, G):
-        facts = _Facts(code, G)
+    """A search predicate (code, G, quotient=None) -> bool from a flag; a
+    distance partition over its cap raises, as every exceeded cap does in
+    search.  quotient is the OrbitQuotient of G's orbits on k-subsets,
+    built on first use when not given."""
+    def holds(code, G, quotient=None):
+        facts = _Facts(code, G, quotient=quotient)
         ok = flag(facts)[0]
         if ok is None:
             raise facts.partition_error
@@ -716,17 +731,19 @@ PREDICATES["strong"] = PREDICATES["strongly_incidence_transitive"]
 
 
 def subset_orbits(G, k, cap=DEFAULT_ORBIT_CAP):
-    """All G-orbits on k-subsets, each as a sorted tuple of masks."""
+    """All G-orbits on k-subsets, each as a sorted tuple of masks, in
+    ascending order of their smallest member."""
     total = comb(G.degree, k)
     if total > cap:
         raise ResourceCapError(f"C({G.degree},{k}) = {total} exceeds cap {cap}")
-    rest = set(johnson.all_ksubsets(G.degree, k))
+    seen = set()
     out = []
-    while rest:
-        orb = G.subset_orbit(min(rest), cap=cap)
-        members = sorted(orb.members)
+    for mask in johnson.all_ksubsets(G.degree, k):
+        if mask in seen:
+            continue
+        members = sorted(G.subset_orbit(mask, cap=cap).members)
         out.append(tuple(members))
-        rest.difference_update(members)
+        seen.update(members)
     return out
 
 
@@ -737,7 +754,8 @@ def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP,
     Scans every union of at most max_union G-orbits on k-subsets (default:
     single orbits, which are automatically code-transitive) and keeps the
     unions satisfying the predicate.  The full vertex set is skipped unless
-    include_degenerate is set, since a code must be a proper subset.
+    include_degenerate is set, since a code must be a proper subset.  One
+    orbit quotient of J(v,k) serves every union's predicate.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}; choose from "
@@ -746,6 +764,7 @@ def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP,
         raise ValueError("unions of more than 3 orbits are not supported")
     pred = PREDICATES[predicate]
     orbits = subset_orbits(G, k, cap=cap)
+    quotient = johnson.OrbitQuotient(orbits, G.degree)
     total = comb(G.degree, k)
     found = []
     for r in range(1, max_union + 1):
@@ -757,7 +776,7 @@ def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP,
                 continue
             code = Code(G.degree, k, words,
                         name=f"search(k={k},orbits={list(chosen)})")
-            if pred(code, G):
+            if pred(code, G, quotient=quotient):
                 found.append(code)
     found.sort(key=lambda c: (len(c), c.codewords))
     return found

@@ -386,12 +386,18 @@ def restrict_group(G, mask):
     """Induced group on the points of an invariant subset, relabeled 0..m-1.
 
     Point i of the new domain is the i-th smallest member of the subset.
+    A restricted generator is kept only if it sifts to a non-identity
+    element of the group generated by those kept before it (Seress,
+    Permutation Group Algorithms, 4), so the stabilizers' unreduced
+    Schreier generators shrink to a small generating set of the same group.
     """
     pts = [i for i in range(G.degree) if (mask >> i) & 1]
     relabel = {p: i for i, p in enumerate(pts)}
-    gens = []
+    H = PermGroup(len(pts), [])
     for g in G.generators:
         if g.apply_mask(mask) != mask:
             raise GeometryError("generator does not preserve the subset")
-        gens.append(Permutation([relabel[g.images[p]] for p in pts]))
-    return PermGroup(len(pts), gens)
+        h = Permutation([relabel[g.images[p]] for p in pts])
+        if h not in H:
+            H = PermGroup(len(pts), H.generators + (h,))
+    return H

@@ -1,13 +1,15 @@
 """Johnson graph layer: k-subsets as bitmasks, distances, neighbour sets,
-distance partitions, minimum distance, complete regularity, part-intersection
-types, and complementation.
+distance partitions, minimum distance, complete regularity, the quotient of
+J(v,k) by a group's orbits, part-intersection types, and complementation.
 
 A vertex of J(v,k) is a k-subset of {0..v-1}, stored as an int bitmask.
 Two vertices are adjacent when they share k-1 points, so the graph distance
 between masks a, b is k - popcount(a & b).
 """
 
+from functools import cached_property
 from itertools import combinations
+from math import comb
 
 from .perm import ResourceCapError, bits, mask_of, popcount
 
@@ -69,7 +71,6 @@ class Code:
         self.params = dict(params or {})
         self.notes = list(notes or [])
         if degenerate is None:
-            from math import comb
             degenerate = (len(codewords) == comb(v, k)) or not (2 <= k <= v - 2)
         self.degenerate = degenerate
         self._set = frozenset(codewords)
@@ -128,7 +129,8 @@ def min_distance(code):
 
 
 class DistancePartition:
-    """BFS layering of all vertices of J(v,k) by distance to a code."""
+    """BFS layering of all vertices of J(v,k) by distance to a code; an
+    OrbitQuotient's cells hold orbit numbers in place of vertices."""
 
     def __init__(self, cells):
         self.cells = cells
@@ -141,12 +143,17 @@ class DistancePartition:
         return iter(self.cells)
 
 
-def distance_partition(code, cap=DEFAULT_PARTITION_CAP):
-    from math import comb
-    total = comb(code.v, code.k)
+def check_partition_cap(v, k, cap):
+    """The vertex count C(v,k) of J(v,k); raises if it is over cap."""
+    total = comb(v, k)
     if total > cap:
         raise ResourceCapError(
-            f"J({code.v},{code.k}) has {total} vertices, over cap {cap}")
+            f"J({v},{k}) has {total} vertices, over cap {cap}")
+    return total
+
+
+def distance_partition(code, cap=DEFAULT_PARTITION_CAP):
+    total = check_partition_cap(code.v, code.k, cap)
     cells = [set(code.codewords)]
     seen = set(code.codewords)
     while len(seen) < total:
@@ -193,6 +200,88 @@ def equitable_matrix(part, v):
                 return False, (i, j, first, m, row[j], counts[j])
         matrix.append(row)
     return True, matrix
+
+
+class OrbitQuotient:
+    """J(v,k) collapsed onto the orbits of a group acting on its vertices.
+
+    orbits lists every G-orbit on k-subsets, each a sorted tuple of masks
+    (as codes.subset_orbits returns them).  An orbit partition is equitable
+    (Godsil-Royle, Algebraic Graph Theory, 9.3): every member of orbit i has
+    the same number adjacency[i][j] of neighbours in orbit j, counted here
+    at the smallest member.  Rows keep their non-zero entries as dicts.  A
+    G-invariant code is a union of orbits, so its distance partition and
+    the equitability of that partition are decided on these rows alone.
+    The mask-to-orbit index and the rows are built on first use.
+    """
+
+    def __init__(self, orbits, v):
+        self.orbits = orbits
+        self.v = v
+
+    @cached_property
+    def index(self):
+        return {m: i for i, orb in enumerate(self.orbits) for m in orb}
+
+    @cached_property
+    def adjacency(self):
+        index = self.index
+        rows = []
+        for orb in self.orbits:
+            row = {}
+            for nb in vertex_neighbours(orb[0], self.v):
+                j = index[nb]
+                row[j] = row.get(j, 0) + 1
+            rows.append(row)
+        return rows
+
+    def distance_partition(self, code):
+        """Breadth-first layering of the orbits by distance to code.
+
+        Each cell is a list of orbit numbers, ascending by smallest member;
+        the vertices of a cell are those of distance_partition(code).
+        """
+        index = self.index
+        start = {index[w] for w in code.codewords}
+        if sum(len(self.orbits[i]) for i in start) != len(code):
+            raise JohnsonError("code is not a union of orbits")
+        smallest = lambda i: self.orbits[i][0]
+        cells = [sorted(start, key=smallest)]
+        seen = set(start)
+        while len(seen) < len(self.orbits):
+            layer = {j for i in cells[-1] for j in self.adjacency[i]} - seen
+            cells.append(sorted(layer, key=smallest))
+            seen |= layer
+        return DistancePartition(cells)
+
+    def equitable_matrix(self, part):
+        """equitable_matrix of the vertex partition that part stands for.
+
+        The matrix and the witness (i, j, vertex_a, vertex_b, count_a,
+        count_b) are the vertex-level ones: vertex_a is the smallest vertex
+        of cell i, vertex_b the smallest member of its first orbit whose
+        cell counts differ from those of the cell's first orbit.
+        """
+        cell_of = {}
+        for c, cell in enumerate(part.cells):
+            for i in cell:
+                cell_of[i] = c
+        r = part.covering_index
+        matrix = []
+        for c, cell in enumerate(part.cells):
+            row = None
+            for i in cell:
+                counts = [0] * r
+                for j, n in self.adjacency[i].items():
+                    counts[cell_of[j]] += n
+                if row is None:
+                    row = counts
+                elif counts != row:
+                    j = next(j for j in range(r) if counts[j] != row[j])
+                    return False, (c, j, self.orbits[cell[0]][0],
+                                   self.orbits[i][0], row[j], counts[j])
+            matrix.append(row)
+        return True, matrix
 
 
 def u_type(mask, partition):

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -96,6 +98,21 @@ def test_code_file_rejects_json_booleans(tmp_path, capsys, data):
     assert rc == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("params", "x", "params must be an object"),
+    ("name", 7, "name must be a string"),
+])
+def test_code_file_rejects_bad_metadata(tmp_path, capsys, field, value,
+                                        message):
+    data = {"v": 6, "k": 2, "codewords": [[0, 1]], field: value}
+    with pytest.raises(UsageError, match=message):
+        parse_code_dict(data)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    rc, _, err = run(capsys, "verify", str(path), "--group", "sym:6")
+    assert rc == 2 and "error:" in err and "Traceback" not in err
+
+
 # ---- construct -----------------------------------------------------------------
 
 def test_construct_to_file_and_reread(tmp_path, capsys):
@@ -179,6 +196,20 @@ def test_verify_caps_give_none_flags(tmp_path, capsys):
     assert payload["completely_regular"] is None
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--cap-orbit", "-5"), ("--cap-orbit", "0"),
+    ("--cap-partition", "0"), ("--cap-partition", "-1"),
+])
+def test_verify_rejects_non_positive_caps(tmp_path, capsys, option, value):
+    code, _ = codes.build("subfield_line")
+    path = tmp_path / "c.json"
+    path.write_text(code_to_json(code))
+    rc, out, err = run(capsys, "verify", str(path), "--group",
+                       "agammal:1,16", option, value)
+    assert rc == 2 and out == ""
+    assert "error:" in err and "positive integer" in err
+
+
 # ---- search --------------------------------------------------------------------
 
 def test_search_wreath(tmp_path, capsys):
@@ -204,6 +235,15 @@ def test_search_bad_arguments_exit_2(capsys, extra):
                      "--predicate", "code_transitive", *extra)
     assert rc == 2 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_search_rejects_non_positive_cap(capsys, value):
+    rc, out, err = run(capsys, "search", "--group", "sym:6", "--k", "2",
+                       "--predicate", "completely_regular",
+                       "--cap-orbit", value)
+    assert rc == 2 and out == ""
+    assert "error:" in err and "positive integer" in err
 
 
 def test_search_resource_cap(capsys):
@@ -245,3 +285,21 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     assert proc.returncode == 0, proc.stderr
     spans = {span[0] for span in json.loads(trace.read_text())["spans"]}
     assert {"perm.setwise_stabilizer", "codes.check_properties"} <= spans
+
+    # the union counter wraps the PREDICATES entries, so it reads one per
+    # union the search tests; the orbit quotient looks at the neighbours
+    # of one representative per orbit and no other vertex
+    G = parse_group_spec("stab:6:0,1")
+    orbits = codes.subset_orbits(G, 2)
+    unions = [c for r in (1, 2) for c in combinations(orbits, r)
+              if sum(map(len, c)) < comb(6, 2)]
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "traced_cli.py"),
+         str(trace), "search", "--group", "stab:6:0,1", "--k", "2",
+         "--predicate", "completely_regular", "--max-union", "2"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counters = json.loads(trace.read_text())["counters"]
+    assert len(unions) == 6
+    assert counters["codes.unions_tested"] == len(unions)
+    assert counters["johnson.vertex_neighbours_calls"] == len(orbits)

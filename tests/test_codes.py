@@ -4,6 +4,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ntcodes import codes, geometry, johnson
 from ntcodes.codes import (CATALOG, ConstructionError, PREDICATES, blowup_code,
@@ -12,7 +13,7 @@ from ntcodes.codes import (CATALOG, ConstructionError, PREDICATES, blowup_code,
                            utype_gamma1_target, utype_target)
 from ntcodes.johnson import (Code, all_ksubsets, min_distance, neighbour_set,
                              u_type, vertex_neighbours)
-from ntcodes.perm import PermGroup, bits, mask_of
+from ntcodes.perm import PermGroup, Permutation, bits, mask_of
 
 
 # ---- catalog shapes -------------------------------------------------------------
@@ -185,6 +186,14 @@ def test_hyperoval_profile():
     assert (16 + 2) / 3 <= code.k <= 2 * (16 - 1) / 3
 
 
+def test_hyperoval_group_is_reduced():
+    # restrict_group drops the redundant Schreier generators of the line
+    # stabilizer (126 before reduction)
+    _, G = build("hyperoval_ag24")
+    assert len(G.generators) <= 8
+    assert G.order() == 5760
+
+
 def test_baer_subline_k_and_note():
     code, G = build("baer_subline", q0=3)
     assert code.k == 3 + 1
@@ -325,6 +334,74 @@ def test_intersection_numbers_reported_for_completely_regular():
     assert rep.intersection_numbers is not None
     for row in rep.intersection_numbers:
         assert sum(row) == code.k * (code.v - code.k)
+
+
+# ---- orbit quotient against the vertex-level oracle -----------------------------
+
+def vertex_partition_flags(code, G):
+    """Both partition flags as the vertex engine decides them: the distance
+    partition of every vertex, a transitivity test on each cell and
+    johnson.equitable_matrix."""
+    part = johnson.distance_partition(code)
+    transitive = (True, None)
+    for cell in part.cells:
+        ok, wit = codes._transitive_with_witness(G, cell)
+        if not ok:
+            transitive = (False, wit)
+            break
+    return part, transitive, johnson.equitable_matrix(part, code.v)
+
+
+def quotient_partition_flags(code, G, quotient):
+    facts = codes._Facts(code, G, quotient=quotient)
+    cells = [set().union(*(quotient.orbits[i] for i in cell))
+             for cell in facts.partition.cells]
+    return (cells, codes.FLAGS["completely_transitive"](facts),
+            codes.FLAGS["completely_regular"](facts), facts.regularity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_orbit_quotient_matches_vertex_engine(data):
+    n = data.draw(st.integers(3, 8), label="degree")
+    perms = data.draw(st.lists(st.permutations(range(n)), min_size=1,
+                               max_size=3), label="generators")
+    G = PermGroup(n, [Permutation(p) for p in perms])
+    k = data.draw(st.integers(1, n - 1), label="k")
+    orbits = subset_orbits(G, k)
+    chosen = data.draw(st.sets(st.integers(0, len(orbits) - 1), min_size=1),
+                       label="union")
+    code = Code(n, k, [m for i in chosen for m in orbits[i]])
+    quotient = johnson.OrbitQuotient(orbits, n)
+
+    part, transitive, regular = vertex_partition_flags(code, G)
+    cells, q_transitive, q_regular, q_regularity = quotient_partition_flags(
+        code, G, quotient)
+    assert cells == part.cells
+    assert q_transitive == transitive
+    assert q_regularity == regular
+    assert q_regular == (regular[0], None if regular[0] else regular[1])
+
+
+def test_orbit_quotient_matches_vertex_engine_on_catalog():
+    for family, params in CATALOG:
+        code, G = build(family, **params)
+        rep = check_properties(code, G)
+        if comb(code.v, code.k) > johnson.DEFAULT_PARTITION_CAP:
+            assert rep.flags["completely_transitive"] is None
+            assert rep.flags["completely_regular"] is None
+            continue
+        _, transitive, regular = vertex_partition_flags(code, G)
+        label = (family, params)
+        assert rep.flags["completely_transitive"] == transitive[0], label
+        assert rep.witnesses.get("completely_transitive") == transitive[1]
+        assert rep.flags["completely_regular"] == regular[0], label
+        if regular[0]:
+            assert rep.intersection_numbers == regular[1], label
+            assert "completely_regular" not in rep.witnesses
+        else:
+            assert rep.intersection_numbers is None
+            assert rep.witnesses["completely_regular"] == regular[1], label
 
 
 # ---- classification search -------------------------------------------------------

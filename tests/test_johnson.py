@@ -153,6 +153,30 @@ def test_not_completely_regular_witness():
         assert c1 != c2
 
 
+def test_orbit_quotient_of_trivial_group_is_the_graph():
+    # one orbit per vertex: the rows are the adjacency of J(6,3) itself
+    v, k = 6, 3
+    orbits = [(m,) for m in all_ksubsets(v, k)]
+    quotient = johnson.OrbitQuotient(orbits, v)
+    for i, (m,) in enumerate(orbits):
+        row = quotient.adjacency[i]
+        assert set(row.values()) == {1}
+        assert {orbits[j][0] for j in row} == vertex_neighbours(m, v)
+    code = Code(v, k, [mask_of([0, 1, 2]), mask_of([0, 1, 3])])
+    part = quotient.distance_partition(code)
+    assert ([{orbits[i][0] for i in cell} for cell in part.cells]
+            == distance_partition(code).cells)
+    assert (quotient.equitable_matrix(part)
+            == is_completely_regular(code))
+
+
+def test_orbit_quotient_rejects_a_code_that_splits_an_orbit():
+    v, k = 5, 2
+    quotient = johnson.OrbitQuotient([tuple(all_ksubsets(v, k))], v)
+    with pytest.raises(JohnsonError, match="union of orbits"):
+        quotient.distance_partition(Code(v, k, [mask_of([0, 1])]))
+
+
 def test_u_type():
     from ntcodes.geometry import partition_blocks
     parts = partition_blocks(3, 3)
