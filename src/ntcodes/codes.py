@@ -212,8 +212,7 @@ _BAER_NOTE = ("pairwise subline intersections of size at most 1 would give "
 
 
 def build_baer_subline(q0):
-    code = geometry.baer_sublines(q0)
-    code.notes.append(_BAER_NOTE)
+    code = geometry.baer_sublines(q0, notes=[_BAER_NOTE])
     G = geometry.group_generators("pgammal", n=2, q=q0 * q0)
     return code, G
 
@@ -435,13 +434,27 @@ def _transitive_with_witness(G, masks):
     return False, (start, min(masks.difference(members)))
 
 
+def _one_orbit(orbits, chosen):
+    """_transitive_with_witness on the union of the orbits numbered chosen,
+    which run ascending by smallest member: (True, None) for one orbit, else
+    (False, (smallest member of the first, smallest member of the second))."""
+    if len(chosen) == 1:
+        return True, None
+    return False, (orbits[chosen[0]][0], orbits[chosen[1]][0])
+
+
 class _Facts:
     """What the flags of one (code, group) pair share, each computed at most
-    once: the code's orbit test, the neighbour set Gamma_1, the stabilizer
-    G_gamma of codeword 0, the quotient of J(v,k) by the G-orbits on its
-    vertices and the code's distance partition on that quotient (None past
-    cap_partition, with the cap error kept in partition_error).  A caller
-    that already holds the quotient, as classify_search does, passes it."""
+    once: the code's orbits, the neighbour set Gamma_1 and its orbits, the
+    stabilizer G_gamma of codeword 0, the quotient of J(v,k) by the G-orbits
+    on its vertices and the code's distance partition on that quotient (None
+    past cap_partition, with the cap error kept in partition_error).  A
+    caller that already holds the quotient, as classify_search does, passes
+    it.
+
+    The code must be G-invariant.  With a quotient (passed, or C(v,k) within
+    cap_partition) the code and Gamma_1 are unions of orbits read off its
+    rows; above the cap they are tested vertex by vertex."""
 
     def __init__(self, code, G, cap_orbit=DEFAULT_ORBIT_CAP,
                  cap_partition=johnson.DEFAULT_PARTITION_CAP, quotient=None):
@@ -450,21 +463,59 @@ class _Facts:
         self.cap_orbit = cap_orbit
         self.cap_partition = cap_partition
         self.partition_error = None
+        self.on_quotient = (quotient is not None
+                            or comb(code.v, code.k) <= cap_partition)
         if quotient is not None:
             self.quotient = quotient
 
     @cached_property
-    def code_orbit(self):
-        return _transitive_with_witness(self.G, self.code.codewords)
+    def code_orbits(self):
+        """Numbers of the code's orbits, ascending; the quotient numbers its
+        orbits in ascending order of their smallest members."""
+        index = self.quotient.index
+        chosen = sorted({index[w] for w in self.code.codewords})
+        if sum(len(self.quotient.orbits[i]) for i in chosen) != len(self.code):
+            raise johnson.JohnsonError("code is not a union of orbits")
+        return chosen
+
+    @cached_property
+    def gamma1_orbits(self):
+        """Numbers of Gamma_1's orbits, ascending: those adjacent to a code
+        orbit and not in the code."""
+        rows = self.quotient.adjacency
+        near = set().union(*(rows[i] for i in self.code_orbits))
+        return sorted(near.difference(self.code_orbits))
 
     @cached_property
     def gamma1(self):
+        """The vertex set Gamma_1, for the path without a quotient."""
         return neighbour_set(self.code)
+
+    @cached_property
+    def code_orbit(self):
+        if self.on_quotient:
+            return _one_orbit(self.quotient.orbits, self.code_orbits)
+        return _transitive_with_witness(self.G, self.code.codewords)
+
+    @cached_property
+    def gamma1_size(self):
+        if self.on_quotient:
+            orbits = self.quotient.orbits
+            return sum(len(orbits[i]) for i in self.gamma1_orbits)
+        return len(self.gamma1)
+
+    @cached_property
+    def gamma1_orbit(self):
+        """The one-orbit test on a non-empty Gamma_1."""
+        if self.on_quotient:
+            return _one_orbit(self.quotient.orbits, self.gamma1_orbits)
+        return _transitive_with_witness(self.G, self.gamma1)
 
     @cached_property
     def stabilizer(self):
         return self.G.setwise_stabilizer(self.code.codewords[0],
-                                         cap=self.cap_orbit)
+                                         cap=self.cap_orbit,
+                                         group_order=self.G.order())
 
     @cached_property
     def quotient(self):
@@ -497,25 +548,27 @@ def _code_transitive(f):
 
 
 def _gamma1_transitive(f):
-    if not f.gamma1:
+    if not f.gamma1_size:
         return False, ("neighbour set is empty",)
-    return _transitive_with_witness(f.G, f.gamma1)
+    return f.gamma1_orbit
 
 
 def _neighbour_transitive(f):
-    if f.code_orbit[0] and f.gamma1:
-        return _gamma1_transitive(f)
+    if f.code_orbit[0] and f.gamma1_size:
+        return f.gamma1_orbit
     return f.code_orbit
 
 
 def _incidence_transitive(f):
     """Single G-orbit on adjacent (codeword, neighbour) pairs: for a
     single-orbit code, by orbit-stabilizer, G_gamma transitive on the
-    neighbours of gamma in Gamma_1."""
+    neighbours of gamma in Gamma_1, which are its neighbours outside the
+    code."""
     if not f.code_orbit[0]:
         return False, _NOT_ONE_ORBIT
     gamma = f.code.codewords[0]
-    local = johnson.vertex_neighbours(gamma, f.code.v) & f.gamma1
+    local = {nb for nb in johnson.vertex_neighbours(gamma, f.code.v)
+             if nb not in f.code}
     if not local:
         return True, None
     return _transitive_with_witness(f.stabilizer, local)
@@ -650,7 +703,7 @@ def check_properties(code, G, cap_orbit=DEFAULT_ORBIT_CAP,
         "two_transitive_on_V": G.is_2transitive(),
     }
     return PropertyReport(code, G.order(), flags, witnesses,
-                          min_distance(code), len(facts.gamma1), group_facts,
+                          min_distance(code), facts.gamma1_size, group_facts,
                           intersection_numbers=intersection_numbers,
                           notes=notes)
 

@@ -10,6 +10,7 @@ between masks a, b is k - popcount(a & b).
 from functools import cached_property
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 
 from .perm import ResourceCapError, bits, mask_of, popcount
 
@@ -52,6 +53,8 @@ class Code:
     codewords are stored sorted by ascending mask value.  A code flagged
     degenerate equals the full vertex set of J(v,k) (or violates the
     2 <= k <= v-2 window) and is excluded from theorem-consistency runs.
+    params is a read-only mapping and notes a tuple, so a code that
+    codes.build hands out from its memo cannot be changed by a caller.
     """
 
     def __init__(self, v, k, codewords, name="", params=None, notes=None,
@@ -68,8 +71,8 @@ class Code:
         self.k = k
         self.codewords = tuple(codewords)
         self.name = name
-        self.params = dict(params or {})
-        self.notes = list(notes or [])
+        self.params = MappingProxyType(dict(params or {}))
+        self.notes = tuple(notes or ())
         if degenerate is None:
             degenerate = (len(codewords) == comb(v, k)) or not (2 <= k <= v - 2)
         self.degenerate = degenerate
@@ -309,5 +312,5 @@ def complement_code(code):
     return Code(code.v, code.v - code.k,
                 [full ^ m for m in code.codewords],
                 name=f"complement({code.name})" if code.name else "complement",
-                params=dict(code.params), notes=list(code.notes),
+                params=code.params, notes=code.notes,
                 degenerate=code.degenerate)

@@ -221,11 +221,23 @@ class Orbit:
             cache[m] = g
         return cache[x]
 
-    def stabilizer(self):
-        """Stabilizer of the representative, from Schreier generators."""
+    def stabilizer(self, group_order=None):
+        """Stabilizer of the representative, from Schreier generators.
+
+        Every Schreier generator lies in the stabilizer, which has
+        group_order / len(self) elements.  So when the order of the group is
+        given, the loop stops at the first member after it holds that many
+        minus one distinct non-identity generators: it then holds the whole
+        stabilizer, and no later candidate could be new, so the generators
+        are the ones the full loop returns.
+        """
+        enough = (None if group_order is None
+                  else group_order // len(self.members) - 1)
         gens = []
         seen = set()
         for m in self.members:
+            if len(gens) == enough:
+                break
             u = self.transversal(m)
             for g, move in zip(self.generators, self.moves):
                 s = (u * g) * self.transversal(move(m)).inverse()
@@ -419,7 +431,8 @@ class PermGroup:
     def point_stabilizer(self, x):
         """Stabilizer of the point x, from Schreier generators."""
         gens = self.generators
-        return Orbit(gens, self.degree, x, _point_moves(gens)).stabilizer()
+        return Orbit(gens, self.degree, x, _point_moves(gens)).stabilizer(
+            group_order=self.order())
 
     def subset_orbit(self, mask, cap=DEFAULT_ORBIT_CAP):
         """Orbit of a bitmask subset under the induced action on subsets."""
@@ -428,9 +441,13 @@ class PermGroup:
         return Orbit(self.generators, self.degree, mask,
                      [g.apply_mask for g in self.generators], cap=cap)
 
-    def setwise_stabilizer(self, mask, cap=DEFAULT_ORBIT_CAP):
-        """Stabilizer of a subset (as bitmask), via subset-orbit Schreier generators."""
-        return self.subset_orbit(mask, cap=cap).stabilizer()
+    def setwise_stabilizer(self, mask, cap=DEFAULT_ORBIT_CAP,
+                           group_order=None):
+        """Stabilizer of a subset (as bitmask), via subset-orbit Schreier
+        generators; group_order, the order of this group, lets the search
+        stop early (see Orbit.stabilizer) with the same generators."""
+        return self.subset_orbit(mask, cap=cap).stabilizer(
+            group_order=group_order)
 
     # ---- transitivity and primitivity --------------------------------------
 

@@ -303,3 +303,16 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     assert len(unions) == 6
     assert counters["codes.unions_tested"] == len(unions)
     assert counters["johnson.vertex_neighbours_calls"] == len(orbits)
+
+    # neighbour transitivity reads the code's and Gamma_1's orbits off the
+    # same quotient rows, so it too looks at one vertex per orbit
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "traced_cli.py"),
+         str(trace), "search", "--group", "stab:6:0,1", "--k", "2",
+         "--predicate", "neighbour_transitive", "--max-union", "2"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counters = json.loads(trace.read_text())["counters"]
+    assert len(orbits) == 3
+    assert counters["codes.unions_tested"] == len(unions)
+    assert counters["johnson.vertex_neighbours_calls"] == len(orbits)

@@ -49,6 +49,19 @@ def test_build_memoization_returns_same_objects():
     assert a[0] is b[0] and a[1] is b[1]
 
 
+def test_build_memo_hands_out_frozen_codes():
+    # a caller cannot change the notes or params of a memoized code, so
+    # every later build sees the constructor's values
+    code, _ = build("baer_subline", q0=3)
+    with pytest.raises(AttributeError):
+        code.notes.append("x")
+    with pytest.raises(TypeError):
+        code.params["q0"] = 4
+    again, _ = build("baer_subline", q0=3)
+    assert again.notes == (codes._BAER_NOTE,)
+    assert dict(again.params) == {"q0": 3}
+
+
 def test_build_errors():
     with pytest.raises(ConstructionError):
         build("no_such_family")
@@ -338,6 +351,10 @@ def test_intersection_numbers_reported_for_completely_regular():
 
 # ---- orbit quotient against the vertex-level oracle -----------------------------
 
+ORBIT_FLAGS = ("code_transitive", "gamma1_transitive", "neighbour_transitive",
+               "incidence_transitive")
+
+
 def vertex_partition_flags(code, G):
     """Both partition flags as the vertex engine decides them: the distance
     partition of every vertex, a transitivity test on each cell and
@@ -381,6 +398,35 @@ def test_orbit_quotient_matches_vertex_engine(data):
     assert q_transitive == transitive
     assert q_regularity == regular
     assert q_regular == (regular[0], None if regular[0] else regular[1])
+
+    # the orbit flags: a cap one below C(n,k) sends _Facts down the
+    # vertex path (neighbour_set and a Schreier search per mask set)
+    on_quotient = codes._Facts(code, G, quotient=quotient)
+    on_vertices = codes._Facts(code, G, cap_partition=comb(n, k) - 1)
+    assert on_quotient.on_quotient and not on_vertices.on_quotient
+    for flag in ORBIT_FLAGS:
+        assert (codes.FLAGS[flag](on_quotient)
+                == codes.FLAGS[flag](on_vertices)), flag
+    assert on_quotient.gamma1_size == len(neighbour_set(code))
+    assert "gamma1" not in vars(on_quotient)
+
+
+def test_orbit_flags_match_vertex_path_on_catalog():
+    # cap_partition = C(v,k) - 1 decides every orbit flag vertex by vertex;
+    # all but the partition flags, their witnesses and the notes must agree
+    partition_keys = ("completely_transitive", "completely_regular")
+    for family, params in CATALOG:
+        code, G = build(family, **params)
+        total = comb(code.v, code.k)
+        default = check_properties(code, G).as_dict()
+        vertex = check_properties(code, G, cap_partition=total - 1).as_dict()
+        for d in (default, vertex):
+            for key in partition_keys:
+                d.pop(key)
+                d["witnesses"].pop(key, None)
+            d.pop("intersection_numbers", None)
+            d.pop("notes")
+        assert default == vertex, (family, params)
 
 
 def test_orbit_quotient_matches_vertex_engine_on_catalog():
@@ -455,6 +501,13 @@ def test_search_rejects_bad_arguments():
         classify_search(PermGroup.symmetric(5), 2, "no_such_predicate")
     with pytest.raises(ValueError):
         classify_search(PermGroup.symmetric(5), 2, "strong", max_union=4)
+
+
+def test_orbit_flags_refuse_a_code_that_is_not_a_union_of_orbits():
+    # read off the quotient, part of one orbit would pass for one orbit
+    code = Code(5, 2, [mask_of([0, 1])])
+    with pytest.raises(johnson.JohnsonError):
+        PREDICATES["code_transitive"](code, PermGroup.symmetric(5))
 
 
 def test_predicate_table_is_complete():

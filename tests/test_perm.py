@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ntcodes import perm
 from ntcodes.codes import CATALOG, build
 from ntcodes.geometry import group_generators, wreath_stabilizer
 from ntcodes.perm import (PermError, PermGroup, Permutation,
@@ -179,6 +180,39 @@ def test_orbit_stabilizer_identity_random():
         orb = G.subset_orbit(mask)
         stab = G.setwise_stabilizer(mask)
         assert len(orb) * stab.order() == G.order()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stabilizer_early_stop_keeps_generators(data):
+    # with the group order the Schreier loop stops at |G|/|orbit| - 1
+    # distinct generators, which must be exactly the full loop's tuple
+    n = data.draw(st.integers(2, 8), label="degree")
+    perms = data.draw(st.lists(st.permutations(range(n)), min_size=1,
+                               max_size=3), label="generators")
+    G = PermGroup(n, [Permutation(p) for p in perms])
+    if data.draw(st.booleans(), label="subset"):
+        mask = mask_of(data.draw(st.sets(st.integers(0, n - 1)),
+                                 label="points"))
+        orb = G.subset_orbit(mask)
+    else:
+        x = data.draw(st.integers(0, n - 1), label="point")
+        orb = perm.Orbit(G.generators, n, x, perm._point_moves(G.generators))
+    early = orb.stabilizer(group_order=G.order())
+    assert early.generators == orb.stabilizer().generators
+    assert early.order() * len(orb) == G.order()
+
+
+def test_stabilizer_early_stop_on_regular_orbit():
+    # Z_6 acts regularly on its points: the stabilizer is trivial and the
+    # early stop returns it before forming a single Schreier generator
+    G = PermGroup(6, [Permutation.from_cycles(6, [tuple(range(6))])])
+    orb = perm.Orbit(G.generators, 6, 0, perm._point_moves(G.generators))
+    assert orb.stabilizer(group_order=G.order()).generators == ()
+    assert orb.stabilizer().generators == ()
+    mask = mask_of([0, 1])
+    assert len(G.subset_orbit(mask)) == 6
+    assert G.setwise_stabilizer(mask, group_order=6).generators == ()
 
 
 def test_subset_orbit_schreier_words():
