@@ -308,10 +308,11 @@ def build_unitary_bases(max_candidates=200):
             if tried > max_candidates:
                 raise ConstructionError(
                     "no Z4 x Z4 with normalizer orbit sizes {12,16} found")
-            eperms = [Permutation(im, check=False) for im in sorted(E)]
+            # conjugation by x is a homomorphism, so x normalizes
+            # E = <g, h> when it maps g and h into E
             norm_gens = [x for x in big
                          if all((x.inverse() * e * x).images in E
-                                for e in eperms)]
+                                for e in (g, h))]
             N = PermGroup(G.degree, [g2 for g2 in norm_gens
                                      if not g2.is_identity()])
             sizes = sorted(len(o) for o in N.orbits())
@@ -425,8 +426,7 @@ def _transitive_with_witness(G, masks):
     """(True, None) or (False, (reached_rep, unreached)) on a mask set."""
     masks = set(masks)
     start = min(masks)
-    members, _, escape = schreier_orbit(
-        start, [g.apply_mask for g in G.generators], masks)
+    members, _, escape = schreier_orbit(start, G.mask_moves(), masks)
     if escape is not None:
         return False, (start, escape)
     if len(members) == len(masks):
@@ -513,9 +513,15 @@ class _Facts:
 
     @cached_property
     def stabilizer(self):
-        return self.G.setwise_stabilizer(self.code.codewords[0],
-                                         cap=self.cap_orbit,
-                                         group_order=self.G.order())
+        """G_gamma of codeword 0.  Once the code is known to be one orbit,
+        that orbit is gamma's, and with its size the stabilizer's orbit walk
+        stops as soon as it holds every generator (see
+        PermGroup.setwise_stabilizer)."""
+        one_orbit = vars(self).get("code_orbit", (False,))[0]
+        return self.G.setwise_stabilizer(
+            self.code.codewords[0], cap=self.cap_orbit,
+            group_order=self.G.order(),
+            orbit_size=len(self.code) if one_orbit else None)
 
     @cached_property
     def quotient(self):
@@ -813,6 +819,10 @@ def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP,
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}; choose from "
                          + ", ".join(sorted(PREDICATES)))
+    if not 0 <= k <= G.degree:
+        raise ValueError(f"k must lie in 0..{G.degree}, got {k}")
+    if max_union < 1:
+        raise ValueError(f"max_union must be at least 1, got {max_union}")
     if max_union > 3:
         raise ValueError("unions of more than 3 orbits are not supported")
     pred = PREDICATES[predicate]

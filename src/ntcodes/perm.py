@@ -8,6 +8,9 @@ The stabilizer chain is built by a deterministic Schreier-Sims: base points
 are the smallest non-fixed points, orbits grow breadth-first in generator
 order, so orders, transversals and element enumeration are reproducible.
 Every orbit (of points, subsets or pairs) is grown by schreier_orbit.
+The bulk subset routines act on masks through PermGroup.mask_moves: one
+256-entry image table per byte of the domain for each generator, built on
+first use, up to degree TABLE_DEGREE.
 """
 
 import re
@@ -15,6 +18,9 @@ from math import lcm
 
 MAX_DEGREE = 4096
 DEFAULT_ORBIT_CAP = 10 ** 6
+# Largest degree whose generators get byte image tables for the subset
+# action; above it the bulk routines use Permutation.apply_mask.
+TABLE_DEGREE = 64
 
 
 class PermError(ValueError):
@@ -151,7 +157,7 @@ class Permutation:
         return hash(self.images)
 
 
-def schreier_orbit(start, moves, domain=None, cap=None):
+def schreier_orbit(start, moves, domain=None, cap=None, on_revisit=None):
     """Breadth-first orbit of start under the image functions in moves.
 
     Returns (members, schreier, escape).  members is the orbit in BFS order,
@@ -159,7 +165,9 @@ def schreier_orbit(start, moves, domain=None, cap=None):
     None and every other member to (predecessor, move index).  When domain
     is given, the search stops at the first image outside it and returns
     that image as escape (otherwise escape is None).  More than cap members
-    raise ResourceCapError.
+    raise ResourceCapError.  on_revisit(x, i, y, schreier), when given, is
+    called in walk order for every image y = moves[i](x) that is already a
+    member; a true result ends the walk there, with escape None.
     """
     members = [start]
     schreier = {start: None}
@@ -167,6 +175,8 @@ def schreier_orbit(start, moves, domain=None, cap=None):
         for i, move in enumerate(moves):
             y = move(x)
             if y in schreier:
+                if on_revisit is not None and on_revisit(x, i, y, schreier):
+                    return members, schreier, None
                 continue
             if domain is not None and y not in domain:
                 return members, schreier, y
@@ -175,6 +185,39 @@ def schreier_orbit(start, moves, domain=None, cap=None):
             if cap is not None and len(members) > cap:
                 raise ResourceCapError(f"orbit exceeds cap {cap}")
     return members, schreier, None
+
+
+def _table_action(tables):
+    """The mask action given by byte image tables: tables[j][b] is the image
+    of the set b << 8j.  Up to four bytes are looked up in one expression; a
+    missing high byte is the one-entry table [0], since m >> 24 is 0 there."""
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    if len(tables) == 2:
+        t0, t1 = tables
+        return lambda m: t0[m & 255] | t1[m >> 8]
+    if len(tables) <= 4:
+        t0, t1, t2, t3 = tables + [[0]] * (4 - len(tables))
+        return lambda m: (t0[m & 255] | t1[m >> 8 & 255]
+                          | t2[m >> 16 & 255] | t3[m >> 24])
+    low, high = _table_action(tables[:4]), _table_action(tables[4:])
+    return lambda m: low(m & 0xFFFFFFFF) | high(m >> 32)
+
+
+def mask_action(g):
+    """g's action on bitmask subsets, equal to g.apply_mask, through one
+    image table per byte of the domain.  Entry b of a byte's table is the
+    image of that byte's points in b: entry b + 2^j extends entry b by the
+    image of the byte's point j, so each table doubles once per point."""
+    img = g.images
+    tables = []
+    for base in range(0, len(img), 8):
+        t = [0]
+        for x in img[base:base + 8]:
+            bit = 1 << x
+            t += [m | bit for m in t]
+        tables.append(t)
+    return _table_action(tables)
 
 
 def _point_moves(generators):
@@ -207,44 +250,74 @@ class Orbit:
 
     def transversal(self, x):
         """A group element mapping the representative to x."""
-        cache = self._transversal
-        if x in cache:
-            return cache[x]
-        path = []
-        m = x
-        while m not in cache:
-            path.append(m)
-            m = self.schreier[m][0]
-        g = cache[m]
-        for m in reversed(path):
-            g = g * self.generators[self.schreier[m][1]]
-            cache[m] = g
-        return cache[x]
+        return _transversal(x, self.schreier, self.generators,
+                            self._transversal)
 
     def stabilizer(self, group_order=None):
         """Stabilizer of the representative, from Schreier generators.
 
-        Every Schreier generator lies in the stabilizer, which has
-        group_order / len(self) elements.  So when the order of the group is
-        given, the loop stops at the first member after it holds that many
-        minus one distinct non-identity generators: it then holds the whole
-        stabilizer, and no later candidate could be new, so the generators
-        are the ones the full loop returns.
+        The edges of the orbit are offered to _schreier_generators in walk
+        order, with the tree edges left out, since their Schreier
+        generators are the identity.  When the order of the group is given,
+        the loop stops once it holds group_order / len(self) - 1 distinct
+        non-identity generators, with the generators the full loop returns.
         """
         enough = (None if group_order is None
                   else group_order // len(self.members) - 1)
-        gens = []
-        seen = set()
-        for m in self.members:
-            if len(gens) == enough:
-                break
-            u = self.transversal(m)
-            for g, move in zip(self.generators, self.moves):
-                s = (u * g) * self.transversal(move(m)).inverse()
-                if not s.is_identity() and s.images not in seen:
-                    seen.add(s.images)
-                    gens.append(s)
+        gens, offer = _schreier_generators(
+            self.generators, self.degree, self.representative, enough)
+        schreier = self.schreier
+        if enough != 0:
+            for x in self.members:
+                for i, move in enumerate(self.moves):
+                    y = move(x)
+                    if schreier[y] != (x, i) and offer(x, i, y, schreier):
+                        return PermGroup(self.degree, gens)
         return PermGroup(self.degree, gens)
+
+
+def _transversal(x, schreier, generators, cache):
+    """The group element u_x mapping an orbit's start to its member x, read
+    off the Schreier tree; cache holds the elements found so far, starting
+    with the start's identity, and gains those on x's path."""
+    path = []
+    m = x
+    while m not in cache:
+        path.append(m)
+        m = schreier[m][0]
+    g = cache[m]
+    for m in reversed(path):
+        g = g * generators[schreier[m][1]]
+        cache[m] = g
+    return g
+
+
+def _schreier_generators(generators, degree, start, enough):
+    """(gens, offer) for the stabilizer of an orbit's start.
+
+    offer(x, i, y, schreier) forms the Schreier generator u_x g_i u_y^-1 of
+    the edge x -> y = x^g_i, with u as in _transversal, and appends it to
+    gens when it is new and not the identity.  Every Schreier generator lies
+    in the stabilizer, so once gens holds enough = |stabilizer| - 1 of them
+    it holds the whole stabilizer and no later edge can add one; offer then
+    returns True.  With enough None it never does.
+    """
+    cache = {start: Permutation.identity(degree)}
+    gens = []
+    seen = {cache[start].images}  # so the identity is never appended
+
+    def offer(x, i, y, schreier):
+        # the images of u_x g_i u_y^-1: p -> u_y^-1(g_i(u_x(p)))
+        ux = _transversal(x, schreier, generators, cache).images
+        uy_inv = _transversal(y, schreier, generators, cache).inverse().images
+        gi = generators[i].images
+        s = tuple([uy_inv[gi[a]] for a in ux])
+        if s not in seen:
+            seen.add(s)
+            gens.append(Permutation(s, check=False))
+        return len(gens) == enough
+
+    return gens, offer
 
 
 class PermGroup:
@@ -261,6 +334,7 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._bsgs = None
+        self._mask_moves = None
 
     @classmethod
     def trivial(cls, degree):
@@ -434,20 +508,49 @@ class PermGroup:
         return Orbit(gens, self.degree, x, _point_moves(gens)).stabilizer(
             group_order=self.order())
 
+    def mask_moves(self):
+        """Each generator's action on bitmask subsets, built on first use:
+        mask_action up to degree TABLE_DEGREE, Permutation.apply_mask
+        above it."""
+        if self._mask_moves is None:
+            action = (mask_action if self.degree <= TABLE_DEGREE
+                      else lambda g: g.apply_mask)
+            self._mask_moves = tuple(map(action, self.generators))
+        return self._mask_moves
+
     def subset_orbit(self, mask, cap=DEFAULT_ORBIT_CAP):
         """Orbit of a bitmask subset under the induced action on subsets."""
         if mask >> self.degree:
             raise PermError("subset not contained in the domain")
-        return Orbit(self.generators, self.degree, mask,
-                     [g.apply_mask for g in self.generators], cap=cap)
+        return Orbit(self.generators, self.degree, mask, self.mask_moves(),
+                     cap=cap)
 
     def setwise_stabilizer(self, mask, cap=DEFAULT_ORBIT_CAP,
-                           group_order=None):
+                           group_order=None, orbit_size=None):
         """Stabilizer of a subset (as bitmask), via subset-orbit Schreier
         generators; group_order, the order of this group, lets the search
-        stop early (see Orbit.stabilizer) with the same generators."""
-        return self.subset_orbit(mask, cap=cap).stabilizer(
-            group_order=group_order)
+        stop early (see Orbit.stabilizer) with the same generators.
+
+        When orbit_size, the exact size of the subset's orbit, is given as
+        well, the Schreier generators are formed during the orbit walk,
+        which stops as soon as it holds all of them.  It sees the same edges
+        in the same order as Orbit.stabilizer, so the generators are the
+        same; an orbit_size above cap raises ResourceCapError at once.
+        """
+        if group_order is None or orbit_size is None:
+            return self.subset_orbit(mask, cap=cap).stabilizer(
+                group_order=group_order)
+        if mask >> self.degree:
+            raise PermError("subset not contained in the domain")
+        if orbit_size > cap:
+            raise ResourceCapError(f"orbit exceeds cap {cap}")
+        enough = group_order // orbit_size - 1
+        gens, offer = _schreier_generators(self.generators, self.degree, mask,
+                                           enough)
+        if enough:
+            schreier_orbit(mask, self.mask_moves(), cap=cap,
+                           on_revisit=offer)
+        return PermGroup(self.degree, gens)
 
     # ---- transitivity and primitivity --------------------------------------
 
@@ -459,8 +562,8 @@ class PermGroup:
         masks = set(masks)
         if not masks:
             return True
-        members, _, escape = schreier_orbit(
-            min(masks), [g.apply_mask for g in self.generators], masks)
+        members, _, escape = schreier_orbit(min(masks), self.mask_moves(),
+                                            masks)
         return escape is None and len(members) == len(masks)
 
     def is_transitive_on_product(self, aset, bset):

@@ -229,12 +229,22 @@ def test_search_bad_predicate(capsys):
 
 
 @pytest.mark.parametrize("extra", [["--k", "2", "--max-union", "4"],
-                                   ["--k", "-1"]])
+                                   ["--k", "-1"], ["--k", "6"], ["--k", "9"],
+                                   ["--k", "2", "--max-union", "0"],
+                                   ["--k", "2", "--max-union", "-3"]])
 def test_search_bad_arguments_exit_2(capsys, extra):
     rc, _, err = run(capsys, "search", "--group", "sym:5",
                      "--predicate", "code_transitive", *extra)
     assert rc == 2 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("k", ["0", "5"])
+def test_search_degenerate_k_is_valid(capsys, k):
+    # J(5,0) and J(5,5) have one vertex, the degenerate whole vertex set
+    rc, out, _ = run(capsys, "search", "--group", "sym:5", "--k", k,
+                     "--predicate", "code_transitive")
+    assert rc == 0 and json.loads(out) == []
 
 
 @pytest.mark.parametrize("value", ["-5", "0"])
@@ -285,6 +295,19 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     assert proc.returncode == 0, proc.stderr
     spans = {span[0] for span in json.loads(trace.read_text())["spans"]}
     assert {"perm.setwise_stabilizer", "codes.check_properties"} <= spans
+
+    # subset orbits are walked once, by subset_orbits: the codeword
+    # stabilizers form their generators during a walk that stops early
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "traced_cli.py"),
+         str(trace), "search", "--group", "agammal:1,16", "--k", "3",
+         "--predicate", "strongly_incidence_transitive", "--max-union", "1"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(trace.read_text())
+    assert "perm.setwise_stabilizer" in {span[0] for span in traced["spans"]}
+    assert traced["counters"]["perm.subset_orbit_members"] == comb(16, 3)
+    assert traced["counters"]["perm.stabilizer_gens"] == 12
 
     # the union counter wraps the PREDICATES entries, so it reads one per
     # union the search tests; the orbit quotient looks at the neighbours

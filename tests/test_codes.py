@@ -450,6 +450,36 @@ def test_orbit_quotient_matches_vertex_engine_on_catalog():
             assert rep.witnesses["completely_regular"] == regular[1], label
 
 
+RELABEL_INVARIANT = ("code_size", "neighbour_set_size", "min_distance",
+                     "group_order", "transitive_on_V", "primitive_on_V",
+                     "two_transitive_on_V", "intersection_numbers",
+                     *codes.PropertyReport.FLAG_ORDER)
+
+
+@pytest.mark.parametrize("family,params", CATALOG,
+                         ids=["-".join([f] + [f"{k}{v}" for k, v in p.items()])
+                              for f, p in CATALOG])
+def test_report_is_invariant_under_relabelling(family, params):
+    # conjugating G and mapping the code by one relabelling of the points
+    # sends orbits to orbits, so every flag, size and intersection number
+    # stays; the witnesses are relabelled, so they are not compared
+    code, G = build(family, **params)
+    sigma = list(range(code.v))
+    random.Random(f"relabel:{family}:{params}").shuffle(sigma)
+    images = []
+    for g in G.generators:
+        img = [0] * code.v
+        for x, gx in enumerate(g.images):
+            img[sigma[x]] = sigma[gx]
+        images.append(Permutation(img))
+    moved = Code(code.v, code.k,
+                 [mask_of(sigma[x] for x in bits(w)) for w in code.codewords])
+    before = check_properties(code, G).as_dict()
+    after = check_properties(moved, PermGroup(code.v, images)).as_dict()
+    for key in RELABEL_INVARIANT:
+        assert after.get(key) == before.get(key), key
+
+
 # ---- classification search -------------------------------------------------------
 
 def test_subset_orbits_partition_vertices():

@@ -58,6 +58,29 @@ def test_apply_mask_matches_pointwise():
     assert p.apply_mask(mask_of([0, 1])) == mask_of([1, 2])
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_action_matches_apply_mask(data):
+    # byte tables take one, two, three or four, and more than four bytes
+    # on separate paths; a group above TABLE_DEGREE keeps the bit loop
+    n = data.draw(st.one_of(st.sampled_from([1, 7, 8, 9, 16, 28, 64, 65]),
+                            st.integers(1, 130)), label="degree")
+    p = Permutation(data.draw(st.permutations(range(n)), label="images"))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                               max_size=10), label="masks")
+    table = perm.mask_action(p)
+    move = PermGroup(n, [p]).mask_moves()[0]
+    for m in masks:
+        assert table(m) == move(m) == p.apply_mask(m)
+
+
+def test_table_action_degree_bound():
+    for n in (perm.TABLE_DEGREE, perm.TABLE_DEGREE + 1):
+        p = Permutation.from_cycles(n, [tuple(range(n))])
+        fallback = PermGroup(n, [p]).mask_moves()[0] == p.apply_mask
+        assert fallback == (n > perm.TABLE_DEGREE)
+
+
 def test_composition_convention():
     # x^(p*q) = (x^p)^q on 100 random triples
     rng = random.Random(0)
@@ -213,6 +236,37 @@ def test_stabilizer_early_stop_on_regular_orbit():
     mask = mask_of([0, 1])
     assert len(G.subset_orbit(mask)) == 6
     assert G.setwise_stabilizer(mask, group_order=6).generators == ()
+    assert G.setwise_stabilizer(mask, group_order=6,
+                                orbit_size=6).generators == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stabilizer_walk_with_orbit_size_keeps_generators(data):
+    # given the orbit's size, the Schreier generators are formed during the
+    # orbit walk, which stops early; the tuple must be the full loop's
+    n = data.draw(st.integers(2, 8), label="degree")
+    perms = data.draw(st.lists(st.permutations(range(n)), min_size=1,
+                               max_size=3), label="generators")
+    G = PermGroup(n, [Permutation(p) for p in perms])
+    mask = mask_of(data.draw(st.sets(st.integers(0, n - 1)), label="points"))
+    orb = G.subset_orbit(mask)
+    walked = G.setwise_stabilizer(mask, group_order=G.order(),
+                                  orbit_size=len(orb))
+    assert walked.generators == orb.stabilizer().generators
+    assert walked.order() * len(orb) == G.order()
+
+
+def test_stabilizer_walk_orbit_size_over_cap_raises():
+    # the orbit's size is known up front, so the cap is checked before the
+    # walk starts
+    with pytest.raises(ResourceCapError, match="orbit exceeds cap 100"):
+        PermGroup.symmetric(20).setwise_stabilizer(
+            mask_of(range(10)), cap=100, group_order=math.factorial(20),
+            orbit_size=math.comb(20, 10))
+    S6 = PermGroup.symmetric(6)
+    assert S6.setwise_stabilizer(mask_of([0]), cap=6, group_order=720,
+                                 orbit_size=6).order() == 120
 
 
 def test_subset_orbit_schreier_words():
