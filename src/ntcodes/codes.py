@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb, gcd
 
 from . import geometry, johnson
-from .johnson import Code, jdistance, min_distance, neighbour_set
+from .johnson import Code, min_distance
 from .perm import (DEFAULT_ORBIT_CAP, PermGroup, Permutation,
                    ResourceCapError, bits, mask_of, schreier_orbit)
 
@@ -434,109 +434,68 @@ def _transitive_with_witness(G, masks):
     return False, (start, min(masks.difference(members)))
 
 
-def _one_orbit(orbits, chosen):
+def _one_orbit(quotient, chosen):
     """_transitive_with_witness on the union of the orbits numbered chosen,
-    which run ascending by smallest member: (True, None) for one orbit, else
-    (False, (smallest member of the first, smallest member of the second))."""
+    which run in_order: (True, None) for one orbit, else (False, (smallest
+    member of the first, smallest member of the second))."""
     if len(chosen) == 1:
         return True, None
-    return False, (orbits[chosen[0]][0], orbits[chosen[1]][0])
+    return False, (quotient.orbits[chosen[0]][0],
+                   quotient.orbits[chosen[1]][0])
 
 
 class _Facts:
-    """What the flags of one (code, group) pair share, each computed at most
-    once: the code's orbits, the neighbour set Gamma_1 and its orbits, the
-    stabilizer G_gamma of codeword 0, the quotient of J(v,k) by the G-orbits
-    on its vertices and the code's distance partition on that quotient (None
-    past cap_partition, with the cap error kept in partition_error).  A
-    caller that already holds the quotient, as classify_search does, passes
-    it.
+    """What the flags of one union of G-orbits on k-subsets share, each
+    computed at most once.  quotient is the OrbitQuotient of J(v,k) by G,
+    chosen the numbers of the code's orbits in_order, and gamma, codeword
+    0, the smallest member of the first.  The code's orbits, Gamma_1's
+    orbits (those adjacent to a code orbit and not in the code) and the
+    distance partition are read off the quotient's rows; the stabilizer
+    G_gamma is bounded by quotient.cap.  partition_error, when given, is
+    why the distance partition is not computed (the partition flags are
+    then None), and then only the orbits reached from the code are needed.
+    """
 
-    The code must be G-invariant.  With a quotient (passed, or C(v,k) within
-    cap_partition) the code and Gamma_1 are unions of orbits read off its
-    rows; above the cap they are tested vertex by vertex."""
-
-    def __init__(self, code, G, cap_orbit=DEFAULT_ORBIT_CAP,
-                 cap_partition=johnson.DEFAULT_PARTITION_CAP, quotient=None):
-        self.code = code
+    def __init__(self, G, quotient, chosen, partition_error=None):
         self.G = G
-        self.cap_orbit = cap_orbit
-        self.cap_partition = cap_partition
-        self.partition_error = None
-        self.on_quotient = (quotient is not None
-                            or comb(code.v, code.k) <= cap_partition)
-        if quotient is not None:
-            self.quotient = quotient
-
-    @cached_property
-    def code_orbits(self):
-        """Numbers of the code's orbits, ascending; the quotient numbers its
-        orbits in ascending order of their smallest members."""
-        index = self.quotient.index
-        chosen = sorted({index[w] for w in self.code.codewords})
-        if sum(len(self.quotient.orbits[i]) for i in chosen) != len(self.code):
-            raise johnson.JohnsonError("code is not a union of orbits")
-        return chosen
-
-    @cached_property
-    def gamma1_orbits(self):
-        """Numbers of Gamma_1's orbits, ascending: those adjacent to a code
-        orbit and not in the code."""
-        rows = self.quotient.adjacency
-        near = set().union(*(rows[i] for i in self.code_orbits))
-        return sorted(near.difference(self.code_orbits))
-
-    @cached_property
-    def gamma1(self):
-        """The vertex set Gamma_1, for the path without a quotient."""
-        return neighbour_set(self.code)
+        self.quotient = quotient
+        self.chosen = chosen
+        self.partition_error = partition_error
+        self.gamma = quotient.orbits[chosen[0]][0]
 
     @cached_property
     def code_orbit(self):
-        if self.on_quotient:
-            return _one_orbit(self.quotient.orbits, self.code_orbits)
-        return _transitive_with_witness(self.G, self.code.codewords)
+        return _one_orbit(self.quotient, self.chosen)
+
+    @cached_property
+    def gamma1_orbits(self):
+        q = self.quotient
+        near = set().union(*(q.row(i) for i in self.chosen))
+        return q.in_order(near.difference(self.chosen))
 
     @cached_property
     def gamma1_size(self):
-        if self.on_quotient:
-            orbits = self.quotient.orbits
-            return sum(len(orbits[i]) for i in self.gamma1_orbits)
-        return len(self.gamma1)
+        return sum(len(self.quotient.orbits[i]) for i in self.gamma1_orbits)
 
     @cached_property
     def gamma1_orbit(self):
         """The one-orbit test on a non-empty Gamma_1."""
-        if self.on_quotient:
-            return _one_orbit(self.quotient.orbits, self.gamma1_orbits)
-        return _transitive_with_witness(self.G, self.gamma1)
+        return _one_orbit(self.quotient, self.gamma1_orbits)
 
     @cached_property
     def stabilizer(self):
-        """G_gamma of codeword 0.  Once the code is known to be one orbit,
-        that orbit is gamma's, and with its size the stabilizer's orbit walk
-        stops as soon as it holds every generator (see
+        """G_gamma.  The size of gamma's orbit is known, so the stabilizer's
+        orbit walk stops as soon as it holds every generator (see
         PermGroup.setwise_stabilizer)."""
-        one_orbit = vars(self).get("code_orbit", (False,))[0]
+        q = self.quotient
         return self.G.setwise_stabilizer(
-            self.code.codewords[0], cap=self.cap_orbit,
-            group_order=self.G.order(),
-            orbit_size=len(self.code) if one_orbit else None)
-
-    @cached_property
-    def quotient(self):
-        orbits = subset_orbits(self.G, self.code.k, cap=self.cap_partition)
-        return johnson.OrbitQuotient(orbits, self.code.v)
+            self.gamma, cap=q.cap, group_order=self.G.order(),
+            orbit_size=len(q.orbits[self.chosen[0]]))
 
     @cached_property
     def partition(self):
-        try:
-            johnson.check_partition_cap(self.code.v, self.code.k,
-                                        self.cap_partition)
-        except ResourceCapError as exc:
-            self.partition_error = exc
-            return None
-        return self.quotient.distance_partition(self.code)
+        if self.partition_error is None:
+            return self.quotient.distance_partition(self.chosen)
 
     @cached_property
     def regularity(self):
@@ -544,7 +503,7 @@ class _Facts:
 
 
 # Each flag maps _Facts to (value, witness): value is True, False, or None
-# when the distance partition is over its cap; the witness backs a False.
+# when the distance partition is not computed; the witness backs a False.
 
 _NOT_ONE_ORBIT = ("code is not a single orbit",)
 
@@ -572,9 +531,9 @@ def _incidence_transitive(f):
     code."""
     if not f.code_orbit[0]:
         return False, _NOT_ONE_ORBIT
-    gamma = f.code.codewords[0]
-    local = {nb for nb in johnson.vertex_neighbours(gamma, f.code.v)
-             if nb not in f.code}
+    q = f.quotient
+    local = {nb for nb in johnson.vertex_neighbours(f.gamma, q.v)
+             if q.orbit_of(nb) not in f.chosen}
     if not local:
         return True, None
     return _transitive_with_witness(f.stabilizer, local)
@@ -582,17 +541,19 @@ def _incidence_transitive(f):
 
 def _strong_pairs(f):
     """G_gamma transitive on (point of gamma) x (point outside gamma)."""
-    gamma = f.code.codewords[0]
+    gamma = f.gamma
     inside = list(bits(gamma))
-    outside = [x for x in range(f.code.v) if not (gamma >> x) & 1]
+    outside = [x for x in range(f.quotient.v) if not (gamma >> x) & 1]
     ok = f.stabilizer.is_transitive_on_product(inside, outside)
     return ok, None if ok else ("pair action on gamma x complement splits",)
 
 
 def _strongly_incidence_transitive(code, G, cap=DEFAULT_ORBIT_CAP):
-    """The pair test of _strong_pairs alone, without the flag's check that
-    the code is a single orbit."""
-    return _strong_pairs(_Facts(code, G, cap_orbit=cap))
+    """The pair test of _strong_pairs alone, on the orbit of the code's
+    first codeword, without the flag's check that the code is one orbit."""
+    quotient = johnson.OrbitQuotient(G, code.k, cap)
+    return _strong_pairs(
+        _Facts(G, quotient, [quotient.orbit_of(code.codewords[0])]))
 
 
 def _strongly(f):
@@ -607,10 +568,9 @@ def _completely_transitive(f):
     its second orbit."""
     if f.partition is None:
         return None, None
-    orbits = f.quotient.orbits
     for cell in f.partition.cells:
         if len(cell) > 1:
-            return False, (orbits[cell[0]][0], orbits[cell[1]][0])
+            return _one_orbit(f.quotient, cell)
     return True, None
 
 
@@ -688,7 +648,18 @@ def check_properties(code, G, cap_orbit=DEFAULT_ORBIT_CAP,
                 raise ValueError(
                     "group does not preserve the code (not an automorphism "
                     f"group: generator moves a codeword out of the code)")
-    facts = _Facts(code, G, cap_orbit, cap_partition)
+    # the whole quotient within cap_partition, else only the orbits that
+    # the flags reach from the code; past either cap the partition flags
+    # are None
+    quotient = johnson.OrbitQuotient(G, code.k, cap_orbit)
+    partition_error = None
+    try:
+        johnson.check_partition_cap(code.v, code.k, cap_partition)
+        quotient.fill()
+    except ResourceCapError as exc:
+        partition_error = exc
+    facts = _Facts(G, quotient, quotient.orbits_of(code.codewords),
+                   partition_error)
     flags = {}
     witnesses = {}
     for name in PropertyReport.FLAG_ORDER:
@@ -696,9 +667,8 @@ def check_properties(code, G, cap_orbit=DEFAULT_ORBIT_CAP,
         if flags[name] is False:
             witnesses[name] = wit
     notes = list(code.notes)
-    if facts.partition_error is not None:
-        notes.append(f"distance partition not computed: "
-                     f"{facts.partition_error}")
+    if partition_error is not None:
+        notes.append(f"distance partition not computed: {partition_error}")
     intersection_numbers = (facts.regularity[1]
                             if flags["completely_regular"] else None)
 
@@ -772,17 +742,9 @@ def check_theorem_consistency(code, G=None, report=None):
 # ---------------------------------------------------------------------------
 
 def _predicate(flag):
-    """A search predicate (code, G, quotient=None) -> bool from a flag; a
-    distance partition over its cap raises, as every exceeded cap does in
-    search.  quotient is the OrbitQuotient of G's orbits on k-subsets,
-    built on first use when not given."""
-    def holds(code, G, quotient=None):
-        facts = _Facts(code, G, quotient=quotient)
-        ok = flag(facts)[0]
-        if ok is None:
-            raise facts.partition_error
-        return ok
-    return holds
+    """A search predicate (G, quotient, chosen) -> bool from a flag, on the
+    union of the orbits numbered chosen of a whole OrbitQuotient."""
+    return lambda G, quotient, chosen: flag(_Facts(G, quotient, chosen))[0]
 
 
 PREDICATES = {name: _predicate(flag) for name, flag in FLAGS.items()}
@@ -790,20 +752,12 @@ PREDICATES["strong"] = PREDICATES["strongly_incidence_transitive"]
 
 
 def subset_orbits(G, k, cap=DEFAULT_ORBIT_CAP):
-    """All G-orbits on k-subsets, each as a sorted tuple of masks, in
-    ascending order of their smallest member."""
+    """The OrbitQuotient of J(v,k) by G with every orbit found, numbered in
+    ascending order of smallest member; C(v,k) over cap raises."""
     total = comb(G.degree, k)
     if total > cap:
         raise ResourceCapError(f"C({G.degree},{k}) = {total} exceeds cap {cap}")
-    seen = set()
-    out = []
-    for mask in johnson.all_ksubsets(G.degree, k):
-        if mask in seen:
-            continue
-        members = sorted(G.subset_orbit(mask, cap=cap).members)
-        out.append(tuple(members))
-        seen.update(members)
-    return out
+    return johnson.OrbitQuotient(G, k, cap).fill()
 
 
 def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP,
@@ -814,7 +768,8 @@ def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP,
     single orbits, which are automatically code-transitive) and keeps the
     unions satisfying the predicate.  The full vertex set is skipped unless
     include_degenerate is set, since a code must be a proper subset.  One
-    orbit quotient of J(v,k) serves every union's predicate.
+    orbit quotient of J(v,k) serves every union's predicate, and a Code is
+    built only for a union that is found.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}; choose from "
@@ -826,20 +781,18 @@ def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP,
     if max_union > 3:
         raise ValueError("unions of more than 3 orbits are not supported")
     pred = PREDICATES[predicate]
-    orbits = subset_orbits(G, k, cap=cap)
-    quotient = johnson.OrbitQuotient(orbits, G.degree)
+    quotient = subset_orbits(G, k, cap=cap)
+    orbits = quotient.orbits
     total = comb(G.degree, k)
     found = []
     for r in range(1, max_union + 1):
         for chosen in combinations(range(len(orbits)), r):
-            words = []
-            for i in chosen:
-                words.extend(orbits[i])
-            if len(words) == total and not include_degenerate:
+            if (sum(len(orbits[i]) for i in chosen) == total
+                    and not include_degenerate):
                 continue
-            code = Code(G.degree, k, words,
-                        name=f"search(k={k},orbits={list(chosen)})")
-            if pred(code, G, quotient=quotient):
-                found.append(code)
+            if pred(G, quotient, chosen):
+                found.append(Code(G.degree, k,
+                                  [m for i in chosen for m in orbits[i]],
+                                  name=f"search(k={k},orbits={list(chosen)})"))
     found.sort(key=lambda c: (len(c), c.codewords))
     return found

@@ -7,12 +7,12 @@ Two vertices are adjacent when they share k-1 points, so the graph distance
 between masks a, b is k - popcount(a & b).
 """
 
-from functools import cached_property
+from collections import Counter
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
 
-from .perm import ResourceCapError, bits, mask_of, popcount
+from .perm import ResourceCapError, bits, popcount
 
 DEFAULT_PARTITION_CAP = 10 ** 6
 
@@ -22,8 +22,10 @@ class JohnsonError(ValueError):
 
 
 def all_ksubsets(v, k):
-    """All k-subset masks of {0..v-1}, ascending by mask value."""
-    return sorted(mask_of(c) for c in combinations(range(v), k))
+    """All k-subset masks of {0..v-1}, ascending by mask value: the sums of
+    the k-combinations of the descending powers 2^(v-1) .. 1 descend."""
+    powers = [1 << i for i in reversed(range(v))]
+    return list(map(sum, combinations(powers, k)))[::-1]
 
 
 def jdistance(a, b, k=None):
@@ -206,56 +208,78 @@ def equitable_matrix(part, v):
 
 
 class OrbitQuotient:
-    """J(v,k) collapsed onto the orbits of a group acting on its vertices.
+    """J(v,k) collapsed onto the orbits of the group G acting on its vertices.
 
-    orbits lists every G-orbit on k-subsets, each a sorted tuple of masks
-    (as codes.subset_orbits returns them).  An orbit partition is equitable
-    (Godsil-Royle, Algebraic Graph Theory, 9.3): every member of orbit i has
-    the same number adjacency[i][j] of neighbours in orbit j, counted here
-    at the smallest member.  Rows keep their non-zero entries as dicts.  A
-    G-invariant code is a union of orbits, so its distance partition and
-    the equitability of that partition are decided on these rows alone.
-    The mask-to-orbit index and the rows are built on first use.
+    The orbits are found on demand: orbit_of walks the orbit of a vertex
+    not seen before (at most cap members, see PermGroup.subset_orbit) and
+    gives it the next number.  orbits[i] is orbit i as a sorted tuple of
+    masks, and index maps every vertex found to its orbit.  An orbit
+    partition is equitable (Godsil-Royle, Algebraic Graph Theory, 9.3):
+    every member of orbit i has the same number row(i)[j] of neighbours in
+    orbit j, counted at the smallest member on first use; a row keeps its
+    non-zero entries.  A G-invariant code is a union of orbits, so its
+    distance partition and the equitability of that partition are decided
+    on these rows alone.  fill() finds every orbit, numbered in ascending
+    order of smallest member when none was found before.
     """
 
-    def __init__(self, orbits, v):
-        self.orbits = orbits
-        self.v = v
+    def __init__(self, G, k, cap):
+        self.G = G
+        self.v = G.degree
+        self.k = k
+        self.cap = cap
+        self.orbits = []
+        self.index = {}
+        self._rows = {}
 
-    @cached_property
-    def index(self):
-        return {m: i for i, orb in enumerate(self.orbits) for m in orb}
+    def orbit_of(self, mask):
+        i = self.index.get(mask)
+        if i is None:
+            i = len(self.orbits)
+            members = self.G.subset_orbit(mask, cap=self.cap).members
+            orbit = tuple(sorted(members))
+            self.orbits.append(orbit)
+            self.index.update(dict.fromkeys(orbit, i))
+        return i
 
-    @cached_property
-    def adjacency(self):
-        index = self.index
-        rows = []
-        for orb in self.orbits:
-            row = {}
-            for nb in vertex_neighbours(orb[0], self.v):
-                j = index[nb]
-                row[j] = row.get(j, 0) + 1
-            rows.append(row)
-        return rows
+    def fill(self):
+        for mask in all_ksubsets(self.v, self.k):
+            self.orbit_of(mask)
+        return self
 
-    def distance_partition(self, code):
-        """Breadth-first layering of the orbits by distance to code.
+    def in_order(self, numbers):
+        """Orbit numbers, ascending by smallest member."""
+        return sorted(numbers, key=lambda i: self.orbits[i][0])
 
-        Each cell is a list of orbit numbers, ascending by smallest member;
-        the vertices of a cell are those of distance_partition(code).
-        """
-        index = self.index
-        start = {index[w] for w in code.codewords}
-        if sum(len(self.orbits[i]) for i in start) != len(code):
+    def orbits_of(self, masks):
+        """The numbers of the orbits whose union is the set of distinct
+        k-subsets masks, in_order."""
+        chosen = self.in_order({self.orbit_of(m) for m in masks})
+        if sum(len(self.orbits[i]) for i in chosen) != len(masks):
             raise JohnsonError("code is not a union of orbits")
-        smallest = lambda i: self.orbits[i][0]
-        cells = [sorted(start, key=smallest)]
+        return chosen
+
+    def row(self, i):
+        if i not in self._rows:
+            self._rows[i] = Counter(map(
+                self.orbit_of, vertex_neighbours(self.orbits[i][0], self.v)))
+        return self._rows[i]
+
+    def distance_partition(self, start):
+        """Breadth-first layering of the orbits by distance to the union of
+        the orbits numbered start.
+
+        Each cell is a list of orbit numbers, in_order; the vertices of a
+        cell are those of distance_partition(code) for that union.
+        """
+        cells = [self.in_order(start)]
         seen = set(start)
-        while len(seen) < len(self.orbits):
-            layer = {j for i in cells[-1] for j in self.adjacency[i]} - seen
-            cells.append(sorted(layer, key=smallest))
+        while True:
+            layer = {j for i in cells[-1] for j in self.row(i)} - seen
+            if not layer:
+                return DistancePartition(cells)
+            cells.append(self.in_order(layer))
             seen |= layer
-        return DistancePartition(cells)
 
     def equitable_matrix(self, part):
         """equitable_matrix of the vertex partition that part stands for.
@@ -275,7 +299,7 @@ class OrbitQuotient:
             row = None
             for i in cell:
                 counts = [0] * r
-                for j, n in self.adjacency[i].items():
+                for j, n in self.row(i).items():
                     counts[cell_of[j]] += n
                 if row is None:
                     row = counts

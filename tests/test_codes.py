@@ -13,7 +13,8 @@ from ntcodes.codes import (CATALOG, ConstructionError, PREDICATES, blowup_code,
                            utype_gamma1_target, utype_target)
 from ntcodes.johnson import (Code, all_ksubsets, min_distance, neighbour_set,
                              u_type, vertex_neighbours)
-from ntcodes.perm import PermGroup, Permutation, bits, mask_of
+from ntcodes.perm import (PermGroup, Permutation, ResourceCapError, bits,
+                          mask_of)
 
 
 # ---- catalog shapes -------------------------------------------------------------
@@ -369,8 +370,30 @@ def vertex_partition_flags(code, G):
     return part, transitive, johnson.equitable_matrix(part, code.v)
 
 
+def vertex_orbit_flags(code, G):
+    """The four orbit flags and the size of Gamma_1 as the vertex engine
+    decides them: neighbour_set, a Schreier search per mask set, and G_gamma
+    from PermGroup.setwise_stabilizer alone."""
+    gamma1 = neighbour_set(code)
+    code_orbit = codes._transitive_with_witness(G, code.codewords)
+    gamma1_orbit = (codes._transitive_with_witness(G, gamma1) if gamma1
+                    else (False, ("neighbour set is empty",)))
+    incidence = (False, ("code is not a single orbit",))
+    if code_orbit[0]:
+        gamma = code.codewords[0]
+        local = vertex_neighbours(gamma, code.v) & gamma1
+        incidence = (codes._transitive_with_witness(
+            G.setwise_stabilizer(gamma), local) if local else (True, None))
+    flags = {"code_transitive": code_orbit,
+             "gamma1_transitive": gamma1_orbit,
+             "neighbour_transitive": (gamma1_orbit if code_orbit[0] and gamma1
+                                      else code_orbit),
+             "incidence_transitive": incidence}
+    return flags, gamma1
+
+
 def quotient_partition_flags(code, G, quotient):
-    facts = codes._Facts(code, G, quotient=quotient)
+    facts = codes._Facts(G, quotient, quotient.orbits_of(code.codewords))
     cells = [set().union(*(quotient.orbits[i] for i in cell))
              for cell in facts.partition.cells]
     return (cells, codes.FLAGS["completely_transitive"](facts),
@@ -385,11 +408,12 @@ def test_orbit_quotient_matches_vertex_engine(data):
                                max_size=3), label="generators")
     G = PermGroup(n, [Permutation(p) for p in perms])
     k = data.draw(st.integers(1, n - 1), label="k")
-    orbits = subset_orbits(G, k)
+    quotient = subset_orbits(G, k)
+    orbits = quotient.orbits
     chosen = data.draw(st.sets(st.integers(0, len(orbits) - 1), min_size=1),
                        label="union")
     code = Code(n, k, [m for i in chosen for m in orbits[i]])
-    quotient = johnson.OrbitQuotient(orbits, n)
+    assert quotient.orbits_of(code.codewords) == sorted(chosen)
 
     part, transitive, regular = vertex_partition_flags(code, G)
     cells, q_transitive, q_regular, q_regularity = quotient_partition_flags(
@@ -399,21 +423,23 @@ def test_orbit_quotient_matches_vertex_engine(data):
     assert q_regularity == regular
     assert q_regular == (regular[0], None if regular[0] else regular[1])
 
-    # the orbit flags: a cap one below C(n,k) sends _Facts down the
-    # vertex path (neighbour_set and a Schreier search per mask set)
-    on_quotient = codes._Facts(code, G, quotient=quotient)
-    on_vertices = codes._Facts(code, G, cap_partition=comb(n, k) - 1)
-    assert on_quotient.on_quotient and not on_vertices.on_quotient
-    for flag in ORBIT_FLAGS:
-        assert (codes.FLAGS[flag](on_quotient)
-                == codes.FLAGS[flag](on_vertices)), flag
-    assert on_quotient.gamma1_size == len(neighbour_set(code))
-    assert "gamma1" not in vars(on_quotient)
+    # the orbit flags, with their witnesses, and the size of Gamma_1 on the
+    # whole quotient and on one that finds the orbits it needs on demand
+    expected, gamma1 = vertex_orbit_flags(code, G)
+    on_demand = johnson.OrbitQuotient(G, k, comb(n, k))
+    for q in (quotient, on_demand):
+        facts = codes._Facts(G, q, q.orbits_of(code.codewords))
+        for flag in ORBIT_FLAGS:
+            assert codes.FLAGS[flag](facts) == expected[flag], flag
+        assert facts.gamma1_size == len(gamma1)
+    # on demand, only the orbits of the code and of its neighbours are found
+    assert set(on_demand.index) == set(code.codewords) | gamma1
 
 
 def test_orbit_flags_match_vertex_path_on_catalog():
-    # cap_partition = C(v,k) - 1 decides every orbit flag vertex by vertex;
-    # all but the partition flags, their witnesses and the notes must agree
+    # cap_partition = C(v,k) - 1 decides every orbit flag on a quotient that
+    # holds only the orbits reached from the code; all but the partition
+    # flags, their witnesses and the notes must agree
     partition_keys = ("completely_transitive", "completely_regular")
     for family, params in CATALOG:
         code, G = build(family, **params)
@@ -484,12 +510,51 @@ def test_report_is_invariant_under_relabelling(family, params):
 
 def test_subset_orbits_partition_vertices():
     G = geometry.wreath_stabilizer(3, 3)
-    orbits = subset_orbits(G, 3)
+    orbits = subset_orbits(G, 3).orbits
     assert sum(len(o) for o in orbits) == comb(9, 3)
     seen = set()
     for o in orbits:
         assert not (set(o) & seen)
         seen |= set(o)
+
+
+def burnside_counts(G):
+    """The number of G-orbits on k-subsets for every k, by Burnside's
+    lemma: the mean over the elements g of the coefficient of x^k in the
+    product over g's cycles (fixed points included) of 1 + x^length."""
+    n = G.degree
+    totals = [0] * (n + 1)
+    for g in G.elements():
+        poly = [1] + [0] * n
+        seen = [False] * n
+        for x in range(n):
+            length = 0
+            while not seen[x]:
+                seen[x] = True
+                x = g.images[x]
+                length += 1
+            if length:
+                for i in range(n, length - 1, -1):
+                    poly[i] += poly[i - length]
+        totals = [t + c for t, c in zip(totals, poly)]
+    assert all(t % G.order() == 0 for t in totals)
+    return [t // G.order() for t in totals]
+
+
+def test_subset_orbit_counts_match_burnside():
+    # every distinct CATALOG group, every k with C(v,k) within 25,000
+    groups = {}
+    for family, params in CATALOG:
+        _, G = build(family, **params)
+        groups.setdefault(tuple(g.images for g in G.generators), G)
+    pairs = 0
+    for G in groups.values():
+        counts = burnside_counts(G)
+        for k in range(G.degree + 1):
+            if comb(G.degree, k) <= 25_000:
+                assert len(subset_orbits(G, k).orbits) == counts[k], (G, k)
+                pairs += 1
+    assert pairs > 100
 
 
 def test_search_sym6_k3_finds_nothing():
@@ -526,6 +591,51 @@ def test_search_strong_agammal16():
             assert found == [], k
 
 
+def test_search_decides_partition_flags_past_the_partition_cap(monkeypatch):
+    # search walks every orbit under its own cap, so its partition flags
+    # never meet the partition cap of verify: with that cap check made to
+    # fail, search still finds the orbits that verify finds within the cap
+    G = geometry.group_generators("agammal", n=1, q=16)
+    orbits = subset_orbits(G, 4).orbits
+    flags = ("completely_regular", "completely_transitive")
+    expected = {name: [o for o in orbits
+                       if check_properties(Code(16, 4, o), G).flags[name]]
+                for name in flags}
+    sub, _ = build("subfield_line")
+    assert sub.codewords in expected["completely_regular"]
+    assert sub.codewords not in expected["completely_transitive"]
+
+    def over_cap(v, k, cap):
+        raise ResourceCapError(f"J({v},{k}) over cap {cap}")
+    monkeypatch.setattr(johnson, "check_partition_cap", over_cap)
+    for name in flags:
+        found = classify_search(G, 4, name)
+        assert ([c.codewords for c in found]
+                == sorted(expected[name], key=lambda o: (len(o), o))), name
+
+
+def test_verify_past_the_partition_cap_finds_only_the_orbits_it_needs(
+        monkeypatch):
+    # J(28,12) has 30,421,755 vertices; the flags of unitary_bases need the
+    # code's one orbit and the one orbit of its neighbour set
+    code, G = build("unitary_bases")
+    quotients = []
+    init = johnson.OrbitQuotient.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        quotients.append(self)
+
+    def enumerate_all(v, k):
+        raise AssertionError(f"J({v},{k}) enumerated")
+    monkeypatch.setattr(johnson.OrbitQuotient, "__init__", recording_init)
+    monkeypatch.setattr(johnson, "all_ksubsets", enumerate_all)
+    rep = check_properties(code, G)
+    assert [[len(o) for o in q.orbits] for q in quotients] == [[63, 12096]]
+    assert rep.gamma1_size == 12096
+    assert rep.flags["completely_regular"] is None
+
+
 def test_search_rejects_bad_arguments():
     with pytest.raises(ValueError):
         classify_search(PermGroup.symmetric(5), 2, "no_such_predicate")
@@ -534,10 +644,12 @@ def test_search_rejects_bad_arguments():
 
 
 def test_orbit_flags_refuse_a_code_that_is_not_a_union_of_orbits():
-    # read off the quotient, part of one orbit would pass for one orbit
-    code = Code(5, 2, [mask_of([0, 1])])
-    with pytest.raises(johnson.JohnsonError):
-        PREDICATES["code_transitive"](code, PermGroup.symmetric(5))
+    # read off the quotient, part of one orbit would pass for one orbit;
+    # the quotient finds the orbit of the one mask on demand
+    quotient = johnson.OrbitQuotient(PermGroup.symmetric(5), 2, 10)
+    with pytest.raises(johnson.JohnsonError, match="union of orbits"):
+        quotient.orbits_of([mask_of([0, 1])])
+    assert [len(o) for o in quotient.orbits] == [10]
 
 
 def test_predicate_table_is_complete():

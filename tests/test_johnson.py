@@ -13,7 +13,7 @@ from ntcodes.johnson import (Code, JohnsonError, all_ksubsets, complement_code,
                              distance_partition, is_completely_regular,
                              jdistance, min_distance, neighbour_set, u_type,
                              vertex_neighbours)
-from ntcodes.perm import ResourceCapError, bits, mask_of
+from ntcodes.perm import PermGroup, ResourceCapError, bits, mask_of
 
 
 def bfs_distances(v, k, start):
@@ -60,6 +60,13 @@ def test_neighbour_symmetry_j63():
     for a in verts:
         for b in vertex_neighbours(a, 6):
             assert a in vertex_neighbours(b, 6)
+
+
+def test_all_ksubsets_ascending():
+    for v in range(10):
+        for k in range(v + 1):
+            assert all_ksubsets(v, k) == sorted(
+                mask_of(c) for c in combinations(range(v), k)), (v, k)
 
 
 def test_neighbour_set_examples():
@@ -156,14 +163,15 @@ def test_not_completely_regular_witness():
 def test_orbit_quotient_of_trivial_group_is_the_graph():
     # one orbit per vertex: the rows are the adjacency of J(6,3) itself
     v, k = 6, 3
-    orbits = [(m,) for m in all_ksubsets(v, k)]
-    quotient = johnson.OrbitQuotient(orbits, v)
+    quotient = johnson.OrbitQuotient(PermGroup.trivial(v), k, 1).fill()
+    orbits = quotient.orbits
+    assert orbits == [(m,) for m in all_ksubsets(v, k)]
     for i, (m,) in enumerate(orbits):
-        row = quotient.adjacency[i]
+        row = quotient.row(i)
         assert set(row.values()) == {1}
         assert {orbits[j][0] for j in row} == vertex_neighbours(m, v)
     code = Code(v, k, [mask_of([0, 1, 2]), mask_of([0, 1, 3])])
-    part = quotient.distance_partition(code)
+    part = quotient.distance_partition(quotient.orbits_of(code.codewords))
     assert ([{orbits[i][0] for i in cell} for cell in part.cells]
             == distance_partition(code).cells)
     assert (quotient.equitable_matrix(part)
@@ -171,10 +179,12 @@ def test_orbit_quotient_of_trivial_group_is_the_graph():
 
 
 def test_orbit_quotient_rejects_a_code_that_splits_an_orbit():
+    # two of the ten 2-subsets, on the whole quotient of J(5,2) by Sym(5)
     v, k = 5, 2
-    quotient = johnson.OrbitQuotient([tuple(all_ksubsets(v, k))], v)
+    quotient = johnson.OrbitQuotient(PermGroup.symmetric(v), k, 10).fill()
+    assert quotient.orbits == [tuple(all_ksubsets(v, k))]
     with pytest.raises(JohnsonError, match="union of orbits"):
-        quotient.distance_partition(Code(v, k, [mask_of([0, 1])]))
+        quotient.orbits_of([mask_of([0, 1]), mask_of([2, 3])])
 
 
 def test_u_type():
