@@ -13,7 +13,7 @@ from math import comb, gcd
 
 from . import geometry, johnson
 from .johnson import Code, min_distance
-from .perm import (DEFAULT_ORBIT_CAP, PermGroup, Permutation,
+from .perm import (DEFAULT_ORBIT_CAP, Orbit, Permutation,
                    ResourceCapError, bits, mask_of, schreier_orbit)
 
 
@@ -154,8 +154,7 @@ def build_affine_subspace(n, q, s):
     rep = mask_of(space.index[pt] for pt in space.points
                   if all(e == 0 for e in pt[s:]))
     G = geometry.group_generators("agammal", n=n, q=q)
-    orb = G.subset_orbit(rep)
-    code = Code(len(space), q ** s, orb.members,
+    code = Code(len(space), q ** s, G.subset_orbit(rep),
                 name=f"affine_subspace(n={n},q={q},s={s})",
                 params={"n": n, "q": q, "s": s})
     return code, G
@@ -167,8 +166,7 @@ def build_subfield_line():
     F = GF(16)
     rep = mask_of(F.subfield_elements(2))
     G = geometry.group_generators("agammal", n=1, q=16)
-    orb = G.subset_orbit(rep)
-    code = Code(16, 4, orb.members, name="subfield_line",
+    code = Code(16, 4, G.subset_orbit(rep), name="subfield_line",
                 params={"q": 16, "subfield": 4})
     return code, G
 
@@ -184,8 +182,7 @@ def build_hyperoval_ag24():
     pts = [i for i in range(len(space)) if not (ext >> i) & 1]
     relabel = {p: i for i, p in enumerate(pts)}
     rep = mask_of(relabel[p] for p in bits(hmask))
-    orb = G.subset_orbit(rep)
-    code = Code(16, 6, orb.members, name="hyperoval_ag24",
+    code = Code(16, 6, G.subset_orbit(rep), name="hyperoval_ag24",
                 params={"q": 4})
     return code, G
 
@@ -198,8 +195,7 @@ def build_projective_subspace(n, q, s):
     rep = mask_of(space.index[pt] for pt in space.points
                   if all(e == 0 for e in pt[s:]))
     G = geometry.group_generators("pgammal", n=n, q=q)
-    orb = G.subset_orbit(rep)
-    code = Code(len(space), (q ** s - 1) // (q - 1), orb.members,
+    code = Code(len(space), (q ** s - 1) // (q - 1), G.subset_orbit(rep),
                 name=f"projective_subspace(n={n},q={q},s={s})",
                 params={"n": n, "q": q, "s": s})
     return code, G
@@ -228,8 +224,7 @@ def build_ovoid_circles():
     of a Baer subline of PG(1,9), re-checked as a 3-(10,4,1) design."""
     space, rep = geometry.standard_baer_subline(3)
     G = geometry.group_generators("pgl", n=2, q=9)
-    orb = G.subset_orbit(rep)
-    words = list(orb.members)
+    words = G.subset_orbit(rep)
     for triple in combinations(range(10), 3):
         tm = mask_of(triple)
         if sum(1 for w in words if w & tm == tm) != 1:
@@ -250,7 +245,7 @@ def build_psl2_orbit(q):
     orb = G.subset_orbit(rep)
     if 2 * len(orb) != comb(q + 1, 3):
         raise ConstructionError("expected two equal orbits on 3-subsets")
-    code = Code(q + 1, 3, orb.members, name=f"psl2_orbit(q={q})",
+    code = Code(q + 1, 3, orb, name=f"psl2_orbit(q={q})",
                 params={"q": q})
     return code, G
 
@@ -271,6 +266,14 @@ def _elements_by_order(G, n, cap=DEFAULT_ORBIT_CAP):
     return [g for g in G.elements(cap=cap) if g.order() == n]
 
 
+def _conjugation(g):
+    """The action E -> {g^-1 e g : e in E} of g on a frozenset of image
+    tuples; (x*y)^-1 e (x*y) = y^-1 (x^-1 e x) y, so it is a right action,
+    as Orbit needs."""
+    gi, ginv = g.images, g.inverse().images
+    return lambda E: frozenset(tuple([gi[e[p]] for p in ginv]) for e in E)
+
+
 def build_unitary_bases(max_candidates=200):
     """The 63 'bases' of the 28-point unitary geometry for q=3: k=12 subsets
     whose stabilizer normalizes a Z4 x Z4 subgroup of PSU(3,3).
@@ -283,7 +286,7 @@ def build_unitary_bases(max_candidates=200):
     G = geometry.group_generators("pgammau", q=3)
     T = geometry.group_generators("pgu", q=3)
     order4 = _elements_by_order(T, 4)
-    big = list(G.elements())
+    conjugations = [_conjugation(x) for x in G.generators]
     tried = 0
     for i, g in enumerate(order4):
         gpow = {g.images}
@@ -308,19 +311,15 @@ def build_unitary_bases(max_candidates=200):
             if tried > max_candidates:
                 raise ConstructionError(
                     "no Z4 x Z4 with normalizer orbit sizes {12,16} found")
-            # conjugation by x is a homomorphism, so x normalizes
-            # E = <g, h> when it maps g and h into E
-            norm_gens = [x for x in big
-                         if all((x.inverse() * e * x).images in E
-                                for e in (g, h))]
-            N = PermGroup(G.degree, [g2 for g2 in norm_gens
-                                     if not g2.is_identity()])
+            # the normalizer of E = <g, h> is E's stabilizer under
+            # conjugation
+            N = Orbit(G.generators, G.degree, frozenset(E),
+                      conjugations).stabilizer(group_order=G.order())
             sizes = sorted(len(o) for o in N.orbits())
             if sizes != [12, 16]:
                 continue
             rep = mask_of(min((o for o in N.orbits()), key=len))
-            orb = G.subset_orbit(rep)
-            code = Code(28, 12, orb.members, name="unitary_bases",
+            code = Code(28, 12, G.subset_orbit(rep), name="unitary_bases",
                         params={"q": 3})
             return code, G
     raise ConstructionError(

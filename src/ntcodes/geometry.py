@@ -359,8 +359,7 @@ def baer_sublines(q0, notes=()):
     """Orbit of the standard Baer subline under PGammaL(2, q0^2)."""
     space, rep = standard_baer_subline(q0)
     G = group_generators("pgammal", n=2, q=q0 * q0)
-    orb = G.subset_orbit(rep)
-    return Code(len(space), q0 + 1, orb.members,
+    return Code(len(space), q0 + 1, G.subset_orbit(rep),
                 name=f"baer_subline(q0={q0})", params={"q0": q0},
                 notes=notes)
 

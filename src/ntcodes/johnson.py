@@ -236,8 +236,7 @@ class OrbitQuotient:
         i = self.index.get(mask)
         if i is None:
             i = len(self.orbits)
-            members = self.G.subset_orbit(mask, cap=self.cap).members
-            orbit = tuple(sorted(members))
+            orbit = self.G.subset_orbit(mask, cap=self.cap)
             self.orbits.append(orbit)
             self.index.update(dict.fromkeys(orbit, i))
         return i

@@ -7,10 +7,12 @@ domain travel as integer bitmasks throughout.
 The stabilizer chain is built by a deterministic Schreier-Sims: base points
 are the smallest non-fixed points, orbits grow breadth-first in generator
 order, so orders, transversals and element enumeration are reproducible.
-Every orbit (of points, subsets or pairs) is grown by schreier_orbit.
-The bulk subset routines act on masks through PermGroup.mask_moves: one
-256-entry image table per byte of the domain for each generator, built on
-first use, up to degree TABLE_DEGREE.
+Every orbit that needs a transversal, a stabilizer or an escape test (of
+points, subsets or pairs) is grown by schreier_orbit.  PermGroup.subset_orbit
+needs only the members, so it walks with a seen-set and keeps no Schreier
+map.  The bulk subset routines act on masks through one 256-entry image
+table per byte of the domain for each generator, built on first use, up to
+degree TABLE_DEGREE.
 """
 
 import re
@@ -204,11 +206,10 @@ def _table_action(tables):
     return lambda m: low(m & 0xFFFFFFFF) | high(m >> 32)
 
 
-def mask_action(g):
-    """g's action on bitmask subsets, equal to g.apply_mask, through one
-    image table per byte of the domain.  Entry b of a byte's table is the
-    image of that byte's points in b: entry b + 2^j extends entry b by the
-    image of the byte's point j, so each table doubles once per point."""
+def byte_tables(g):
+    """One image table per byte of g's domain.  Entry b of a byte's table is
+    the image of that byte's points in b: entry b + 2^j extends entry b by
+    the image of the byte's point j, so each table doubles once per point."""
     img = g.images
     tables = []
     for base in range(0, len(img), 8):
@@ -217,7 +218,13 @@ def mask_action(g):
             bit = 1 << x
             t += [m | bit for m in t]
         tables.append(t)
-    return _table_action(tables)
+    return tables
+
+
+def mask_action(g):
+    """g's action on bitmask subsets, equal to g.apply_mask, through its
+    byte_tables."""
+    return _table_action(byte_tables(g))
 
 
 def _point_moves(generators):
@@ -334,6 +341,7 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._bsgs = None
+        self._tables = None
         self._mask_moves = None
 
     @classmethod
@@ -508,22 +516,68 @@ class PermGroup:
         return Orbit(gens, self.degree, x, _point_moves(gens)).stabilizer(
             group_order=self.order())
 
+    def _byte_tables(self):
+        """Each generator's byte_tables, built on first use.  Up to degree
+        32 they are padded with one-entry tables [0] to four, so the image
+        of a mask m is t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255]
+        | t3[m >> 24]: a byte beyond the degree is 0."""
+        if self._tables is None:
+            pad = [[0]] * (4 - (self.degree + 7) // 8)
+            self._tables = tuple(byte_tables(g) + pad
+                                 for g in self.generators)
+        return self._tables
+
     def mask_moves(self):
         """Each generator's action on bitmask subsets, built on first use:
-        mask_action up to degree TABLE_DEGREE, Permutation.apply_mask
-        above it."""
+        the action of its byte tables up to degree TABLE_DEGREE,
+        Permutation.apply_mask above it."""
         if self._mask_moves is None:
-            action = (mask_action if self.degree <= TABLE_DEGREE
-                      else lambda g: g.apply_mask)
-            self._mask_moves = tuple(map(action, self.generators))
+            if self.degree <= TABLE_DEGREE:
+                nbytes = (self.degree + 7) // 8
+                self._mask_moves = tuple(_table_action(t[:nbytes])
+                                         for t in self._byte_tables())
+            else:
+                self._mask_moves = tuple(g.apply_mask
+                                         for g in self.generators)
         return self._mask_moves
 
     def subset_orbit(self, mask, cap=DEFAULT_ORBIT_CAP):
-        """Orbit of a bitmask subset under the induced action on subsets."""
+        """The orbit of a bitmask subset under the induced action on
+        subsets, as a tuple of masks in ascending order.
+
+        The walk keeps a seen-set and no Schreier map; an orbit that needs
+        transversals or a stabilizer is an Orbit.  Up to degree 32 each
+        member is split into its four bytes once and every image is four
+        lookups in the generators' byte tables; above it the images come
+        from mask_moves.  More than cap members raise ResourceCapError.
+        """
         if mask >> self.degree:
             raise PermError("subset not contained in the domain")
-        return Orbit(self.generators, self.degree, mask, self.mask_moves(),
-                     cap=cap)
+        members = [mask]
+        seen = {mask}
+        if self.degree <= 32:
+            tables = self._byte_tables()
+            for x in members:
+                b0, b1, b2, b3 = x & 255, x >> 8 & 255, x >> 16 & 255, x >> 24
+                for t0, t1, t2, t3 in tables:
+                    y = t0[b0] | t1[b1] | t2[b2] | t3[b3]
+                    if y not in seen:
+                        seen.add(y)
+                        members.append(y)
+                        if len(members) > cap:
+                            raise ResourceCapError(f"orbit exceeds cap {cap}")
+        else:
+            moves = self.mask_moves()
+            for x in members:
+                for move in moves:
+                    y = move(x)
+                    if y not in seen:
+                        seen.add(y)
+                        members.append(y)
+                        if len(members) > cap:
+                            raise ResourceCapError(f"orbit exceeds cap {cap}")
+        members.sort()
+        return tuple(members)
 
     def setwise_stabilizer(self, mask, cap=DEFAULT_ORBIT_CAP,
                            group_order=None, orbit_size=None):
@@ -537,11 +591,12 @@ class PermGroup:
         in the same order as Orbit.stabilizer, so the generators are the
         same; an orbit_size above cap raises ResourceCapError at once.
         """
-        if group_order is None or orbit_size is None:
-            return self.subset_orbit(mask, cap=cap).stabilizer(
-                group_order=group_order)
         if mask >> self.degree:
             raise PermError("subset not contained in the domain")
+        if group_order is None or orbit_size is None:
+            return Orbit(self.generators, self.degree, mask,
+                         self.mask_moves(), cap=cap).stabilizer(
+                             group_order=group_order)
         if orbit_size > cap:
             raise ResourceCapError(f"orbit exceeds cap {cap}")
         enough = group_order // orbit_size - 1
@@ -635,16 +690,15 @@ class PermGroup:
 
     def block_system(self, block):
         """The G-translates of a block; raises if they do not partition the domain."""
-        bm = mask_of(block)
-        orb = self.subset_orbit(bm)
+        translates = self.subset_orbit(mask_of(block))
         seenpts = 0
-        for m in orb.members:
+        for m in translates:
             if m & seenpts:
                 raise PermError("witness block system is not G-invariant")
             seenpts |= m
         if seenpts != (1 << self.degree) - 1:
             raise PermError("block translates do not cover the domain")
-        return [set(bits(m)) for m in orb.members]
+        return [set(bits(m)) for m in translates]
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"

@@ -1,14 +1,18 @@
 """Command-line interface tests (run in-process through main(), except the
 traced-launcher check, which runs a subprocess)."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ntcodes import cli, codes
 from ntcodes.cli import (UsageError, code_to_json, main, parse_code_dict,
@@ -275,6 +279,112 @@ def test_catalog_lists_every_family(capsys):
 def test_usage_exit_code_from_argparse(capsys):
     assert main(["no-such-verb"]) == 2
     assert main([]) == 2
+
+
+# ---- fuzzed argv -----------------------------------------------------------
+
+# small numbers, now and then malformed ones: every group they name is
+# cheap to search
+_NUMBER = st.sampled_from(["-1", "0"] + ["1", "2", "3", "4"] * 8
+                          + ["x", "", "2.5", "1e3", "0x3", "\u00b2",
+                             "\u0663"])
+_GROUP = st.one_of(
+    st.just("gens:@gens.txt"),
+    st.sampled_from(["sym:4", "wreath:2,2", "stab:5:0,1", "agammal:1,4",
+                     "pgl:2,3", "psl:2,5", "pgu:2", "pgammau:2"]),
+    st.sampled_from(["", ":", "sym", "sym:4,4", "stab:5", "stab:5:",
+                     "stab:5:9", "stab:5:x", "frob:3", "psl:3,4",
+                     "gens:file", "gens:@", "gens:@missing.txt"]),
+    st.builds("{}:{}".format, st.sampled_from(["sym", "alt", "pgu"]),
+              _NUMBER),
+    st.builds("{}{},{}".format,
+              st.sampled_from(["wreath:", "agl:", "agammal:", "pgl:",
+                               "pgammal:", "psl:"]),
+              st.sampled_from(["1", "2", "x", "-1"]), _NUMBER))
+_GENS_FILE = st.sampled_from(["4\n(0 1 2 3)\n(0 1)\n", "4\n(0 9)\n",
+                              "\u00b2\n(0 1)\n", "x\n", "", "0\n",
+                              "5000\n", "3\n(0 1)(0 2)\n", "3\n0 1\n"])
+_JSON_VALUE = st.one_of(st.integers(-2, 7), st.booleans(), st.none(),
+                        st.floats(allow_nan=False), st.text(max_size=3),
+                        st.lists(st.integers(-1, 7), max_size=4))
+
+
+@st.composite
+def _code_file(draw):
+    """(text, v) of a code file: all or the first k-subsets of 4 to 6
+    points, sometimes with one field replaced, or text that is no code."""
+    v, k = draw(st.integers(4, 6)), draw(st.integers(1, 3))
+    if not draw(st.integers(0, 3)):
+        return draw(st.sampled_from(["", "{", "[]", "null", "1e999",
+                                     '{"v": 4}', '{"v": 4, "k": 2}'])), v
+    words = [list(c) for c in combinations(range(v), k)]
+    if not draw(st.integers(0, 3)):
+        words = words[:draw(st.integers(1, len(words)))]
+    data = {"v": v, "k": k, "name": "fuzz", "codewords": words}
+    if not draw(st.integers(0, 2)):
+        data[draw(st.sampled_from(["v", "k", "name", "params",
+                                   "codewords"]))] = draw(st.one_of(
+            _JSON_VALUE, st.lists(_JSON_VALUE, max_size=3)))
+    return json.dumps(data), v
+
+
+def _options(draw, names):
+    argv = []
+    for option in draw(st.lists(st.sampled_from(names), unique=True)):
+        argv += [option, draw(_NUMBER)]
+    return argv
+
+
+@st.composite
+def _cli_call(draw):
+    """(argv, code file text, generator file text) for one CLI call."""
+    verb = draw(st.sampled_from(["construct", "verify", "search"]))
+    code_text, v = draw(_code_file())
+    if verb == "construct":
+        argv = ["--family", draw(st.sampled_from(
+            ["intransitive", "utype", "blowup", "psl2_orbit",
+             "baer_subline", "subfield_line", "no_such_family"]))]
+        argv += _options(draw, ["--v", "--u", "--k", "--a", "--b", "--c",
+                                "--line", "--k0", "--q", "--q0"])
+    elif verb == "verify":
+        argv = [draw(st.sampled_from(["code.json", "code.json",
+                                      "missing.json"])),
+                "--group", draw(_GROUP) if not draw(st.integers(0, 2))
+                else draw(st.sampled_from([f"sym:{v}", f"alt:{v}",
+                                           f"stab:{v}:0,1"]))]
+        argv += _options(draw, ["--cap-orbit", "--cap-partition"])
+    else:
+        argv = ["--group", draw(_GROUP), "--k", draw(_NUMBER),
+                "--predicate", draw(st.sampled_from(
+                    sorted(codes.PREDICATES) + ["no_such_predicate"]))]
+        argv += _options(draw, ["--max-union", "--cap-orbit"])
+    if not draw(st.integers(0, 5)):
+        argv.remove(draw(st.sampled_from(argv)))
+    return [verb] + argv, code_text, draw(_GENS_FILE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cli_call())
+def test_fuzzed_argv_exits_cleanly(call):
+    # whatever the arguments and files, the CLI exits 0, 1, 2 or 3 and
+    # never lets an exception through
+    # the file names in argv are relative to a fresh directory
+    argv, code_text, gens_text = call
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in (("code.json", code_text), ("gens.txt", gens_text)):
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        os.chdir(tmp)
+        try:
+            with (contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                rc = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert rc in (0, 1, 2, 3), (argv, rc)
+    assert "Traceback" not in err.getvalue()
 
 
 # ---- benchmark tracer contract ----------------------------------------------

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ntcodes import codes, geometry, johnson
+from ntcodes import codes, geometry, johnson, perm
 from ntcodes.codes import (CATALOG, ConstructionError, PREDICATES, blowup_code,
                            build, check_properties, check_theorem_consistency,
                            classify_search, delta_block, subset_orbits,
@@ -324,6 +324,63 @@ def test_partition_cap_yields_none_flags_with_note():
     assert rep.flags["completely_regular"] is None
     assert rep.flags["completely_transitive"] is None
     assert any("cap" in n for n in rep.notes)
+
+
+def test_orbit_cap_stops_the_fill_between_whole_orbits(monkeypatch):
+    # J(12,6) under S_3 wr S_4 has orbits of 6, 216, 108, 108 and 486
+    # vertices, found in that order; at --cap-orbit 300 the fill stops at
+    # the fifth, the quotient keeps the four whole orbits before it, and
+    # the flags that need only the code and its neighbours are decided
+    code, G = build("blowup", a=3, b=4, k0=2)
+    quotients = []
+    init = johnson.OrbitQuotient.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        quotients.append(self)
+    monkeypatch.setattr(johnson.OrbitQuotient, "__init__", recording_init)
+    report = check_properties(code, G, cap_orbit=300).as_dict()
+    [quotient] = quotients
+    assert [len(o) for o in quotient.orbits] == [6, 216, 108, 108]
+    moves = [g.apply_mask for g in G.generators]
+    for i, orbit in enumerate(quotient.orbits):
+        whole = perm.Orbit(G.generators, G.degree, orbit[0], moves).members
+        assert orbit == tuple(sorted(whole))
+        assert all(quotient.index[m] == i for m in orbit)
+    assert len(quotient.index) == 438
+    assert report == {
+        "v": 12, "k": 6, "name": "blowup(a=3,J(4,2))", "code_size": 6,
+        "neighbour_set_size": 216, "min_distance": 3, "degenerate": False,
+        "group_order": 31104, "transitive_on_V": True,
+        "primitive_on_V": False, "two_transitive_on_V": False,
+        "code_transitive": True, "neighbour_transitive": True,
+        "incidence_transitive": True, "strongly_incidence_transitive": True,
+        "completely_transitive": None, "completely_regular": None,
+        "witnesses": {},
+        "notes": ["distance partition not computed: orbit exceeds cap 300"]}
+
+
+COMPLEMENT_INVARIANT = ("code_size", "neighbour_set_size", "min_distance",
+                        "intersection_numbers",
+                        *codes.PropertyReport.FLAG_ORDER)
+
+
+def test_report_is_invariant_under_complementation():
+    # x -> V \ x is an isomorphism J(v,k) -> J(v,v-k) that commutes with
+    # every permutation of V, so the complement code under the same group
+    # has the same flags, sizes and intersection numbers; the orbits are
+    # walked at k and at v-k
+    checked = 0
+    for family, params in CATALOG:
+        code, G = build(family, **params)
+        if comb(code.v, code.k) > johnson.DEFAULT_PARTITION_CAP:
+            continue
+        before = check_properties(code, G).as_dict()
+        after = check_properties(johnson.complement_code(code), G).as_dict()
+        for key in COMPLEMENT_INVARIANT:
+            assert after.get(key) == before.get(key), (family, params, key)
+        checked += 1
+    assert checked == len(CATALOG) - 1  # all but unitary_bases, J(28,12)
 
 
 def test_theorem_consistency_over_catalog():

@@ -217,7 +217,7 @@ def test_stabilizer_early_stop_keeps_generators(data):
     if data.draw(st.booleans(), label="subset"):
         mask = mask_of(data.draw(st.sets(st.integers(0, n - 1)),
                                  label="points"))
-        orb = G.subset_orbit(mask)
+        orb = perm.Orbit(G.generators, n, mask, G.mask_moves())
     else:
         x = data.draw(st.integers(0, n - 1), label="point")
         orb = perm.Orbit(G.generators, n, x, perm._point_moves(G.generators))
@@ -250,7 +250,7 @@ def test_stabilizer_walk_with_orbit_size_keeps_generators(data):
                                max_size=3), label="generators")
     G = PermGroup(n, [Permutation(p) for p in perms])
     mask = mask_of(data.draw(st.sets(st.integers(0, n - 1)), label="points"))
-    orb = G.subset_orbit(mask)
+    orb = perm.Orbit(G.generators, n, mask, G.mask_moves())
     walked = G.setwise_stabilizer(mask, group_order=G.order(),
                                   orbit_size=len(orb))
     assert walked.generators == orb.stabilizer().generators
@@ -272,7 +272,7 @@ def test_stabilizer_walk_orbit_size_over_cap_raises():
 def test_subset_orbit_schreier_words():
     G = wreath_stabilizer(3, 3)
     mask = mask_of([0, 1, 3])
-    orb = G.subset_orbit(mask)
+    orb = perm.Orbit(G.generators, G.degree, mask, G.mask_moves())
     for m in orb.members:
         g = orb.transversal(m)
         assert g.apply_mask(mask) == m
@@ -282,6 +282,55 @@ def test_subset_orbit_schreier_words():
 def test_subset_orbit_cap():
     with pytest.raises(ResourceCapError):
         PermGroup.symmetric(20).subset_orbit(mask_of(range(10)), cap=100)
+
+
+def _random_generator(data, n):
+    # any permutation, or one of a few points anywhere in range(n), so
+    # that orbits can stay small while every byte of the domain is reached
+    if data.draw(st.booleans(), label="dense"):
+        return Permutation(data.draw(st.permutations(range(n)),
+                                     label="images"))
+    support = data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                 max_size=5), label="support")
+    shuffled = data.draw(st.permutations(support), label="shuffled")
+    images = list(range(n))
+    for x, y in zip(support, shuffled):
+        images[x] = y
+    return Permutation(images)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subset_orbit_is_the_sorted_schreier_orbit(data):
+    # the byte-table walk (up to degree 32) and the mask_moves walk (above
+    # it) against a Schreier orbit under the bit-loop action, across the
+    # byte and 32-bit edges
+    n = data.draw(st.one_of(st.sampled_from([1, 8, 9, 16, 17, 24, 25, 32,
+                                             33]),
+                            st.integers(1, 40)), label="degree")
+    gens = [_random_generator(data, n)
+            for _ in range(data.draw(st.integers(0, 3), label="ngens"))]
+    G = PermGroup(n, gens)
+    mask = data.draw(st.integers(0, (1 << n) - 1), label="mask")
+    bound = 300
+    try:
+        expected = tuple(sorted(perm.Orbit(
+            gens, n, mask, [g.apply_mask for g in gens], cap=bound).members))
+    except ResourceCapError:
+        with pytest.raises(ResourceCapError,
+                           match=f"^orbit exceeds cap {bound}$"):
+            G.subset_orbit(mask, cap=bound)
+        return
+    assert G.subset_orbit(mask) == expected
+    assert G.subset_orbit(mask, cap=len(expected)) == expected
+    if len(expected) > 1:
+        cap = data.draw(st.integers(1, len(expected) - 1), label="cap")
+        with pytest.raises(ResourceCapError,
+                           match=f"^orbit exceeds cap {cap}$"):
+            G.subset_orbit(mask, cap=cap)
+    outside = 1 << data.draw(st.integers(n, n + 40), label="outside")
+    with pytest.raises(PermError, match="subset not contained"):
+        G.subset_orbit(mask | outside)
 
 
 # ---- transitivity tests ---------------------------------------------------------
