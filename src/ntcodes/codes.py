@@ -13,8 +13,8 @@ from math import comb, gcd
 
 from . import geometry, johnson
 from .johnson import Code, min_distance
-from .perm import (DEFAULT_ORBIT_CAP, Orbit, Permutation,
-                   ResourceCapError, bits, mask_of, schreier_orbit)
+from .perm import (DEFAULT_ORBIT_CAP, Permutation, ResourceCapError, bits,
+                   mask_of)
 
 
 class ConstructionError(ValueError):
@@ -269,7 +269,7 @@ def _elements_by_order(G, n, cap=DEFAULT_ORBIT_CAP):
 def _conjugation(g):
     """The action E -> {g^-1 e g : e in E} of g on a frozenset of image
     tuples; (x*y)^-1 e (x*y) = y^-1 (x^-1 e x) y, so it is a right action,
-    as Orbit needs."""
+    as PermGroup.stabilizer needs."""
     gi, ginv = g.images, g.inverse().images
     return lambda E: frozenset(tuple([gi[e[p]] for p in ginv]) for e in E)
 
@@ -313,8 +313,7 @@ def build_unitary_bases(max_candidates=200):
                     "no Z4 x Z4 with normalizer orbit sizes {12,16} found")
             # the normalizer of E = <g, h> is E's stabilizer under
             # conjugation
-            N = Orbit(G.generators, G.degree, frozenset(E),
-                      conjugations).stabilizer(group_order=G.order())
+            N = G.stabilizer(frozenset(E), conjugations)
             sizes = sorted(len(o) for o in N.orbits())
             if sizes != [12, 16]:
                 continue
@@ -421,22 +420,11 @@ CATALOG = [
 # property checking
 # ---------------------------------------------------------------------------
 
-def _transitive_with_witness(G, masks):
-    """(True, None) or (False, (reached_rep, unreached)) on a mask set."""
-    masks = set(masks)
-    start = min(masks)
-    members, _, escape = schreier_orbit(start, G.mask_moves(), masks)
-    if escape is not None:
-        return False, (start, escape)
-    if len(members) == len(masks):
-        return True, None
-    return False, (start, min(masks.difference(members)))
-
-
 def _one_orbit(quotient, chosen):
-    """_transitive_with_witness on the union of the orbits numbered chosen,
-    which run in_order: (True, None) for one orbit, else (False, (smallest
-    member of the first, smallest member of the second))."""
+    """The one-orbit test on the union of the orbits numbered chosen, which
+    run in_order: (True, None) for one orbit, else (False, (smallest member
+    of the first, smallest member of the second)), the witness
+    PermGroup.transitive_witness gives on that union."""
     if len(chosen) == 1:
         return True, None
     return False, (quotient.orbits[chosen[0]][0],
@@ -485,11 +473,10 @@ class _Facts:
     def stabilizer(self):
         """G_gamma.  The size of gamma's orbit is known, so the stabilizer's
         orbit walk stops as soon as it holds every generator (see
-        PermGroup.setwise_stabilizer)."""
+        PermGroup.stabilizer)."""
         q = self.quotient
         return self.G.setwise_stabilizer(
-            self.gamma, cap=q.cap, group_order=self.G.order(),
-            orbit_size=len(q.orbits[self.chosen[0]]))
+            self.gamma, cap=q.cap, orbit_size=len(q.orbits[self.chosen[0]]))
 
     @cached_property
     def partition(self):
@@ -533,9 +520,8 @@ def _incidence_transitive(f):
     q = f.quotient
     local = {nb for nb in johnson.vertex_neighbours(f.gamma, q.v)
              if q.orbit_of(nb) not in f.chosen}
-    if not local:
-        return True, None
-    return _transitive_with_witness(f.stabilizer, local)
+    witness = f.stabilizer.transitive_witness(local) if local else None
+    return witness is None, witness
 
 
 def _strong_pairs(f):

@@ -8,11 +8,13 @@ The stabilizer chain is built by a deterministic Schreier-Sims: base points
 are the smallest non-fixed points, orbits grow breadth-first in generator
 order, so orders, transversals and element enumeration are reproducible.
 Every orbit that needs a transversal, a stabilizer or an escape test (of
-points, subsets or pairs) is grown by schreier_orbit.  PermGroup.subset_orbit
-needs only the members, so it walks with a seen-set and keeps no Schreier
-map.  The bulk subset routines act on masks through one 256-entry image
-table per byte of the domain for each generator, built on first use, up to
-degree TABLE_DEGREE.
+points, subsets or pairs) is grown by schreier_orbit, and every stabilizer
+(of a point, a subset, or a set of permutations under conjugation) is
+PermGroup.stabilizer, which forms its Schreier generators during that walk.
+PermGroup.subset_orbit needs only the members, so it walks with a seen-set
+and keeps no Schreier map.  The bulk subset routines act on masks through
+one 256-entry image table per byte of the domain for each generator, built
+on first use, up to degree TABLE_DEGREE.
 """
 
 import re
@@ -221,66 +223,8 @@ def byte_tables(g):
     return tables
 
 
-def mask_action(g):
-    """g's action on bitmask subsets, equal to g.apply_mask, through its
-    byte_tables."""
-    return _table_action(byte_tables(g))
-
-
 def _point_moves(generators):
     return [g.images.__getitem__ for g in generators]
-
-
-class Orbit:
-    """Orbit of a point or a bitmask subset, with Schreier bookkeeping.
-
-    moves[i] is the action of generators[i]; members and schreier are as
-    returned by schreier_orbit, so a group word mapping the representative
-    to any member can be reconstructed.
-    """
-
-    def __init__(self, generators, degree, representative, moves,
-                 cap=None):
-        self.generators = generators
-        self.degree = degree
-        self.representative = representative
-        self.moves = moves
-        self.members, self.schreier, _ = schreier_orbit(
-            representative, moves, cap=cap)
-        self._transversal = {representative: Permutation.identity(degree)}
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, x):
-        return x in self.schreier
-
-    def transversal(self, x):
-        """A group element mapping the representative to x."""
-        return _transversal(x, self.schreier, self.generators,
-                            self._transversal)
-
-    def stabilizer(self, group_order=None):
-        """Stabilizer of the representative, from Schreier generators.
-
-        The edges of the orbit are offered to _schreier_generators in walk
-        order, with the tree edges left out, since their Schreier
-        generators are the identity.  When the order of the group is given,
-        the loop stops once it holds group_order / len(self) - 1 distinct
-        non-identity generators, with the generators the full loop returns.
-        """
-        enough = (None if group_order is None
-                  else group_order // len(self.members) - 1)
-        gens, offer = _schreier_generators(
-            self.generators, self.degree, self.representative, enough)
-        schreier = self.schreier
-        if enough != 0:
-            for x in self.members:
-                for i, move in enumerate(self.moves):
-                    y = move(x)
-                    if schreier[y] != (x, i) and offer(x, i, y, schreier):
-                        return PermGroup(self.degree, gens)
-        return PermGroup(self.degree, gens)
 
 
 def _transversal(x, schreier, generators, cache):
@@ -297,34 +241,6 @@ def _transversal(x, schreier, generators, cache):
         g = g * generators[schreier[m][1]]
         cache[m] = g
     return g
-
-
-def _schreier_generators(generators, degree, start, enough):
-    """(gens, offer) for the stabilizer of an orbit's start.
-
-    offer(x, i, y, schreier) forms the Schreier generator u_x g_i u_y^-1 of
-    the edge x -> y = x^g_i, with u as in _transversal, and appends it to
-    gens when it is new and not the identity.  Every Schreier generator lies
-    in the stabilizer, so once gens holds enough = |stabilizer| - 1 of them
-    it holds the whole stabilizer and no later edge can add one; offer then
-    returns True.  With enough None it never does.
-    """
-    cache = {start: Permutation.identity(degree)}
-    gens = []
-    seen = {cache[start].images}  # so the identity is never appended
-
-    def offer(x, i, y, schreier):
-        # the images of u_x g_i u_y^-1: p -> u_y^-1(g_i(u_x(p)))
-        ux = _transversal(x, schreier, generators, cache).images
-        uy_inv = _transversal(y, schreier, generators, cache).inverse().images
-        gi = generators[i].images
-        s = tuple([uy_inv[gi[a]] for a in ux])
-        if s not in seen:
-            seen.add(s)
-            gens.append(Permutation(s, check=False))
-        return len(gens) == enough
-
-    return gens, offer
 
 
 class PermGroup:
@@ -403,8 +319,10 @@ class PermGroup:
 
         def rebuild_transversal(i):
             gens = level_gens[i]
-            orb = Orbit(gens, n, base[i], _point_moves(gens))
-            transversals[i] = {pt: orb.transversal(pt) for pt in orb.members}
+            members, schreier, _ = schreier_orbit(base[i], _point_moves(gens))
+            cache = {base[i]: Permutation.identity(n)}
+            transversals[i] = {pt: _transversal(pt, schreier, gens, cache)
+                               for pt in members}
 
         def strip(g, start):
             for i in range(start, len(base)):
@@ -510,11 +428,51 @@ class PermGroup:
             rest -= o
         return out
 
+    def stabilizer(self, start, moves, orbit_size=None, cap=None):
+        """Stabilizer of start, where moves[i] is the action of
+        generators[i] on start's orbit, from Schreier generators.
+
+        The orbit is walked once by schreier_orbit, and each edge
+        x -> y = moves[i](x) that is not a tree edge offers the Schreier
+        generator u_x g_i u_y^-1, with u as in _transversal; it is kept
+        when it is new and not the identity (Seress, Permutation Group
+        Algorithms, 4.1).  Every Schreier generator lies in the stabilizer,
+        which has |G| / orbit_size elements.  So when orbit_size, the exact
+        size of start's orbit, is given, the walk stops once it holds
+        |G| / orbit_size - 1 generators: that is every non-identity element,
+        and the tuple is the one the whole walk returns.  More than cap
+        members raise ResourceCapError, at once when orbit_size is over cap.
+        """
+        gens = []
+        enough = None
+        if orbit_size is not None:
+            if cap is not None and orbit_size > cap:
+                raise ResourceCapError(f"orbit exceeds cap {cap}")
+            enough = self.order() // orbit_size - 1
+        if enough != 0:
+            generators = self.generators
+            cache = {start: Permutation.identity(self.degree)}
+            seen = {cache[start].images}  # so the identity is never kept
+
+            def offer(x, i, y, schreier):
+                # the images of u_x g_i u_y^-1: p -> u_y^-1(g_i(u_x(p)))
+                ux = _transversal(x, schreier, generators, cache).images
+                uy_inv = _transversal(y, schreier, generators,
+                                      cache).inverse().images
+                gi = generators[i].images
+                s = tuple([uy_inv[gi[a]] for a in ux])
+                if s not in seen:
+                    seen.add(s)
+                    gens.append(Permutation(s, check=False))
+                return len(gens) == enough
+
+            schreier_orbit(start, moves, cap=cap, on_revisit=offer)
+        return PermGroup(self.degree, gens)
+
     def point_stabilizer(self, x):
-        """Stabilizer of the point x, from Schreier generators."""
-        gens = self.generators
-        return Orbit(gens, self.degree, x, _point_moves(gens)).stabilizer(
-            group_order=self.order())
+        """Stabilizer of the point x."""
+        return self.stabilizer(x, _point_moves(self.generators),
+                               orbit_size=len(self.orbit(x)))
 
     def _byte_tables(self):
         """Each generator's byte_tables, built on first use.  Up to degree
@@ -546,10 +504,11 @@ class PermGroup:
         subsets, as a tuple of masks in ascending order.
 
         The walk keeps a seen-set and no Schreier map; an orbit that needs
-        transversals or a stabilizer is an Orbit.  Up to degree 32 each
-        member is split into its four bytes once and every image is four
-        lookups in the generators' byte tables; above it the images come
-        from mask_moves.  More than cap members raise ResourceCapError.
+        transversals or a stabilizer is walked by schreier_orbit.  Up to
+        degree 32 each member is split into its four bytes once and every
+        image is four lookups in the generators' byte tables; above it the
+        images come from mask_moves.  More than cap members raise
+        ResourceCapError.
         """
         if mask >> self.degree:
             raise PermError("subset not contained in the domain")
@@ -580,46 +539,37 @@ class PermGroup:
         return tuple(members)
 
     def setwise_stabilizer(self, mask, cap=DEFAULT_ORBIT_CAP,
-                           group_order=None, orbit_size=None):
-        """Stabilizer of a subset (as bitmask), via subset-orbit Schreier
-        generators; group_order, the order of this group, lets the search
-        stop early (see Orbit.stabilizer) with the same generators.
-
-        When orbit_size, the exact size of the subset's orbit, is given as
-        well, the Schreier generators are formed during the orbit walk,
-        which stops as soon as it holds all of them.  It sees the same edges
-        in the same order as Orbit.stabilizer, so the generators are the
-        same; an orbit_size above cap raises ResourceCapError at once.
-        """
+                           orbit_size=None):
+        """Stabilizer of a subset (as bitmask); see stabilizer for cap and
+        orbit_size, the exact size of the subset's orbit when known."""
         if mask >> self.degree:
             raise PermError("subset not contained in the domain")
-        if group_order is None or orbit_size is None:
-            return Orbit(self.generators, self.degree, mask,
-                         self.mask_moves(), cap=cap).stabilizer(
-                             group_order=group_order)
-        if orbit_size > cap:
-            raise ResourceCapError(f"orbit exceeds cap {cap}")
-        enough = group_order // orbit_size - 1
-        gens, offer = _schreier_generators(self.generators, self.degree, mask,
-                                           enough)
-        if enough:
-            schreier_orbit(mask, self.mask_moves(), cap=cap,
-                           on_revisit=offer)
-        return PermGroup(self.degree, gens)
+        return self.stabilizer(mask, self.mask_moves(), orbit_size=orbit_size,
+                               cap=cap)
 
     # ---- transitivity and primitivity --------------------------------------
 
     def is_transitive(self):
         return len(self.orbit(0)) == self.degree
 
+    def transitive_witness(self, masks):
+        """None when the induced action on the non-empty subset collection
+        masks is transitive; otherwise (the smallest mask, a mask outside
+        its orbit): the first image that escapes masks, or else the
+        smallest mask the orbit misses."""
+        masks = set(masks)
+        start = min(masks)
+        members, _, escape = schreier_orbit(start, self.mask_moves(), masks)
+        if escape is not None:
+            return start, escape
+        if len(members) < len(masks):
+            return start, min(masks.difference(members))
+        return None
+
     def is_transitive_on(self, masks):
         """True iff the induced action on the given subset collection is transitive."""
         masks = set(masks)
-        if not masks:
-            return True
-        members, _, escape = schreier_orbit(min(masks), self.mask_moves(),
-                                            masks)
-        return escape is None and len(members) == len(masks)
+        return not masks or self.transitive_witness(masks) is None
 
     def is_transitive_on_product(self, aset, bset):
         """True iff the action on ordered pairs A x B has a single orbit."""

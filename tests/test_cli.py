@@ -200,6 +200,35 @@ def test_verify_caps_give_none_flags(tmp_path, capsys):
     assert payload["completely_regular"] is None
 
 
+@pytest.mark.parametrize("v,k", [(v, k) for v in (4, 5, 6)
+                                 for k in (1, 2, 3)])
+def test_verify_skips_consistency_on_degenerate_codes(tmp_path, capsys, v, k):
+    # the full vertex set of J(v,k) is no proper code, and the implications
+    # are stated for 2 <= k <= v-2, so verify gives no consistency verdict
+    # on such a code and exits 0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"v": v, "k": k, "name": "full", "codewords":
+                                [list(c) for c in combinations(range(v), k)]}))
+    for group in (f"sym:{v}", f"alt:{v}"):
+        rc, out, err = run(capsys, "verify", str(path), "--group", group)
+        assert (rc, err) == (0, ""), (v, k, group)
+        assert out.splitlines()[3] == "consistency: skipped (degenerate code)"
+        payload = json.loads(out[out.index("{"):])
+        assert payload["degenerate"] is True
+        assert payload["consistency_ok"] is None
+        assert payload["consistency_failures"] == []
+
+
+def test_verify_skips_consistency_on_a_one_point_code(tmp_path, capsys):
+    # k = 1 lies outside the window too, though {0} is a proper code
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"v": 5, "k": 1, "codewords": [[0]]}))
+    rc, out, _ = run(capsys, "verify", str(path), "--group", "stab:5:0")
+    assert rc == 0
+    assert "consistency: skipped (degenerate code)" in out
+    assert json.loads(out[out.index("{"):])["consistency_ok"] is None
+
+
 @pytest.mark.parametrize("option,value", [
     ("--cap-orbit", "-5"), ("--cap-orbit", "0"),
     ("--cap-partition", "0"), ("--cap-partition", "-1"),

@@ -344,7 +344,7 @@ def test_orbit_cap_stops_the_fill_between_whole_orbits(monkeypatch):
     assert [len(o) for o in quotient.orbits] == [6, 216, 108, 108]
     moves = [g.apply_mask for g in G.generators]
     for i, orbit in enumerate(quotient.orbits):
-        whole = perm.Orbit(G.generators, G.degree, orbit[0], moves).members
+        whole = perm.schreier_orbit(orbit[0], moves)[0]
         assert orbit == tuple(sorted(whole))
         assert all(quotient.index[m] == i for m in orbit)
     assert len(quotient.index) == 438
@@ -390,6 +390,33 @@ def test_theorem_consistency_over_catalog():
         assert ok, (family, params, failures)
 
 
+# The searches of the benchmark's search_orbits and search_regular
+# workloads: (group spec, k, predicate, max_union).
+BENCH_SEARCHES = (
+    [("wreath:3,3", 3, "neighbour_transitive", 2),
+     ("wreath:3,3", 3, "gamma1_transitive", 2)]
+    + [("agammal:1,16", k, "strongly_incidence_transitive", 1)
+       for k in (2, 3, 4, 5, 6, 7, 8, 12)]
+    + [("pgammau:3", 4, "strongly_incidence_transitive", 1),
+       ("pgammau:3", 4, "neighbour_transitive", 1),
+       ("agammal:1,16", 4, "completely_regular", 2),
+       ("pgammau:3", 3, "completely_regular", 1),
+       ("pgammau:3", 4, "completely_regular", 1)])
+
+
+def test_theorem_consistency_over_search_results():
+    from ntcodes.cli import parse_group_spec
+    found = 0
+    for spec, k, predicate, max_union in BENCH_SEARCHES:
+        G = parse_group_spec(spec)
+        for code in classify_search(G, k, predicate, max_union=max_union):
+            assert not code.degenerate
+            ok, failures = check_theorem_consistency(code, G)
+            assert ok, (spec, k, predicate, code.name, failures)
+            found += 1
+    assert found == 17
+
+
 def test_theorem_consistency_detects_forged_flags():
     code, G = build("subfield_line")
     rep = check_properties(code, G)
@@ -413,6 +440,12 @@ ORBIT_FLAGS = ("code_transitive", "gamma1_transitive", "neighbour_transitive",
                "incidence_transitive")
 
 
+def transitive_with_witness(G, masks):
+    """(True, None) or (False, witness) from PermGroup.transitive_witness."""
+    witness = G.transitive_witness(masks)
+    return witness is None, witness
+
+
 def vertex_partition_flags(code, G):
     """Both partition flags as the vertex engine decides them: the distance
     partition of every vertex, a transitivity test on each cell and
@@ -420,7 +453,7 @@ def vertex_partition_flags(code, G):
     part = johnson.distance_partition(code)
     transitive = (True, None)
     for cell in part.cells:
-        ok, wit = codes._transitive_with_witness(G, cell)
+        ok, wit = transitive_with_witness(G, cell)
         if not ok:
             transitive = (False, wit)
             break
@@ -432,15 +465,16 @@ def vertex_orbit_flags(code, G):
     decides them: neighbour_set, a Schreier search per mask set, and G_gamma
     from PermGroup.setwise_stabilizer alone."""
     gamma1 = neighbour_set(code)
-    code_orbit = codes._transitive_with_witness(G, code.codewords)
-    gamma1_orbit = (codes._transitive_with_witness(G, gamma1) if gamma1
+    code_orbit = transitive_with_witness(G, code.codewords)
+    gamma1_orbit = (transitive_with_witness(G, gamma1) if gamma1
                     else (False, ("neighbour set is empty",)))
     incidence = (False, ("code is not a single orbit",))
     if code_orbit[0]:
         gamma = code.codewords[0]
         local = vertex_neighbours(gamma, code.v) & gamma1
-        incidence = (codes._transitive_with_witness(
-            G.setwise_stabilizer(gamma), local) if local else (True, None))
+        incidence = (transitive_with_witness(G.setwise_stabilizer(gamma),
+                                             local)
+                     if local else (True, None))
     flags = {"code_transitive": code_orbit,
              "gamma1_transitive": gamma1_orbit,
              "neighbour_transitive": (gamma1_orbit if code_orbit[0] and gamma1

@@ -13,7 +13,8 @@ from ntcodes.johnson import (Code, JohnsonError, all_ksubsets, complement_code,
                              distance_partition, is_completely_regular,
                              jdistance, min_distance, neighbour_set, u_type,
                              vertex_neighbours)
-from ntcodes.perm import PermGroup, ResourceCapError, bits, mask_of
+from ntcodes.perm import (PermGroup, Permutation, ResourceCapError, bits,
+                          mask_of)
 
 
 def bfs_distances(v, k, start):
@@ -185,6 +186,109 @@ def test_orbit_quotient_rejects_a_code_that_splits_an_orbit():
     assert quotient.orbits == [tuple(all_ksubsets(v, k))]
     with pytest.raises(JohnsonError, match="union of orbits"):
         quotient.orbits_of([mask_of([0, 1]), mask_of([2, 3])])
+
+
+# ---- networkx oracle ---------------------------------------------------------
+
+def nx_johnson(v, k):
+    """J(v,k) as a networkx graph on frozensets of points, with edges
+    between k-sets that share k-1 points."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    verts = [frozenset(c) for c in combinations(range(v), k)]
+    graph.add_nodes_from(verts)
+    graph.add_edges_from((a, b) for a, b in combinations(verts, 2)
+                         if len(a & b) == k - 1)
+    return graph
+
+
+@pytest.mark.parametrize("v,k", [(4, 2), (5, 2), (6, 3), (7, 2), (8, 3),
+                                 (8, 4)])
+def test_jdistance_matches_networkx(v, k):
+    nx = pytest.importorskip("networkx")
+    lengths = dict(nx.all_pairs_shortest_path_length(nx_johnson(v, k)))
+    assert len(lengths) == comb(v, k)
+    for a, row in lengths.items():
+        for b, d in row.items():
+            assert jdistance(mask_of(a), mask_of(b), k) == d
+
+
+def check_partition_against_networkx(code, G=None):
+    """distance_partition, equitable_matrix and, given G, the orbit
+    quotient's distance partition and equitable_matrix, against the
+    multi-source BFS layers of a networkx J(v,k) and each vertex's count
+    of neighbours per layer."""
+    nx = pytest.importorskip("networkx")
+    graph = nx_johnson(code.v, code.k)
+    layers = list(nx.bfs_layers(graph, [frozenset(bits(w))
+                                        for w in code.codewords]))
+    cells = [{mask_of(x) for x in layer} for layer in layers]
+    layer_of = {x: d for d, layer in enumerate(layers) for x in layer}
+    counts = {}
+    for x in graph:
+        row = [0] * len(layers)
+        for y in graph[x]:
+            row[layer_of[y]] += 1
+        counts[mask_of(x)] = row
+    # the first cell i whose vertices' counts differ; its smallest vertex
+    # a, the smallest vertex b whose counts differ from a's, and the first
+    # layer j where they do
+    expected = True, [counts[min(cell)] for cell in cells]
+    for i, cell in enumerate(cells):
+        a = min(cell)
+        split = [m for m in cell if counts[m] != counts[a]]
+        if split:
+            b = min(split)
+            j = next(j for j, (x, y) in enumerate(zip(counts[a], counts[b]))
+                     if x != y)
+            expected = False, (i, j, a, b, counts[a][j], counts[b][j])
+            break
+    part = distance_partition(code)
+    assert part.cells == cells
+    assert johnson.equitable_matrix(part, code.v) == expected
+    if G is not None:
+        quotient = johnson.OrbitQuotient(G, code.k, 10 ** 6).fill()
+        qpart = quotient.distance_partition(
+            quotient.orbits_of(code.codewords))
+        assert [set().union(*(quotient.orbits[i] for i in cell))
+                for cell in qpart.cells] == cells
+        assert quotient.equitable_matrix(qpart) == expected
+    return expected[0]
+
+
+def test_catalog_partitions_match_networkx():
+    checked = 0
+    for family, params in codes_mod.CATALOG:
+        code, G = codes_mod.build(family, **params)
+        if code.v <= 8:
+            check_partition_against_networkx(code, G)
+            checked += 1
+    assert checked == 11
+
+
+def test_random_invariant_unions_match_networkx():
+    # unions of orbits of small groups, so both the equitable and the
+    # split outcomes are compared
+    from ntcodes.geometry import (group_generators, subset_stabilizer,
+                                  wreath_stabilizer)
+    pool = [wreath_stabilizer(2, 3), wreath_stabilizer(2, 4),
+            wreath_stabilizer(3, 2), subset_stabilizer(7, range(2)),
+            subset_stabilizer(8, range(3)), PermGroup.alternating(6),
+            group_generators("agammal", n=3, q=2),
+            group_generators("pgammal", n=3, q=2),
+            PermGroup(8, [Permutation.from_cycles(8, [tuple(range(8))])])]
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(40):
+        G = rng.choice(pool)
+        k = rng.randint(2, G.degree - 2)
+        orbits = johnson.OrbitQuotient(G, k, 10 ** 6).fill().orbits
+        if len(orbits) < 2:
+            continue
+        chosen = rng.sample(orbits, rng.randint(1, len(orbits) - 1))
+        code = Code(G.degree, k, [m for orbit in chosen for m in orbit])
+        outcomes.add(check_partition_against_networkx(code, G))
+    assert outcomes == {True, False}
 
 
 def test_u_type():

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ntcodes import perm
+from ntcodes import codes, perm
 from ntcodes.codes import CATALOG, build
 from ntcodes.geometry import group_generators, wreath_stabilizer
 from ntcodes.perm import (PermError, PermGroup, Permutation,
@@ -68,7 +68,7 @@ def test_table_action_matches_apply_mask(data):
     p = Permutation(data.draw(st.permutations(range(n)), label="images"))
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
                                max_size=10), label="masks")
-    table = perm.mask_action(p)
+    table = perm._table_action(perm.byte_tables(p))
     move = PermGroup(n, [p]).mask_moves()[0]
     for m in masks:
         assert table(m) == move(m) == p.apply_mask(m)
@@ -208,36 +208,45 @@ def test_orbit_stabilizer_identity_random():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_stabilizer_early_stop_keeps_generators(data):
-    # with the group order the Schreier loop stops at |G|/|orbit| - 1
-    # distinct generators, which must be exactly the full loop's tuple
+    # given the orbit's size the walk stops at |G|/|orbit| - 1 distinct
+    # generators, which must be exactly the whole walk's tuple; on points,
+    # on subsets and on sets of permutations under conjugation
     n = data.draw(st.integers(2, 8), label="degree")
     perms = data.draw(st.lists(st.permutations(range(n)), min_size=1,
                                max_size=3), label="generators")
     G = PermGroup(n, [Permutation(p) for p in perms])
-    if data.draw(st.booleans(), label="subset"):
-        mask = mask_of(data.draw(st.sets(st.integers(0, n - 1)),
-                                 label="points"))
-        orb = perm.Orbit(G.generators, n, mask, G.mask_moves())
+    action = data.draw(st.sampled_from(["point", "subset", "conjugation"]),
+                       label="action")
+    if action == "subset":
+        start = mask_of(data.draw(st.sets(st.integers(0, n - 1)),
+                                  label="points"))
+        moves = G.mask_moves()
+    elif action == "point":
+        start = data.draw(st.integers(0, n - 1), label="point")
+        moves = perm._point_moves(G.generators)
     else:
-        x = data.draw(st.integers(0, n - 1), label="point")
-        orb = perm.Orbit(G.generators, n, x, perm._point_moves(G.generators))
-    early = orb.stabilizer(group_order=G.order())
-    assert early.generators == orb.stabilizer().generators
-    assert early.order() * len(orb) == G.order()
+        start = frozenset(data.draw(st.lists(
+            st.permutations(range(n)).map(tuple), min_size=1, max_size=2),
+            label="conjugated"))
+        moves = [codes._conjugation(g) for g in G.generators]
+    orbit = perm.schreier_orbit(start, moves)[0]
+    early = G.stabilizer(start, moves, orbit_size=len(orbit))
+    assert early.generators == G.stabilizer(start, moves).generators
+    assert early.order() * len(orbit) == G.order()
 
 
 def test_stabilizer_early_stop_on_regular_orbit():
     # Z_6 acts regularly on its points: the stabilizer is trivial and the
     # early stop returns it before forming a single Schreier generator
     G = PermGroup(6, [Permutation.from_cycles(6, [tuple(range(6))])])
-    orb = perm.Orbit(G.generators, 6, 0, perm._point_moves(G.generators))
-    assert orb.stabilizer(group_order=G.order()).generators == ()
-    assert orb.stabilizer().generators == ()
+    moves = perm._point_moves(G.generators)
+    assert G.stabilizer(0, moves, orbit_size=6).generators == ()
+    assert G.stabilizer(0, moves).generators == ()
+    assert G.point_stabilizer(0).generators == ()
     mask = mask_of([0, 1])
     assert len(G.subset_orbit(mask)) == 6
-    assert G.setwise_stabilizer(mask, group_order=6).generators == ()
-    assert G.setwise_stabilizer(mask, group_order=6,
-                                orbit_size=6).generators == ()
+    assert G.setwise_stabilizer(mask).generators == ()
+    assert G.setwise_stabilizer(mask, orbit_size=6).generators == ()
 
 
 @settings(max_examples=150, deadline=None)
@@ -250,11 +259,10 @@ def test_stabilizer_walk_with_orbit_size_keeps_generators(data):
                                max_size=3), label="generators")
     G = PermGroup(n, [Permutation(p) for p in perms])
     mask = mask_of(data.draw(st.sets(st.integers(0, n - 1)), label="points"))
-    orb = perm.Orbit(G.generators, n, mask, G.mask_moves())
-    walked = G.setwise_stabilizer(mask, group_order=G.order(),
-                                  orbit_size=len(orb))
-    assert walked.generators == orb.stabilizer().generators
-    assert walked.order() * len(orb) == G.order()
+    orbit = perm.schreier_orbit(mask, G.mask_moves())[0]
+    walked = G.setwise_stabilizer(mask, orbit_size=len(orbit))
+    assert walked.generators == G.setwise_stabilizer(mask).generators
+    assert walked.order() * len(orbit) == G.order()
 
 
 def test_stabilizer_walk_orbit_size_over_cap_raises():
@@ -262,19 +270,19 @@ def test_stabilizer_walk_orbit_size_over_cap_raises():
     # walk starts
     with pytest.raises(ResourceCapError, match="orbit exceeds cap 100"):
         PermGroup.symmetric(20).setwise_stabilizer(
-            mask_of(range(10)), cap=100, group_order=math.factorial(20),
-            orbit_size=math.comb(20, 10))
+            mask_of(range(10)), cap=100, orbit_size=math.comb(20, 10))
     S6 = PermGroup.symmetric(6)
-    assert S6.setwise_stabilizer(mask_of([0]), cap=6, group_order=720,
+    assert S6.setwise_stabilizer(mask_of([0]), cap=6,
                                  orbit_size=6).order() == 120
 
 
 def test_subset_orbit_schreier_words():
     G = wreath_stabilizer(3, 3)
     mask = mask_of([0, 1, 3])
-    orb = perm.Orbit(G.generators, G.degree, mask, G.mask_moves())
-    for m in orb.members:
-        g = orb.transversal(m)
+    members, schreier, _ = perm.schreier_orbit(mask, G.mask_moves())
+    cache = {mask: Permutation.identity(G.degree)}
+    for m in members:
+        g = perm._transversal(m, schreier, G.generators, cache)
         assert g.apply_mask(mask) == m
         assert g in G
 
@@ -314,8 +322,8 @@ def test_subset_orbit_is_the_sorted_schreier_orbit(data):
     mask = data.draw(st.integers(0, (1 << n) - 1), label="mask")
     bound = 300
     try:
-        expected = tuple(sorted(perm.Orbit(
-            gens, n, mask, [g.apply_mask for g in gens], cap=bound).members))
+        expected = tuple(sorted(perm.schreier_orbit(
+            mask, [g.apply_mask for g in gens], cap=bound)[0]))
     except ResourceCapError:
         with pytest.raises(ResourceCapError,
                            match=f"^orbit exceeds cap {bound}$"):
