@@ -262,8 +262,28 @@ def build_j93():
     return code, G
 
 
+def _power(images, e):
+    """The e-th power (e >= 1) of a permutation given by its image tuple."""
+    out, sq = None, images
+    while True:
+        if e & 1:
+            out = sq if out is None else tuple([sq[x] for x in out])
+        e >>= 1
+        if not e:
+            return out
+        sq = tuple([sq[x] for x in sq])
+
+
 def _elements_by_order(G, n, cap=DEFAULT_ORBIT_CAP):
-    return [g for g in G.elements(cap=cap) if g.order() == n]
+    """The elements of order n, in elements() order. g has order n when
+    g^n = 1 and g^(n/p) != 1 for each prime p dividing n; the powers are
+    taken on image tuples, without cycle lists."""
+    identity = tuple(range(G.degree))
+    primes = [p for p in range(2, n + 1)
+              if n % p == 0 and all(p % d for d in range(2, p))]
+    return [g for g in G.elements(cap=cap)
+            if _power(g.images, n) == identity
+            and all(_power(g.images, n // p) != identity for p in primes)]
 
 
 def _conjugation(g):

@@ -1,10 +1,12 @@
 """Command-line interface tests (run in-process through main(), except the
-traced-launcher check, which runs a subprocess)."""
+console entry point and traced-launcher checks, which run subprocesses)."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -17,6 +19,12 @@ from hypothesis import given, settings, strategies as st
 from ntcodes import cli, codes
 from ntcodes.cli import (UsageError, code_to_json, main, parse_code_dict,
                          parse_group_spec)
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# a path no verb can write: its parent is not a directory
+UNWRITABLE = os.path.join(os.devnull, "x.json")
 
 
 def run(capsys, *argv):
@@ -141,6 +149,10 @@ def test_construct_bad_params(capsys):
     assert rc == 2 and "error:" in err
     rc, _, _ = run(capsys, "construct", "--family", "nonsense")
     assert rc == 2
+    rc, out, err = run(capsys, "construct", "--family", "j93",
+                       "-o", UNWRITABLE)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot write output file:")
 
 
 # ---- verify --------------------------------------------------------------------
@@ -187,6 +199,11 @@ def test_verify_degree_mismatch_and_missing_file(tmp_path, capsys):
     rc, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"),
                    "--group", "sym:9")
     assert rc == 2
+    # the report file is written before the summary, so nothing is printed
+    rc, out, err = run(capsys, "verify", str(path), "--group", "wreath:3,3",
+                       "-o", UNWRITABLE)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot write output file:")
 
 
 def test_verify_caps_give_none_flags(tmp_path, capsys):
@@ -264,7 +281,8 @@ def test_search_bad_predicate(capsys):
 @pytest.mark.parametrize("extra", [["--k", "2", "--max-union", "4"],
                                    ["--k", "-1"], ["--k", "6"], ["--k", "9"],
                                    ["--k", "2", "--max-union", "0"],
-                                   ["--k", "2", "--max-union", "-3"]])
+                                   ["--k", "2", "--max-union", "-3"],
+                                   ["--k", "2", "-o", UNWRITABLE]])
 def test_search_bad_arguments_exit_2(capsys, extra):
     rc, _, err = run(capsys, "search", "--group", "sym:5",
                      "--predicate", "code_transitive", *extra)
@@ -416,19 +434,97 @@ def test_fuzzed_argv_exits_cleanly(call):
     assert "Traceback" not in err.getvalue()
 
 
+# ---- console entry point ---------------------------------------------------
+
+def _console(argv, **kwargs):
+    # python -m ntcodes.cli goes through cli.run, as the ntcodes script
+    # does; stdout is block-buffered, as it is by default
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "ntcodes.cli", *argv],
+                          env=env, timeout=120, **kwargs)
+
+
+_CONSOLE_CALLS = {
+    "catalog": ["catalog"],
+    "construct": ["construct", "--family", "unital", "--q", "3"],
+    "construct_to_file": ["construct", "--family", "unital", "--q", "3",
+                          "-o", "{out}"],
+    "verify": ["verify", "{code}", "--group", "pgammau:3"],
+    # 167 KB of output, more than a pipe holds
+    "search": ["search", "--group", "pgammau:3", "--k", "3",
+               "--predicate", "completely_regular"],
+    "usage_error": ["search", "--group", "sym:x", "--k", "2",
+                    "--predicate", "code_transitive"],
+    "resource_cap": ["search", "--group", "sym:24", "--k", "12",
+                     "--predicate", "neighbour_transitive",
+                     "--cap-orbit", "1000"],
+}
+
+
+@pytest.mark.parametrize("name", list(_CONSOLE_CALLS))
+def test_console_call_matches_main(tmp_path, capsys, name):
+    # run() ends the process with os._exit: nothing written may be lost
+    code = tmp_path / "unital3.json"
+    code.write_text(code_to_json(codes.build("unital", q=3)[0]))
+
+    def argv(out):
+        return [a.format(code=code, out=out) for a in _CONSOLE_CALLS[name]]
+
+    rc = main(argv(tmp_path / "main.json"))
+    captured = capsys.readouterr()
+    proc = _console(argv(tmp_path / "console.json"), capture_output=True)
+    assert proc.returncode == rc
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
+    if "{out}" in _CONSOLE_CALLS[name]:
+        assert ((tmp_path / "console.json").read_bytes()
+                == (tmp_path / "main.json").read_bytes())
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+@pytest.mark.parametrize("verb", ["catalog", "construct", "verify", "search"])
+def test_closed_stdout_ends_by_sigpipe(tmp_path, verb):
+    # like any Unix filter: killed by SIGPIPE, with nothing on stderr
+    code = tmp_path / "c.json"
+    code.write_text(code_to_json(codes.build("j93")[0]))
+    argv = {"catalog": ["catalog"],
+            "construct": ["construct", "--family", "j93"],
+            "verify": ["verify", str(code), "--group", "wreath:3,3"],
+            "search": ["search", "--group", "sym:5", "--k", "2",
+                       "--predicate", "code_transitive"]}[verb]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _console(argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == -signal.SIGPIPE
+    assert proc.stderr == b""
+
+
+def test_console_script_is_run():
+    # the installed ntcodes script takes the same path as python -m
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["ntcodes"]
+    assert target == "ntcodes.cli:run"
+    module, _, attr = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
 # ---- benchmark tracer contract ----------------------------------------------
 
 def test_perfbench_tracer_wraps_existing_names(tmp_path):
     # perfbench/traced_cli.py wraps functions and methods by name and
     # crashes if one is missing
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code, _ = codes.build("subfield_line")
     path = tmp_path / "c.json"
     path.write_text(code_to_json(code))
     trace = tmp_path / "t.json"
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
-        [sys.executable, os.path.join(root, "perfbench", "traced_cli.py"),
+        [sys.executable, os.path.join(ROOT, "perfbench", "traced_cli.py"),
          str(trace), "verify", str(path), "--group", "agammal:1,16"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -438,7 +534,7 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     # subset orbits are walked once, by subset_orbits: the codeword
     # stabilizers form their generators during a walk that stops early
     proc = subprocess.run(
-        [sys.executable, os.path.join(root, "perfbench", "traced_cli.py"),
+        [sys.executable, os.path.join(ROOT, "perfbench", "traced_cli.py"),
          str(trace), "search", "--group", "agammal:1,16", "--k", "3",
          "--predicate", "strongly_incidence_transitive", "--max-union", "1"],
         env=env, capture_output=True, text=True, timeout=120)
@@ -456,7 +552,7 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     unions = [c for r in (1, 2) for c in combinations(orbits, r)
               if sum(map(len, c)) < comb(6, 2)]
     proc = subprocess.run(
-        [sys.executable, os.path.join(root, "perfbench", "traced_cli.py"),
+        [sys.executable, os.path.join(ROOT, "perfbench", "traced_cli.py"),
          str(trace), "search", "--group", "stab:6:0,1", "--k", "2",
          "--predicate", "completely_regular", "--max-union", "2"],
         env=env, capture_output=True, text=True, timeout=120)
@@ -469,7 +565,7 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     # neighbour transitivity reads the code's and Gamma_1's orbits off the
     # same quotient rows, so it too looks at one vertex per orbit
     proc = subprocess.run(
-        [sys.executable, os.path.join(root, "perfbench", "traced_cli.py"),
+        [sys.executable, os.path.join(ROOT, "perfbench", "traced_cli.py"),
          str(trace), "search", "--group", "stab:6:0,1", "--k", "2",
          "--predicate", "neighbour_transitive", "--max-union", "2"],
         env=env, capture_output=True, text=True, timeout=120)

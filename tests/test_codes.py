@@ -250,6 +250,18 @@ def test_unitary_bases_profile():
     assert not codes._strongly_incidence_transitive(code, psu)[0]
 
 
+@pytest.mark.parametrize("G", [PermGroup.symmetric(7),
+                               geometry.group_generators("pgu", q=3)],
+                         ids=["sym7", "pgu3"])
+def test_elements_by_order_matches_cycle_lengths(G):
+    # the power test picks the elements that Permutation.order() picks, in
+    # the same order
+    elements = list(G.elements())
+    for n in range(1, 13):
+        assert codes._elements_by_order(G, n) == [
+            g for g in elements if g.order() == n], n
+
+
 def test_delta_block():
     unital, _ = build("unital", q=3)
     assert delta_block(0, unital) == 1  # blocks through a point meet in it
