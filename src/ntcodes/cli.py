@@ -14,14 +14,22 @@ Exit codes:
   -13   killed by SIGPIPE: standard output was closed by its reader (141 in
         a shell); only through run(), the console entry point
 
+Arguments are read by one table, VERBS, which gives each verb its handler,
+positionals and options; the -h/--help text comes from the same table. The
+grammar is argparse's: --opt value or --opt=value, -o or --output, a long
+option shortened to a unique prefix, the last of a repeated option, and a
+token that starts with '-' taken as a value only if it is a negative
+number. A usage error prints one line, "error: ...", on stderr.
+
 main() is the in-process API and returns the exit code; run() is the
 console entry point, which ends the process with that code.
 """
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import codes as codes_mod
 from . import geometry
@@ -192,10 +200,13 @@ def _write_output(text, path):
         sys.stdout.write(text)
 
 
+CONSTRUCT_PARAMS = ("v", "u", "k", "a", "b", "c", "line", "k0", "n", "q",
+                    "s", "q0")
+
+
 def cmd_construct(args):
     params = {}
-    for key in ("v", "u", "k", "a", "b", "c", "line", "k0", "n", "q",
-                "s", "q0"):
+    for key in CONSTRUCT_PARAMS:
         val = getattr(args, key)
         if val is not None:
             params[key] = val
@@ -292,64 +303,217 @@ def cmd_catalog(_args):
     return EXIT_OK
 
 
-def _positive_int(text):
-    # argparse type for the caps; a cap below 1 is a usage error
+# ---- argument grammar --------------------------------------------------------
+
+def _int(text):
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text):
+    # the caps; a cap below 1 is a usage error
+    value = _int(text)
     if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}")
+        raise ValueError(f"must be a positive integer, got {value}")
     return value
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="ntcodes",
-        description="Construct and verify highly symmetric codes in "
-                    "Johnson graphs J(v,k).")
-    sub = p.add_subparsers(dest="verb", required=True)
+_GROUP = ("group", str, None, True)
+_CAP_ORBIT = ("cap_orbit", _positive_int, 10 ** 6, False)
+_OUTPUT = ("output", str, None, False)
 
-    pc = sub.add_parser("construct", help="build a catalog code")
-    pc.add_argument("--family", required=True,
-                    choices=sorted(codes_mod.FAMILY_PARAMS))
-    for key in ("v", "u", "k", "a", "b", "c", "line", "k0", "n", "q",
-                "s", "q0"):
-        pc.add_argument(f"--{key}", type=int, default=None)
-    pc.add_argument("-o", "--output", default=None)
-    pc.set_defaults(func=cmd_construct)
+# verb -> (handler, summary, positionals, options); each option is
+# flag -> (dest, converter, default, required), where a converter that is
+# a tuple lists the values the option accepts
+VERBS = {
+    "construct": (cmd_construct, "build a catalog code", (), {
+        "--family": ("family", tuple(sorted(codes_mod.FAMILY_PARAMS)),
+                     None, True),
+        **{f"--{key}": (key, _int, None, False) for key in CONSTRUCT_PARAMS},
+        "-o": _OUTPUT, "--output": _OUTPUT}),
+    "verify": (cmd_verify, "verify a (code file, group) pair",
+               ("code_file",), {
+        "--group": _GROUP,
+        "--cap-orbit": _CAP_ORBIT,
+        "--cap-partition": ("cap_partition", _positive_int, 10 ** 6, False),
+        "-o": _OUTPUT, "--output": _OUTPUT}),
+    "search": (cmd_search, "union-of-orbits classification search", (), {
+        "--group": _GROUP,
+        "--k": ("k", _int, None, True),
+        "--predicate": ("predicate", str, None, True),
+        "--max-union": ("max_union", _int, 1, False),
+        "--cap-orbit": _CAP_ORBIT,
+        "-o": _OUTPUT, "--output": _OUTPUT}),
+    "catalog": (cmd_catalog, "list construction families", (), {}),
+}
 
-    pv = sub.add_parser("verify", help="verify a (code file, group) pair")
-    pv.add_argument("code_file")
-    pv.add_argument("--group", required=True)
-    pv.add_argument("--cap-orbit", type=_positive_int, default=10 ** 6)
-    pv.add_argument("--cap-partition", type=_positive_int, default=10 ** 6)
-    pv.add_argument("-o", "--output", default=None)
-    pv.set_defaults(func=cmd_verify)
+HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
-    ps = sub.add_parser("search", help="union-of-orbits classification search")
-    ps.add_argument("--group", required=True)
-    ps.add_argument("--k", type=int, required=True)
-    ps.add_argument("--predicate", required=True)
-    ps.add_argument("--max-union", type=int, default=1)
-    ps.add_argument("--cap-orbit", type=_positive_int, default=10 ** 6)
-    ps.add_argument("-o", "--output", default=None)
-    ps.set_defaults(func=cmd_search)
 
-    pk = sub.add_parser("catalog", help="list construction families")
-    pk.set_defaults(func=cmd_catalog)
-    return p
+def _option(token, flags):
+    """argparse's reading of one token against the flags it may name.
+
+    None for a value or a positional; else (flag, attached value or None),
+    with flag None for an unknown option. A long option may be shortened to
+    a unique prefix and carry its value after '='; a short one carries it
+    after '=' or directly ("-ofile").
+    """
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return name, value
+    if token.startswith("--"):
+        hits = [(f, value if eq else None) for f in flags
+                if f.startswith(name)]
+    else:
+        hits = [(f, token[2:] if f == token[:2] else None) for f in flags
+                if f == token[:2] or f.startswith(token)]
+    if len(hits) > 1:
+        raise UsageError(f"ambiguous option: {token} could match "
+                         + ", ".join(f for f, _ in hits))
+    if hits:
+        return hits[0]
+    if _NEGATIVE_NUMBER.fullmatch(token) or " " in token:
+        return None
+    return None, token
+
+
+def _help(verb):
+    """The -h text of a verb, or of the program when verb is None."""
+    if verb is None:
+        head = ["usage: ntcodes [-h] {" + ",".join(VERBS) + "} ...", "",
+                "Construct and verify highly symmetric codes in Johnson "
+                "graphs J(v,k).", "", "verbs:"]
+        rows = [(name, spec[1]) for name, spec in VERBS.items()]
+    else:
+        _, summary, positionals, options = VERBS[verb]
+        names = {}
+        for flag, spec in options.items():
+            names.setdefault(spec, []).append(flag)
+        usage = ["usage: ntcodes", verb, "[-h]", *map(str.upper, positionals)]
+        rows = [("-h, --help", "show this help message and exit")]
+        for (dest, convert, default, required), flags in names.items():
+            option = f"{flags[0]} {dest.upper()}"
+            usage.append(option if required else f"[{option}]")
+            text = ("required" if required else
+                    "" if default is None else f"default {default}")
+            if isinstance(convert, tuple):
+                text += "; one of: " + ", ".join(convert)
+            rows.append((", ".join(flags) + " " + dest.upper(), text))
+        head = [" ".join(usage), "", summary, "", "options:"]
+    width = max(len(left) for left, _ in rows)
+    lines = head + [f"  {left:<{width}}  {text}".rstrip()
+                    for left, text in rows]
+    return "\n".join(lines) + "\n"
+
+
+def cmd_help(args):
+    sys.stdout.write(_help(args.verb))
+    return EXIT_OK
+
+
+def _asks_help(verb, value):
+    # -h/--help, which takes no value
+    if value is not None:
+        raise UsageError(
+            f"argument -h/--help: ignored explicit argument {value!r}")
+    return SimpleNamespace(func=cmd_help, verb=verb)
+
+
+def parse_argv(argv):
+    """Read argv by the VERBS table into a namespace that holds the verb's
+    dests and func, the function that runs it: the verb's handler, or
+    cmd_help when -h or --help was given. Raises UsageError."""
+    argv, extra = list(argv), []
+    for i, verb in enumerate(argv):
+        hit = None if verb == "--" else _option(verb, HELP)
+        if hit is None:
+            break
+        if hit[0] is None:
+            extra.append(verb)
+        else:
+            return _asks_help(None, hit[1])
+    else:
+        raise UsageError("the following arguments are required: verb")
+    if verb not in VERBS:
+        raise UsageError(f"argument verb: invalid choice: {verb!r} "
+                         f"(choose from {', '.join(VERBS)})")
+    func, _, positionals, options = VERBS[verb]
+    args = SimpleNamespace(func=func)
+    for dest, _, default, _ in options.values():
+        setattr(args, dest, default)
+    # every token is read before any is used, as argparse does, so an
+    # ambiguous option is an error wherever it stands; the first "--" is
+    # read as False, and every token after it as a positional
+    flags, read = (*options, *HELP), []
+    for j, token in enumerate(argv[i + 1:]):
+        if token == "--":
+            read += [(token, False)] + [(t, None) for t in argv[i + j + 2:]]
+            break
+        read.append((token, _option(token, flags)))
+    tokens, given, values = iter(read), set(), []
+    filled = False  # the last token read filled the last positional
+    for token, hit in tokens:
+        if hit is False:
+            # argparse drops the "--" while a positional is still open or
+            # right after the token that fills the last one; elsewhere it
+            # is an unrecognized argument
+            if len(values) == len(positionals) and not filled:
+                extra.append(token)
+            continue
+        filled = False
+        if hit is None:
+            if len(values) < len(positionals):
+                values.append(token)
+                filled = len(values) == len(positionals)
+            else:
+                extra.append(token)
+            continue
+        flag, value = hit
+        if flag is None:
+            extra.append(token)
+            continue
+        if flag in HELP:
+            return _asks_help(verb, value)
+        dest, convert, _, _ = options[flag]
+        if value is None:
+            value, hit = next(tokens, (None, True))
+            if hit is not None:
+                raise UsageError(f"argument {flag}: expected one argument")
+        if isinstance(convert, tuple):
+            if value not in convert:
+                raise UsageError(
+                    f"argument {flag}: invalid choice: {value!r} (choose "
+                    f"from {', '.join(convert)})")
+        else:
+            try:
+                value = convert(value)
+            except ValueError as exc:
+                raise UsageError(f"argument {flag}: {exc}") from None
+        setattr(args, dest, value)
+        given.add(dest)
+    missing = list(positionals[len(values):]) + [
+        flag for flag, (dest, _, _, required) in options.items()
+        if required and dest not in given]
+    if missing:
+        raise UsageError("the following arguments are required: "
+                         + ", ".join(missing))
+    if extra:
+        raise UsageError("unrecognized arguments: " + " ".join(extra))
+    for name, value in zip(positionals, values):
+        setattr(args, name, value)
+    return args
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize others
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

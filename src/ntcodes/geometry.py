@@ -165,6 +165,8 @@ def group_generators(family, **params):
         return wreath_stabilizer(params["a"], params["b"])
     if family == "subset_stab":
         return subset_stabilizer(params["v"], params["subset"])
+    if family in ("agl", "agammal", "pgl", "pgammal") and params["n"] < 1:
+        raise GeometryError("need n >= 1")
     if family in ("agl", "agammal"):
         return _affine_group(params["n"], params["q"], family == "agammal")
     if family in ("pgl", "pgammal"):

@@ -92,7 +92,9 @@ class Permutation:
     def parse(cls, text, n):
         """Parse cycle notation like "(0 1 2)(3 4)"; "()" is the identity."""
         body = text.strip()
-        if not re.fullmatch(r"(\(\s*(\d+[\s,]*)*\)\s*)+", body):
+        # a cycle is empty or starts with a digit, so each character can
+        # match in one way only and a malformed line fails in linear time
+        if not re.fullmatch(r"(?:\(\s*(?:\d[\d\s,]*)?\)\s*)+", body):
             raise PermError(f"cannot parse permutation {text!r}")
         cycles = []
         for inner in re.findall(r"\(([^)]*)\)", body):

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ntcodes import cli, codes
 from ntcodes.cli import (UsageError, code_to_json, main, parse_code_dict,
@@ -307,6 +307,20 @@ def test_search_rejects_non_positive_cap(capsys, value):
     assert "error:" in err and "positive integer" in err
 
 
+# affine and projective groups of dimension n <= 0
+_NO_DIMENSION = ["agl:0,3", "agammal:0,2", "pgl:0,3", "pgammal:0,2",
+                 "agl:-1,2"]
+
+
+@pytest.mark.parametrize("spec", _NO_DIMENSION)
+def test_group_of_no_dimension_exits_2(capsys, spec):
+    # n <= 0 ended in an IndexError traceback, or in Python's own message
+    rc, out, err = run(capsys, "search", "--group", spec, "--k", "1",
+                       "--predicate", "code_transitive")
+    assert (rc, out) == (2, "")
+    assert err == f"error: group spec {spec!r}: need n >= 1\n"
+
+
 def test_search_resource_cap(capsys):
     rc, _, err = run(capsys, "search", "--group", "sym:24", "--k", "12",
                      "--predicate", "neighbour_transitive",
@@ -314,7 +328,7 @@ def test_search_resource_cap(capsys):
     assert rc == 3 and "resource cap" in err
 
 
-# ---- catalog and argparse -----------------------------------------------------
+# ---- catalog and argument grammar ---------------------------------------------
 
 def test_catalog_lists_every_family(capsys):
     rc, out, _ = run(capsys, "catalog")
@@ -326,6 +340,208 @@ def test_catalog_lists_every_family(capsys):
 def test_usage_exit_code_from_argparse(capsys):
     assert main(["no-such-verb"]) == 2
     assert main([]) == 2
+
+
+# the grammar tests below read the verbs and options from cli.VERBS, so a
+# new option is covered as soon as it is in the table
+
+def _sample(convert):
+    """A token the converter accepts, and the value it reads."""
+    if isinstance(convert, tuple):
+        return convert[0], convert[0]
+    return ("x", "x") if convert is str else ("7", 7)
+
+
+def _required_argv(verb):
+    """The verb with its positionals and required options, and no other."""
+    _, _, positionals, options = cli.VERBS[verb]
+    argv = [verb] + ["c.json"] * len(positionals)
+    for flag, (_, convert, _, required) in options.items():
+        if required:
+            argv += [flag, _sample(convert)[0]]
+    return argv
+
+
+def _usage_error(capsys, argv, message):
+    # a usage error is one line on stderr, and nothing on stdout
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, ""), argv
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err, err
+
+
+_OPTIONS = [(verb, flag) for verb, spec in cli.VERBS.items()
+            for flag in spec[3]]
+
+
+@pytest.mark.parametrize("verb,flag", _OPTIONS)
+def test_every_option_in_every_form(verb, flag):
+    dest, convert, _, _ = cli.VERBS[verb][3][flag]
+    token, value = _sample(convert)
+    forms = [[flag, token], [f"{flag}={token}"]]
+    if not flag.startswith("--"):
+        forms.append([flag + token])
+    for form in forms:
+        args = cli.parse_argv(_required_argv(verb) + form)
+        assert getattr(args, dest) == value, form
+        assert args.func is cli.VERBS[verb][0]
+
+
+@pytest.mark.parametrize("verb,flag", [(v, f) for v, f in _OPTIONS
+                                       if f.startswith("--")])
+def test_unique_prefix_names_its_option(verb, flag):
+    flags = [*cli.VERBS[verb][3], *cli.HELP]
+    prefixes = [flag[:n] for n in range(3, len(flag))
+                if [f for f in flags if f.startswith(flag[:n])] == [flag]]
+    dest, convert, _, _ = cli.VERBS[verb][3][flag]
+    token, value = _sample(convert)
+    for prefix in prefixes:
+        args = cli.parse_argv(_required_argv(verb) + [prefix, token])
+        assert getattr(args, dest) == value, prefix
+
+
+_AMBIGUOUS = sorted({(verb, f[:n]) for verb, spec in cli.VERBS.items()
+                     for f in spec[3] for n in range(3, len(f))
+                     if f[:n] not in spec[3]
+                     and sum(g.startswith(f[:n]) for g in spec[3]) > 1})
+
+
+def test_the_table_has_ambiguous_prefixes():
+    assert ("verify", "--cap") in _AMBIGUOUS
+
+
+@pytest.mark.parametrize("verb,prefix", _AMBIGUOUS)
+def test_ambiguous_prefix_is_a_usage_error(capsys, verb, prefix):
+    _usage_error(capsys, _required_argv(verb) + [prefix, "5"],
+                 f"ambiguous option: {prefix} could match")
+
+
+@pytest.mark.parametrize("verb", list(cli.VERBS))
+def test_unknown_option_and_extra_positional(capsys, verb):
+    _usage_error(capsys, _required_argv(verb) + ["--no-such-option"],
+                 "unrecognized arguments: --no-such-option")
+    _usage_error(capsys, _required_argv(verb) + ["extra"],
+                 "unrecognized arguments: extra")
+
+
+@pytest.mark.parametrize("verb,name", [
+    (verb, name) for verb, spec in cli.VERBS.items()
+    for name in [*spec[2], *(f for f, o in spec[3].items() if o[3])]])
+def test_missing_required_argument(capsys, verb, name):
+    argv = _required_argv(verb)
+    if name.startswith("-"):
+        i = argv.index(name)
+        del argv[i:i + 2]
+    else:
+        argv.remove("c.json")
+    _usage_error(capsys, argv,
+                 f"the following arguments are required: {name}")
+
+
+@pytest.mark.parametrize("verb,flag", [(v, f) for v, f in _OPTIONS
+                                       if cli.VERBS[v][3][f][1] is cli._int])
+def test_integer_options_read_as_int_does(verb, flag):
+    # int() takes any Unicode decimal digits; a negative number is a value,
+    # not an option, and reaches the verb's own checks
+    dest = cli.VERBS[verb][3][flag][0]
+    for token, value in (("\u0663", 3), ("-1", -1), ("2", 2)):
+        args = cli.parse_argv(_required_argv(verb) + [flag, token])
+        assert getattr(args, dest) == value
+
+
+@pytest.mark.parametrize("verb", ["construct", "search"])
+def test_repeated_option_last_wins(verb):
+    args = cli.parse_argv(_required_argv(verb) + ["--k", "2", "--k", "3"])
+    assert args.k == 3
+
+
+@pytest.mark.parametrize("flag", cli.HELP)
+@pytest.mark.parametrize("verb", [None, *cli.VERBS])
+def test_help_names_every_option(capsys, verb, flag):
+    rc, out, err = run(capsys, *([verb] if verb else []), flag)
+    assert (rc, err) == (0, "")
+    assert out.startswith("usage: ntcodes")
+    names = list(cli.VERBS) if verb is None else cli.VERBS[verb][3]
+    for name in names:
+        assert name in out
+
+
+# the argparse parser the table replaced, kept as the oracle of its grammar
+def _argparse_parser():
+    import argparse
+    p = argparse.ArgumentParser(prog="ntcodes")
+    sub = p.add_subparsers(dest="verb", required=True)
+    pc = sub.add_parser("construct")
+    pc.add_argument("--family", required=True,
+                    choices=sorted(codes.FAMILY_PARAMS))
+    for key in ("v", "u", "k", "a", "b", "c", "line", "k0", "n", "q",
+                "s", "q0"):
+        pc.add_argument(f"--{key}", type=int, default=None)
+    pc.add_argument("-o", "--output", default=None)
+    pc.set_defaults(func=cli.cmd_construct)
+    pv = sub.add_parser("verify")
+    pv.add_argument("code_file")
+    pv.add_argument("--group", required=True)
+    pv.add_argument("--cap-orbit", type=cli._positive_int, default=10 ** 6)
+    pv.add_argument("--cap-partition", type=cli._positive_int,
+                    default=10 ** 6)
+    pv.add_argument("-o", "--output", default=None)
+    pv.set_defaults(func=cli.cmd_verify)
+    ps = sub.add_parser("search")
+    ps.add_argument("--group", required=True)
+    ps.add_argument("--k", type=int, required=True)
+    ps.add_argument("--predicate", required=True)
+    ps.add_argument("--max-union", type=int, default=1)
+    ps.add_argument("--cap-orbit", type=cli._positive_int, default=10 ** 6)
+    ps.add_argument("-o", "--output", default=None)
+    ps.set_defaults(func=cli.cmd_search)
+    pk = sub.add_parser("catalog")
+    pk.set_defaults(func=cli.cmd_catalog)
+    return p
+
+
+def _read_by_argparse(argv):
+    with (contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO())):
+        try:
+            args = _argparse_parser().parse_args(argv)
+        except SystemExit as exc:
+            return "help" if exc.code == 0 else "error"
+    return vars(args) | {"verb": None}
+
+
+def _read_by_table(argv):
+    try:
+        args = cli.parse_argv(argv)
+    except UsageError:
+        return "error"
+    return "help" if args.func is cli.cmd_help else vars(args) | {"verb": None}
+
+
+_TOKEN = st.sampled_from(
+    [flag for _, flag in _OPTIONS] + list(cli.HELP)
+    + ["--fam", "--fam=j93", "--k=", "--k=3", "--cap", "--cap-p=7", "--max",
+       "--pred", "--gr", "--out=f", "-ofile", "-o=f", "--he", "-hx",
+       "--help=x", "--x", "-x", "--", "-", "---", "--=x",
+       "j93", "unital", "sym:4", "code_transitive", "c.json", "3", "0",
+       "-1", "-5", "-1.5", "-.5", "x", "", "\u0663", "-\u0663", "\u00b2",
+       " 4", "-a b", "--k -1", "-o "]
+    + list(cli.VERBS) + ["no-such-verb"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from([[], *([v] for v in cli.VERBS)]),
+       st.lists(_TOKEN, max_size=8))
+# where argparse keeps a "--" as an unrecognized argument
+@example(["catalog"], ["--"])
+@example(["verify"], ["c.json", "--group", "g", "--"])
+@example(["verify"], ["--group", "g", "c.json", "--"])
+@example(["verify"], ["--group", "g", "--", "-c.json", "--"])
+@example(["search"], ["--k", "--", "5"])
+def test_table_reads_argv_as_argparse_did(verb, tokens):
+    # error, help, or the same values for the same handler
+    argv = verb + tokens
+    assert _read_by_table(argv) == _read_by_argparse(argv), argv
 
 
 # ---- fuzzed argv -----------------------------------------------------------
@@ -341,7 +557,8 @@ _GROUP = st.one_of(
                      "pgl:2,3", "psl:2,5", "pgu:2", "pgammau:2"]),
     st.sampled_from(["", ":", "sym", "sym:4,4", "stab:5", "stab:5:",
                      "stab:5:9", "stab:5:x", "frob:3", "psl:3,4",
-                     "gens:file", "gens:@", "gens:@missing.txt"]),
+                     "gens:file", "gens:@", "gens:@missing.txt"]
+                    + _NO_DIMENSION),
     st.builds("{}:{}".format, st.sampled_from(["sym", "alt", "pgu"]),
               _NUMBER),
     st.builds("{}{},{}".format,
@@ -456,6 +673,9 @@ _CONSOLE_CALLS = {
                "--predicate", "completely_regular"],
     "usage_error": ["search", "--group", "sym:x", "--k", "2",
                     "--predicate", "code_transitive"],
+    "help": ["--help"],
+    "verb_help": ["verify", "-h"],
+    "argument_error": ["search", "--group", "sym:4", "--k", "x"],
     "resource_cap": ["search", "--group", "sym:24", "--k", "12",
                      "--predicate", "neighbour_transitive",
                      "--cap-orbit", "1000"],
@@ -480,6 +700,23 @@ def test_console_call_matches_main(tmp_path, capsys, name):
     if "{out}" in _CONSOLE_CALLS[name]:
         assert ((tmp_path / "console.json").read_bytes()
                 == (tmp_path / "main.json").read_bytes())
+
+
+def test_cli_import_leaves_out_argparse():
+    # importing argparse and gettext and building an argparse parser cost
+    # about 7 ms of every call's start-up
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "before = set(sys.modules)\n"
+         "import ntcodes.cli\n"
+         "print(sorted({'argparse', 'gettext'} & set(sys.modules) - before))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    proc = _console(["--help"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: ntcodes")
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")

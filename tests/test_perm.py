@@ -1,7 +1,11 @@
 """Permutation group engine tests."""
 
 import math
+import os
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +15,8 @@ from ntcodes.codes import CATALOG, build
 from ntcodes.geometry import group_generators, wreath_stabilizer
 from ntcodes.perm import (PermError, PermGroup, Permutation,
                           ResourceCapError, bits, mask_of)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def random_element(G, rng, length=6):
@@ -42,6 +48,42 @@ def test_parse_rejects_garbage():
         Permutation.parse("(0 1 1)", 5)
     with pytest.raises(PermError):
         Permutation.parse("(0 9)", 5)
+
+
+# the cycle-notation check Permutation.parse used to make, kept as the
+# oracle: its nested quantifier backtracks exponentially on a bad line
+_OLD_CYCLE_NOTATION = r"(\(\s*(\d+[\s,]*)*\)\s*)+"
+
+
+def _parses(text):
+    # syntax errors only; a repeated or out-of-range point is a later check
+    try:
+        Permutation.parse(text, 50)
+    except PermError as exc:
+        return "cannot parse" not in str(exc)
+    return True
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="(() ,,\t0123x\u0663", max_size=12))
+def test_parse_accepts_what_the_old_pattern_accepted(text):
+    old = re.fullmatch(_OLD_CYCLE_NOTATION, text.strip()) is not None
+    assert _parses(text) == old
+
+
+def test_parse_rejects_a_long_malformed_cycle_in_linear_time():
+    # the old pattern took 2 s on 24 digits and 4x more per 2 digits, so
+    # on 40 it would run for days
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from ntcodes.perm import Permutation, PermError\n"
+         "try:\n"
+         "    Permutation.parse('(' + '1' * 40 + 'x', 50)\n"
+         "except PermError:\n"
+         "    print('rejected')\n"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True, text=True, timeout=30)
+    assert proc.stdout == "rejected\n", proc.stderr
 
 
 def test_non_bijection_rejected():
