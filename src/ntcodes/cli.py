@@ -34,8 +34,9 @@ from types import SimpleNamespace
 from . import codes as codes_mod
 from . import geometry
 from .gf import FieldError
-from .johnson import Code, JohnsonError
-from .perm import PermError, PermGroup, Permutation, ResourceCapError
+from .johnson import DEFAULT_PARTITION_CAP, Code, JohnsonError
+from .perm import (DEFAULT_ORBIT_CAP, PermError, PermGroup, Permutation,
+                   ResourceCapError)
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -321,7 +322,7 @@ def _positive_int(text):
 
 
 _GROUP = ("group", str, None, True)
-_CAP_ORBIT = ("cap_orbit", _positive_int, 10 ** 6, False)
+_CAP_ORBIT = ("cap_orbit", _positive_int, DEFAULT_ORBIT_CAP, False)
 _OUTPUT = ("output", str, None, False)
 
 # verb -> (handler, summary, positionals, options); each option is
@@ -337,7 +338,8 @@ VERBS = {
                ("code_file",), {
         "--group": _GROUP,
         "--cap-orbit": _CAP_ORBIT,
-        "--cap-partition": ("cap_partition", _positive_int, 10 ** 6, False),
+        "--cap-partition": ("cap_partition", _positive_int,
+                            DEFAULT_PARTITION_CAP, False),
         "-o": _OUTPUT, "--output": _OUTPUT}),
     "search": (cmd_search, "union-of-orbits classification search", (), {
         "--group": _GROUP,

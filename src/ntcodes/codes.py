@@ -13,8 +13,7 @@ from math import comb, gcd
 
 from . import geometry, johnson
 from .johnson import Code, min_distance
-from .perm import (DEFAULT_ORBIT_CAP, Permutation, ResourceCapError, bits,
-                   mask_of)
+from .perm import DEFAULT_ORBIT_CAP, ResourceCapError, bits, mask_of
 
 
 class ConstructionError(ValueError):
@@ -262,87 +261,27 @@ def build_j93():
     return code, G
 
 
-def _power(images, e):
-    """The e-th power (e >= 1) of a permutation given by its image tuple."""
-    out, sq = None, images
-    while True:
-        if e & 1:
-            out = sq if out is None else tuple([sq[x] for x in out])
-        e >>= 1
-        if not e:
-            return out
-        sq = tuple([sq[x] for x in sq])
-
-
-def _elements_by_order(G, n, cap=DEFAULT_ORBIT_CAP):
-    """The elements of order n, in elements() order. g has order n when
-    g^n = 1 and g^(n/p) != 1 for each prime p dividing n; the powers are
-    taken on image tuples, without cycle lists."""
-    identity = tuple(range(G.degree))
-    primes = [p for p in range(2, n + 1)
-              if n % p == 0 and all(p % d for d in range(2, p))]
-    return [g for g in G.elements(cap=cap)
-            if _power(g.images, n) == identity
-            and all(_power(g.images, n // p) != identity for p in primes)]
-
-
-def _conjugation(g):
-    """The action E -> {g^-1 e g : e in E} of g on a frozenset of image
-    tuples; (x*y)^-1 e (x*y) = y^-1 (x^-1 e x) y, so it is a right action,
-    as PermGroup.stabilizer needs."""
-    gi, ginv = g.images, g.inverse().images
-    return lambda E: frozenset(tuple([gi[e[p]] for p in ginv]) for e in E)
-
-
-def build_unitary_bases(max_candidates=200):
-    """The 63 'bases' of the 28-point unitary geometry for q=3: k=12 subsets
-    whose stabilizer normalizes a Z4 x Z4 subgroup of PSU(3,3).
-
-    Deterministic search: enumerate PSU(3,3) in chain-traversal order, take
-    the first commuting pair of order-4 elements generating an abelian group
-    of order 16 whose normalizer in PGammaU(3,3) has point-orbit sizes
-    {12,16}; the 12-orbit is the representative codeword.
+def build_unitary_bases():
+    """The 63 'bases' of the 28-point unitary geometry for q=3: the
+    self-polar triangles of the Hermitian form, i.e. orthogonal bases of
+    non-isotropic points. A triangle's codeword is the union of the three
+    unital blocks polar to its points, 3 x 4 = 12 isotropic points, and
+    PGammaU(3,3) permutes the 63 of them transitively; the representative
+    is the triangle e2, e1+e3, e1-e3.
     """
+    space = geometry.build_space("hermitian_isotropic", q=3)
+    F = space.field
+    basis = [(0, 1, 0), (1, 0, 1), (1, 0, F.neg(1))]
+    rep = mask_of(i for i, x in enumerate(space.points)
+                  if any(geometry.hermitian_form(F, x, m) == 0
+                         for m in basis))
+    if bin(rep).count("1") != 12:
+        raise ConstructionError("a self-polar triangle should cover 12 "
+                                "isotropic points")
     G = geometry.group_generators("pgammau", q=3)
-    T = geometry.group_generators("pgu", q=3)
-    order4 = _elements_by_order(T, 4)
-    conjugations = [_conjugation(x) for x in G.generators]
-    tried = 0
-    for i, g in enumerate(order4):
-        gpow = {g.images}
-        h0 = g
-        for _ in range(2):
-            h0 = h0 * g
-            gpow.add(h0.images)
-        for h in order4[i + 1:]:
-            if h.images in gpow or (g * h).images != (h * g).images:
-                continue
-            E = set()
-            gi = Permutation.identity(G.degree)
-            for _ in range(4):
-                hj = gi
-                for _ in range(4):
-                    E.add(hj.images)
-                    hj = hj * h
-                gi = gi * g
-            if len(E) != 16:
-                continue
-            tried += 1
-            if tried > max_candidates:
-                raise ConstructionError(
-                    "no Z4 x Z4 with normalizer orbit sizes {12,16} found")
-            # the normalizer of E = <g, h> is E's stabilizer under
-            # conjugation
-            N = G.stabilizer(frozenset(E), conjugations)
-            sizes = sorted(len(o) for o in N.orbits())
-            if sizes != [12, 16]:
-                continue
-            rep = mask_of(min((o for o in N.orbits()), key=len))
-            code = Code(28, 12, G.subset_orbit(rep), name="unitary_bases",
-                        params={"q": 3})
-            return code, G
-    raise ConstructionError(
-        "no Z4 x Z4 with normalizer orbit sizes {12,16} found")
+    code = Code(28, 12, G.subset_orbit(rep), name="unitary_bases",
+                params={"q": 3})
+    return code, G
 
 
 _FAMILIES = {
@@ -765,14 +704,13 @@ def subset_orbits(G, k, cap=DEFAULT_ORBIT_CAP):
     return johnson.OrbitQuotient(G, k, cap).fill()
 
 
-def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP,
-                    include_degenerate=False):
+def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP):
     """All union-of-orbit codes on which the named predicate holds.
 
     Scans every union of at most max_union G-orbits on k-subsets (default:
     single orbits, which are automatically code-transitive) and keeps the
-    unions satisfying the predicate.  The full vertex set is skipped unless
-    include_degenerate is set, since a code must be a proper subset.  One
+    unions satisfying the predicate.  The full vertex set is always
+    skipped, since a code must be a proper subset.  One
     orbit quotient of J(v,k) serves every union's predicate, and a Code is
     built only for a union that is found.
     """
@@ -792,8 +730,7 @@ def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP,
     found = []
     for r in range(1, max_union + 1):
         for chosen in combinations(range(len(orbits)), r):
-            if (sum(len(orbits[i]) for i in chosen) == total
-                    and not include_degenerate):
+            if sum(len(orbits[i]) for i in chosen) == total:
                 continue
             if pred(G, quotient, chosen):
                 found.append(Code(G.degree, k,

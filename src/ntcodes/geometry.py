@@ -157,14 +157,6 @@ def _gl_extra(F, n):
 
 def group_generators(family, **params):
     """A PermGroup for the named family, acting on the matching space."""
-    if family == "sym":
-        return PermGroup.symmetric(params["n"])
-    if family == "alt":
-        return PermGroup.alternating(params["n"])
-    if family == "wreath_stab":
-        return wreath_stabilizer(params["a"], params["b"])
-    if family == "subset_stab":
-        return subset_stabilizer(params["v"], params["subset"])
     if family in ("agl", "agammal", "pgl", "pgammal") and params["n"] < 1:
         raise GeometryError("need n >= 1")
     if family in ("agl", "agammal"):

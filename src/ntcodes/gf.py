@@ -71,17 +71,6 @@ def _primitive_cycle(modulus, p, a):
     q = p ** a
     one = [1] + [0] * (a - 1)
     x = ([0, 1] + [0] * (a - 2)) if a > 1 else [(-modulus[0]) % p]
-    if a == 1:
-        # modulus = x - r: powers of the root r
-        cycle = []
-        e = 1
-        r = (-modulus[0]) % p
-        for _ in range(q - 1):
-            cycle.append(e)
-            e = (e * r) % p
-            if e == 1 and len(cycle) < q - 1:
-                return None
-        return cycle if e == 1 else None
     cur = one
     cycle = []
     for _ in range(q - 1):

@@ -9,7 +9,7 @@ are the smallest non-fixed points, orbits grow breadth-first in generator
 order, so orders, transversals and element enumeration are reproducible.
 Every orbit that needs a transversal, a stabilizer or an escape test (of
 points, subsets or pairs) is grown by schreier_orbit, and every stabilizer
-(of a point, a subset, or a set of permutations under conjugation) is
+(of a point, a subset, or anything else the generators move) is
 PermGroup.stabilizer, which forms its Schreier generators during that walk.
 PermGroup.subset_orbit needs only the members, so it walks with a seen-set
 and keeps no Schreier map.  The bulk subset routines act on masks through

@@ -1,5 +1,7 @@
 """Code family builders, property checks, and classification search tests."""
 
+import hashlib
+import json
 import random
 from math import comb
 
@@ -250,16 +252,43 @@ def test_unitary_bases_profile():
     assert not codes._strongly_incidence_transitive(code, psu)[0]
 
 
-@pytest.mark.parametrize("G", [PermGroup.symmetric(7),
-                               geometry.group_generators("pgu", q=3)],
-                         ids=["sym7", "pgu3"])
-def test_elements_by_order_matches_cycle_lengths(G):
-    # the power test picks the elements that Permutation.order() picks, in
-    # the same order
-    elements = list(G.elements())
-    for n in range(1, 13):
-        assert codes._elements_by_order(G, n) == [
-            g for g in elements if g.order() == n], n
+def test_unitary_bases_codewords_unchanged():
+    # the codeword list, in order, that construct writes and verify reads
+    code, _ = build("unitary_bases")
+    words = json.dumps(code.as_dict()["codewords"]).encode()
+    assert hashlib.sha256(words).hexdigest() == (
+        "37688c719383f6d3d0c43923a8ad05553eb03ffdcba9a27c6512e087b23f7c38")
+
+
+def test_unitary_bases_stabilizer_is_4_squared_s3():
+    # a codeword's stabilizer in PGU(3,3) is 4^2:S3, the normalizer of a
+    # Z4 x Z4, with point orbits the 12 points and the other 16
+    code, _ = build("unitary_bases")
+    stab = geometry.group_generators("pgu", q=3).setwise_stabilizer(
+        code.codewords[0])
+    assert stab.order() == 96
+    assert sorted(len(o) for o in stab.orbits()) == [12, 16]
+
+
+def test_unitary_bases_guard_rejects_a_wrong_representative(monkeypatch):
+    # with every point orthogonal to the triangle the representative is
+    # all 28 points, not 12; the isotropic points stay as they are
+    form = geometry.hermitian_form
+    monkeypatch.setattr(geometry, "hermitian_form",
+                        lambda F, x, y: form(F, x, y) if x == y else 0)
+    with pytest.raises(ConstructionError):
+        codes.build_unitary_bases()
+
+
+def test_unitary_bases_are_three_unital_blocks():
+    # each codeword is the union of the blocks polar to a self-polar
+    # triangle's three points
+    code, _ = build("unitary_bases")
+    blocks = geometry.unital_blocks(3).codewords
+    for w in code.codewords:
+        inside = [b for b in blocks if b & w == b]
+        assert len(inside) == 3
+        assert inside[0] | inside[1] | inside[2] == w
 
 
 def test_delta_block():

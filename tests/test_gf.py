@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from ntcodes import gf
 from ntcodes.gf import GF, Field, FieldError
 
 SMALL_FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -118,6 +119,20 @@ def test_non_prime_power_rejected():
             GF(q)
     with pytest.raises(FieldError):
         Field(4, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 101, 257])
+def test_prime_field_cycle_matches_modular_powers(p):
+    # on the modulus x - r the power cycle is that of r mod p, and r is
+    # primitive exactly when its p - 1 powers are distinct and nonzero;
+    # 2..13 have a Conway modulus, 17.. are found by search
+    assert ((p, 1) in gf._CONWAY) == (p <= 13)
+    for r in range(p):
+        powers = [pow(r, i, p) for i in range(p - 1)]
+        primitive = r != 0 and len(set(powers)) == p - 1
+        assert gf._primitive_cycle([(-r) % p, 1], p, 1) == (
+            powers if primitive else None), r
+    assert GF(p).exp == [pow(GF(p).x, i, p) for i in range(p - 1)]
 
 
 def test_gf4_multiplication_cycle():

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ntcodes import codes, perm
+from ntcodes import perm
 from ntcodes.codes import CATALOG, build
 from ntcodes.geometry import group_generators, wreath_stabilizer
 from ntcodes.perm import (PermError, PermGroup, Permutation,
@@ -247,6 +247,13 @@ def test_orbit_stabilizer_identity_random():
         assert len(orb) * stab.order() == G.order()
 
 
+def _conjugation(g):
+    """E -> {g^-1 e g : e in E} on a frozenset of image tuples: a right
+    action, as (x*y)^-1 e (x*y) = y^-1 (x^-1 e x) y."""
+    gi, ginv = g.images, g.inverse().images
+    return lambda E: frozenset(tuple([gi[e[p]] for p in ginv]) for e in E)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_stabilizer_early_stop_keeps_generators(data):
@@ -270,7 +277,7 @@ def test_stabilizer_early_stop_keeps_generators(data):
         start = frozenset(data.draw(st.lists(
             st.permutations(range(n)).map(tuple), min_size=1, max_size=2),
             label="conjugated"))
-        moves = [codes._conjugation(g) for g in G.generators]
+        moves = [_conjugation(g) for g in G.generators]
     orbit = perm.schreier_orbit(start, moves)[0]
     early = G.stabilizer(start, moves, orbit_size=len(orbit))
     assert early.generators == G.stabilizer(start, moves).generators
