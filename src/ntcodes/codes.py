@@ -207,8 +207,12 @@ _BAER_NOTE = ("pairwise subline intersections of size at most 1 would give "
 
 
 def build_baer_subline(q0):
-    code = geometry.baer_sublines(q0, notes=[_BAER_NOTE])
+    """Orbit of the standard Baer subline under PGammaL(2,q0^2)."""
+    space, rep = geometry.standard_baer_subline(q0)
     G = geometry.group_generators("pgammal", n=2, q=q0 * q0)
+    code = Code(len(space), q0 + 1, G.subset_orbit(rep),
+                name=f"baer_subline(q0={q0})", params={"q0": q0},
+                notes=[_BAER_NOTE])
     return code, G
 
 

@@ -14,7 +14,7 @@ from itertools import product
 
 from .gf import GF, FieldError
 from .johnson import Code
-from .perm import PermGroup, Permutation, mask_of
+from .perm import MAX_DEGREE, PermError, PermGroup, Permutation, mask_of
 
 MAX_POINTS = 4096
 
@@ -27,8 +27,6 @@ class GeometrySpace:
     """An indexed point set with enough structure to act on and draw lines."""
 
     def __init__(self, kind, points, field=None, params=None):
-        if len(points) > MAX_POINTS:
-            raise GeometryError(f"{len(points)} points exceeds cap {MAX_POINTS}")
         self.kind = kind
         self.points = tuple(points)
         self.field = field
@@ -68,25 +66,35 @@ def hermitian_form(F, x, y):
 
 
 def build_space(kind, **params):
-    if kind == "affine":
-        n, q = params["n"], params["q"]
-        F = GF(q)
-        pts = sorted(product(F.elements(), repeat=n))
-        return GeometrySpace("affine", pts, F, {"n": n, "q": q})
-    if kind == "projective":
-        n, q = params["n"], params["q"]
-        F = GF(q)
-        return GeometrySpace("projective", _projective_points(F, n), F,
-                             {"n": n, "q": q})
+    """The points of AG(n,q), of PG(n-1,q) or of the Hermitian unital in
+    PG(2,q^2).  Their number, q^n, (q^n-1)/(q-1) = 1 + q + ... + q^(n-1)
+    or q^3+1, is checked against MAX_POINTS before any is listed; the count
+    stops growing once it passes the cap, so a huge n costs nothing."""
+    if kind not in ("affine", "projective", "hermitian_isotropic"):
+        raise GeometryError(f"unknown space kind {kind!r}")
     if kind == "hermitian_isotropic":
         q = params["q"]
-        F = GF(q * q)
-        pts = [p for p in _projective_points(F, 3)
-               if hermitian_form(F, p, p) == 0]
-        if len(pts) != q ** 3 + 1:
-            raise GeometryError("isotropic point count mismatch")
-        return GeometrySpace("hermitian_isotropic", pts, F, {"q": q})
-    raise GeometryError(f"unknown space kind {kind!r}")
+        F, count = GF(q * q), q ** 3 + 1
+    else:
+        n, q = params["n"], params["q"]
+        F, count = GF(q), 1
+        for _ in range(n if kind == "affine" else n - 1):
+            count = count * q + (kind == "projective")
+            if count > MAX_POINTS:
+                break
+    if count > MAX_POINTS:
+        raise GeometryError(f"{kind} space of more than {MAX_POINTS} points")
+    if kind == "affine":
+        return GeometrySpace(kind, sorted(product(F.elements(), repeat=n)),
+                             F, {"n": n, "q": q})
+    if kind == "projective":
+        return GeometrySpace(kind, _projective_points(F, n), F,
+                             {"n": n, "q": q})
+    pts = [p for p in _projective_points(F, 3)
+           if hermitian_form(F, p, p) == 0]
+    if len(pts) != count:
+        raise GeometryError("isotropic point count mismatch")
+    return GeometrySpace(kind, pts, F, {"q": q})
 
 
 # ---- permutations from (semi)linear maps -----------------------------------
@@ -195,6 +203,8 @@ def partition_blocks(a, b):
 
 def subset_stabilizer(v, subset):
     """Sym(U) x Sym(complement) inside Sym(v)."""
+    if v > MAX_DEGREE:
+        raise PermError(f"degree {v} exceeds cap {MAX_DEGREE}")
     u = sorted(set(subset))
     rest = sorted(set(range(v)) - set(u))
     gens = []
@@ -347,15 +357,6 @@ def standard_baer_subline(q0):
     pts = [space.index[(0, 1)]]
     pts += [space.index[(1, t)] for t in sub]
     return space, mask_of(pts)
-
-
-def baer_sublines(q0, notes=()):
-    """Orbit of the standard Baer subline under PGammaL(2, q0^2)."""
-    space, rep = standard_baer_subline(q0)
-    G = group_generators("pgammal", n=2, q=q0 * q0)
-    return Code(len(space), q0 + 1, G.subset_orbit(rep),
-                name=f"baer_subline(q0={q0})", params={"q0": q0},
-                notes=notes)
 
 
 def hyperoval_setting():

@@ -124,19 +124,6 @@ class Field:
         self.x = cycle[1 % (self.q - 1)] if self.q > 2 else 1
         self._neg = [self._digit_neg(e) for e in range(self.q)]
 
-    # ---- element codecs -------------------------------------------------
-
-    def coeffs(self, e):
-        """Coefficient vector over GF(p), length a, low degree first."""
-        out = []
-        for _ in range(self.a):
-            out.append(e % self.p)
-            e //= self.p
-        return tuple(out)
-
-    def from_coeffs(self, cs):
-        return sum((c % self.p) * self.p ** i for i, c in enumerate(cs))
-
     def elements(self):
         return range(self.q)
 
@@ -166,9 +153,6 @@ class Field:
 
     def neg(self, e):
         return self._neg[e]
-
-    def sub(self, e, f):
-        return self.add(e, self._neg[f])
 
     def mul(self, e, f):
         if e == 0 or f == 0:
@@ -223,6 +207,8 @@ class Field:
 @lru_cache(maxsize=None)
 def GF(q):
     """The field of order q (q a prime power up to 4096)."""
+    if not 2 <= q <= _MAX_Q:
+        raise FieldError(f"unsupported field size {q}")
     for p in range(2, q + 1):
         if _is_prime(p) and q % p == 0:
             a = 0

@@ -8,9 +8,11 @@ The stabilizer chain is built by a deterministic Schreier-Sims: base points
 are the smallest non-fixed points, orbits grow breadth-first in generator
 order, so orders, transversals and element enumeration are reproducible.
 Every orbit that needs a transversal, a stabilizer or an escape test (of
-points, subsets or pairs) is grown by schreier_orbit, and every stabilizer
-(of a point, a subset, or anything else the generators move) is
-PermGroup.stabilizer, which forms its Schreier generators during that walk.
+points, subsets or pairs) is grown by schreier_orbit, and _schreier_images
+forms the Schreier generators during that walk: for each level of the
+chain, which strips them through the deeper levels with _strip, the one
+strip routine, and for every stabilizer (of a point, a subset, or anything
+else the generators move), which is PermGroup.stabilizer.
 PermGroup.subset_orbit needs only the members, so it walks with a seen-set
 and keeps no Schreier map.  The bulk subset routines act on masks through
 one 256-entry image table per byte of the domain for each generator, built
@@ -80,6 +82,8 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, n, cycles):
+        if n > MAX_DEGREE:
+            raise PermError(f"degree {n} exceeds cap {MAX_DEGREE}")
         images = list(range(n))
         for cycle in cycles:
             for i, x in enumerate(cycle):
@@ -245,6 +249,28 @@ def _transversal(x, schreier, generators, cache):
     return g
 
 
+def _schreier_images(x, i, y, schreier, generators, cache):
+    """The images of the Schreier generator u_x g_i u_y^-1 of an orbit
+    edge x -> y = g_i(x), with u and cache as in _transversal:
+    p -> u_y^-1(g_i(u_x(p)))."""
+    ux = _transversal(x, schreier, generators, cache).images
+    uy_inv = _transversal(y, schreier, generators, cache).inverse().images
+    gi = generators[i].images
+    return tuple([uy_inv[gi[a]] for a in ux])
+
+
+def _strip(g, base, transversals, start=0):
+    """Residue of g stripped through levels start.. of a chain: at each
+    level, divide by the coset rep of g's image of the base point, and stop
+    at the first image outside that level's transversal."""
+    for b, tr in zip(base[start:], transversals[start:]):
+        im = g.images[b]
+        if im not in tr:
+            return g
+        g = g * tr[im].inverse()
+    return g
+
+
 class PermGroup:
     """A finitely generated permutation group on {0..degree-1}."""
 
@@ -288,84 +314,56 @@ class PermGroup:
     # ---- stabilizer chain ------------------------------------------------
 
     def _build_bsgs(self):
-        n = self.degree
+        """Deterministic Schreier-Sims.  Level i is closed by one walk of
+        base[i] under level_gens[i]: each Schreier generator the walk
+        offers is stripped from level i+1, and the first non-identity
+        residue joins the strong generators and restarts the closing at the
+        deepest level; a walk with none gives level i's transversal."""
         base = []          # base points
         level_gens = []    # level_gens[i]: strong generators fixing base[:i]
         transversals = []  # transversals[i]: point -> coset rep (base[i] -> point)
-
-        def first_moved(g):
-            for i, im in enumerate(g.images):
-                if im != i:
-                    return i
-            return None
-
-        def level_of(g):
-            for i, b in enumerate(base):
-                if g.images[b] != b:
-                    return i
-            pt = first_moved(g)
-            if pt is None:
-                return None  # identity
-            base.append(pt)
-            level_gens.append([])
-            transversals.append(None)
-            return len(base) - 1
+        identity = Permutation.identity(self.degree)
 
         def add_gen(g):
-            j = level_of(g)
+            # g joins levels 0..j, j the first level whose base point it
+            # moves; if it fixes them all, its first moved point is a new one
+            img = g.images
+            j = next((l for l, b in enumerate(base) if img[b] != b), None)
             if j is None:
-                return False
+                moved = next((x for x, im in enumerate(img) if im != x), None)
+                if moved is None:
+                    return
+                base.append(moved)
+                level_gens.append([])
+                transversals.append({})
+                j = len(base) - 1
             for l in range(j + 1):
                 level_gens[l].append(g)
-            return True
 
-        def rebuild_transversal(i):
-            gens = level_gens[i]
-            members, schreier, _ = schreier_orbit(base[i], _point_moves(gens))
-            cache = {base[i]: Permutation.identity(n)}
-            transversals[i] = {pt: _transversal(pt, schreier, gens, cache)
-                               for pt in members}
-
-        def strip(g, start):
-            for i in range(start, len(base)):
-                im = g.images[base[i]]
-                tr = transversals[i]
-                if tr is None or im not in tr:
-                    return g
-                g = g * tr[im].inverse()
-            return g
+        def offer(x, k, y, schreier):
+            nonlocal residue
+            s = _schreier_images(x, k, y, schreier, gens, cache)
+            if s == identity.images:
+                return False
+            residue = _strip(Permutation(s, check=False), base, transversals,
+                             i + 1)
+            return residue != identity
 
         for g in self.generators:
             add_gen(g)
-        if not base:
-            self._bsgs = ([], [], [])
-            return
-
         i = len(base) - 1
         while i >= 0:
-            rebuild_transversal(i)
-            complete = True
-            tr = transversals[i]
-            # BFS order of the orbit is the dict insertion order
-            for pt in list(tr):
-                u = tr[pt]
-                for g in level_gens[i]:
-                    im = g.images[pt]
-                    schreier = (u * g) * tr[im].inverse()
-                    if schreier.is_identity():
-                        continue
-                    residue = strip(schreier, i + 1)
-                    if not residue.is_identity():
-                        add_gen(residue)
-                        complete = False
-                        break
-                if not complete:
-                    break
-            if complete:
+            gens = level_gens[i]
+            cache = {base[i]: identity}
+            residue = identity
+            members, schreier, _ = schreier_orbit(
+                base[i], _point_moves(gens), on_revisit=offer)
+            if residue == identity:
+                transversals[i] = {pt: _transversal(pt, schreier, gens, cache)
+                                   for pt in members}
                 i -= 1
             else:
-                for l in range(i + 1, len(base)):
-                    rebuild_transversal(l)
+                add_gen(residue)
                 i = len(base) - 1
         self._bsgs = (base, level_gens, transversals)
 
@@ -386,13 +384,7 @@ class PermGroup:
         if g.degree != self.degree:
             raise PermError("degree mismatch")
         base, _, transversals = self.bsgs()
-        for i in range(len(base)):
-            im = g.images[base[i]]
-            tr = transversals[i]
-            if im not in tr:
-                return g
-            g = g * tr[im].inverse()
-        return g
+        return _strip(g, base, transversals)
 
     def __contains__(self, g):
         return self.sift(g).is_identity()
@@ -457,12 +449,7 @@ class PermGroup:
             seen = {cache[start].images}  # so the identity is never kept
 
             def offer(x, i, y, schreier):
-                # the images of u_x g_i u_y^-1: p -> u_y^-1(g_i(u_x(p)))
-                ux = _transversal(x, schreier, generators, cache).images
-                uy_inv = _transversal(y, schreier, generators,
-                                      cache).inverse().images
-                gi = generators[i].images
-                s = tuple([uy_inv[gi[a]] for a in ux])
+                s = _schreier_images(x, i, y, schreier, generators, cache)
                 if s not in seen:
                     seen.add(s)
                     gens.append(Permutation(s, check=False))

@@ -46,9 +46,15 @@ def test_parse_group_spec_families():
     assert parse_group_spec("pgammau:3").order() == 12096
 
 
+# the oversized specs are rejected before a field, a point set or a
+# permutation of that size is built
 @pytest.mark.parametrize("bad", ["sym", "sym:x", "psl:3,4", "frob:5",
                                  "stab:8:0,9", "stab:8", "wreath:3",
-                                 "gens:file.txt", "agl:1,6"])
+                                 "gens:file.txt", "agl:1,6",
+                                 "agl:1,1000000007", "agammal:40,2",
+                                 "pgl:22,2", "pgammau:16", "sym:100000000",
+                                 "alt:100000000", "wreath:2,50000000",
+                                 "stab:100000000:0"])
 def test_parse_group_spec_rejects(bad):
     with pytest.raises(UsageError):
         parse_group_spec(bad)
@@ -65,6 +71,10 @@ def test_gens_file(tmp_path):
         parse_group_spec(f"gens:@{bad}")
     with pytest.raises(UsageError):
         parse_group_spec(f"gens:@{tmp_path / 'missing.txt'}")
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1000000000\n(0 1)\n")
+    with pytest.raises(UsageError, match="degree 1000000000 exceeds cap"):
+        parse_group_spec(f"gens:@{huge}")
 
 
 # ---- JSON code files -----------------------------------------------------------

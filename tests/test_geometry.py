@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from ntcodes import geometry
-from ntcodes.geometry import (GeometryError, baer_sublines, build_space,
+from ntcodes import codes, geometry
+from ntcodes.geometry import (GeometryError, build_space,
                               group_generators, hermitian_form,
                               hyperoval_setting, line_class, lines,
                               restrict_group, standard_baer_subline,
@@ -155,10 +155,10 @@ def test_unital_is_a_2_design():
 
 
 def test_baer_sublines():
-    code = baer_sublines(3)
+    code, _ = codes.build("baer_subline", q0=3)
     assert (code.v, code.k, len(code)) == (10, 4, 30)
     assert not code.degenerate
-    code2 = baer_sublines(2)
+    code2, _ = codes.build("baer_subline", q0=2)
     assert len(code2) == 10 and code2.degenerate
 
 

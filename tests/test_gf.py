@@ -142,15 +142,9 @@ def test_gf4_multiplication_cycle():
     assert F.mul(w, F.pow(w, 2)) == 1
 
 
-def test_element_codecs_roundtrip():
-    F = GF(27)
-    for e in F.elements():
-        assert F.from_coeffs(F.coeffs(e)) == e
-
-
 @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
 def test_gf16_properties(a, b, c):
     F = GF(16)
     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
     assert F.frobenius(F.mul(a, b)) == F.mul(F.frobenius(a), F.frobenius(b))
-    assert F.sub(F.add(a, b), b) == a
+    assert F.add(F.add(a, b), F.neg(b)) == a

@@ -1,5 +1,7 @@
 """Permutation group engine tests."""
 
+import hashlib
+import json
 import math
 import os
 import random
@@ -450,6 +452,33 @@ def test_bsgs_invariants():
         assert all(g in G for g in G.generators)
 
 
+def _chain_digest(G):
+    base, level_gens, transversals = G.bsgs()
+    chain = [base, [[list(g.images) for g in gens] for gens in level_gens],
+             [[[pt, list(u.images)] for pt, u in tr.items()]
+              for tr in transversals]]
+    return hashlib.sha256(json.dumps(chain).encode()).hexdigest()
+
+
+# The chain is deterministic: base points, each level's strong generators
+# and each transversal in its dict order fix order(), elements() and every
+# residue, so a change to how the chain is built must keep these digests.
+@pytest.mark.parametrize("make,digest", [
+    (lambda: group_generators("pgammau", q=3),
+     "40b2ea89581625025a4f7aa1019a5d2f9c37310030fe1b0d00cd7006465032e8"),
+    (lambda: wreath_stabilizer(3, 4),
+     "a47a363529a6f01937b4adc08f05cc7d31f299bc14221b98ae539cf19c5cdb1d"),
+    (lambda: group_generators("agammal", n=2, q=4),
+     "2bee0e9e6f53940625dceb3d876f26623afb3b2d29e4b73b4ef26764f6e85acb"),
+    (lambda: group_generators("pgammal", n=3, q=3),
+     "afa3f490d7236930cc12d91ae2c31fa8128cc3dff57b409325809bb84072ab25"),
+    (lambda: build("hyperoval_ag24")[1],
+     "a621647ceb2cc1632c70f3b8b84b96a95d00fb22ae4eb69db60b7cd87b934ba4"),
+], ids=["pgammau3", "wreath34", "agammal24", "pgammal33", "hyperoval"])
+def test_chain_is_pinned(make, digest):
+    assert _chain_digest(make()) == digest
+
+
 @settings(max_examples=50)
 @given(st.permutations(list(range(6))), st.permutations(list(range(6))))
 def test_product_inverse_property(a, b):
@@ -489,3 +518,29 @@ def test_catalog_groups_against_sympy(family, params):
     mask = code.codewords[0]
     assert (G.setwise_stabilizer(mask).order()
             * _subset_orbit_size(G, mask)) == S.order()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_chain_against_sympy(data):
+    # the identity and a repeated generator add nothing to the chain; a
+    # group of identities has an empty base
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    n = data.draw(st.integers(1, 9), label="degree")
+    perms = data.draw(st.lists(st.permutations(range(n)), min_size=1,
+                               max_size=4), label="generators")
+    if data.draw(st.booleans(), label="identity"):
+        perms[data.draw(st.integers(0, len(perms) - 1))] = list(range(n))
+    if len(perms) > 1 and data.draw(st.booleans(), label="repeat"):
+        perms[-1] = perms[0]
+    gens = [Permutation(p) for p in perms]
+    G = PermGroup(n, gens)
+    S = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(p)) for p in perms])
+    assert G.order() == S.order()
+    assert all(g in G for g in gens)
+    g = Permutation.identity(n)
+    for h in data.draw(st.lists(st.sampled_from(gens), max_size=12),
+                       label="word"):
+        g = g * h
+    assert G.sift(g).is_identity()
