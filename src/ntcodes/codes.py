@@ -455,6 +455,7 @@ class _Facts:
 # when the distance partition is not computed; the witness backs a False.
 
 _NOT_ONE_ORBIT = ("code is not a single orbit",)
+_PAIRS_SPLIT = ("pair action on gamma x complement splits",)
 
 
 def _code_transitive(f):
@@ -488,12 +489,21 @@ def _incidence_transitive(f):
 
 
 def _strong_pairs(f):
-    """G_gamma transitive on (point of gamma) x (point outside gamma)."""
+    """G_gamma transitive on (point of gamma) x (point outside gamma).
+
+    By orbit-stabilizer, a G_gamma transitive on those k(v-k) pairs has
+    an order that k(v-k) divides, and |G_gamma| = |G| / |orbit of gamma|.
+    So when k(v-k) > 0 does not divide it, the pairs split and G_gamma is
+    not formed."""
+    q = f.quotient
+    pairs = q.k * (q.v - q.k)
+    if pairs and (f.G.order() // len(q.orbits[f.chosen[0]])) % pairs:
+        return False, _PAIRS_SPLIT
     gamma = f.gamma
     inside = list(bits(gamma))
-    outside = [x for x in range(f.quotient.v) if not (gamma >> x) & 1]
+    outside = [x for x in range(q.v) if not (gamma >> x) & 1]
     ok = f.stabilizer.is_transitive_on_product(inside, outside)
-    return ok, None if ok else ("pair action on gamma x complement splits",)
+    return ok, None if ok else _PAIRS_SPLIT
 
 
 def _strongly_incidence_transitive(code, G, cap=DEFAULT_ORBIT_CAP):
@@ -620,11 +630,14 @@ def check_properties(code, G, cap_orbit=DEFAULT_ORBIT_CAP,
     intersection_numbers = (facts.regularity[1]
                             if flags["completely_regular"] else None)
 
-    prim, _ = G.primitivity()
+    # a 2-transitive group is primitive, so primitivity's v-1 block
+    # searches run only for a group that is not
+    two_transitive = G.is_2transitive()
     group_facts = {
         "transitive_on_V": G.is_transitive(),
-        "primitive_on_V": prim == "primitive",
-        "two_transitive_on_V": G.is_2transitive(),
+        "primitive_on_V": (two_transitive
+                           or G.primitivity()[0] == "primitive"),
+        "two_transitive_on_V": two_transitive,
     }
     return PropertyReport(code, G.order(), flags, witnesses,
                           min_distance(code), facts.gamma1_size, group_facts,

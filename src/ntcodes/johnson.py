@@ -8,7 +8,7 @@ between masks a, b is k - popcount(a & b).
 """
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, filterfalse
 from math import comb
 from types import MappingProxyType
 
@@ -213,14 +213,16 @@ class OrbitQuotient:
     The orbits are found on demand: orbit_of walks the orbit of a vertex
     not seen before (at most cap members, see PermGroup.subset_orbit) and
     gives it the next number.  orbits[i] is orbit i as a sorted tuple of
-    masks, and index maps every vertex found to its orbit.  An orbit
-    partition is equitable (Godsil-Royle, Algebraic Graph Theory, 9.3):
-    every member of orbit i has the same number row(i)[j] of neighbours in
-    orbit j, counted at the smallest member on first use; a row keeps its
-    non-zero entries.  A G-invariant code is a union of orbits, so its
-    distance partition and the equitability of that partition are decided
-    on these rows alone.  fill() finds every orbit, numbered in ascending
-    order of smallest member when none was found before.
+    masks, and index maps every vertex found to its orbit; the walk writes
+    each member's number into index as it finds it, and a walk stopped by
+    the cap leaves index as it was.  An orbit partition is equitable
+    (Godsil-Royle, Algebraic Graph Theory, 9.3): every member of orbit i
+    has the same number row(i)[j] of neighbours in orbit j, counted at the
+    smallest member on first use; a row keeps its non-zero entries.  A
+    G-invariant code is a union of orbits, so its distance partition and
+    the equitability of that partition are decided on these rows alone.
+    fill() finds every orbit, numbered in ascending order of smallest
+    member when none was found before.
     """
 
     def __init__(self, G, k, cap):
@@ -236,13 +238,14 @@ class OrbitQuotient:
         i = self.index.get(mask)
         if i is None:
             i = len(self.orbits)
-            orbit = self.G.subset_orbit(mask, cap=self.cap)
-            self.orbits.append(orbit)
-            self.index.update(dict.fromkeys(orbit, i))
+            self.orbits.append(
+                self.G.subset_orbit(mask, self.cap, self.index, i))
         return i
 
     def fill(self):
-        for mask in all_ksubsets(self.v, self.k):
+        unseen = filterfalse(self.index.__contains__,
+                             all_ksubsets(self.v, self.k))
+        for mask in unseen:
             self.orbit_of(mask)
         return self
 

@@ -14,9 +14,14 @@ chain, which strips them through the deeper levels with _strip, the one
 strip routine, and for every stabilizer (of a point, a subset, or anything
 else the generators move), which is PermGroup.stabilizer.
 PermGroup.subset_orbit needs only the members, so it walks with a seen-set
-and keeps no Schreier map.  The bulk subset routines act on masks through
-one 256-entry image table per byte of the domain for each generator, built
-on first use, up to degree TABLE_DEGREE.
+and keeps no Schreier map; given an orbit quotient's index dict, it walks
+with that dict as its seen-set and writes each member's orbit number into
+it as it finds the member, so one walk both lists an orbit and indexes it.
+The bulk subset routines act on masks through chunk image tables, built on
+first use up to degree TABLE_DEGREE: the domain is cut into
+ceil(degree / CHUNK_BITS) chunks of near-equal width w, and each generator
+has one 2^w-entry table per chunk, so no table has more than 2^CHUNK_BITS
+entries and a mask's image is one lookup per chunk.
 """
 
 import re
@@ -24,9 +29,11 @@ from math import lcm
 
 MAX_DEGREE = 4096
 DEFAULT_ORBIT_CAP = 10 ** 6
-# Largest degree whose generators get byte image tables for the subset
+# Largest degree whose generators get chunk image tables for the subset
 # action; above it the bulk routines use Permutation.apply_mask.
 TABLE_DEGREE = 64
+# A chunk table has at most 2^CHUNK_BITS entries.
+CHUNK_BITS = 11
 
 
 class PermError(ValueError):
@@ -197,36 +204,46 @@ def schreier_orbit(start, moves, domain=None, cap=None, on_revisit=None):
     return members, schreier, None
 
 
-def _table_action(tables):
-    """The mask action given by byte image tables: tables[j][b] is the image
-    of the set b << 8j.  Up to four bytes are looked up in one expression; a
-    missing high byte is the one-entry table [0], since m >> 24 is 0 there."""
-    if len(tables) == 1:
-        return tables[0].__getitem__
-    if len(tables) == 2:
-        t0, t1 = tables
-        return lambda m: t0[m & 255] | t1[m >> 8]
-    if len(tables) <= 4:
-        t0, t1, t2, t3 = tables + [[0]] * (4 - len(tables))
-        return lambda m: (t0[m & 255] | t1[m >> 8 & 255]
-                          | t2[m >> 16 & 255] | t3[m >> 24])
-    low, high = _table_action(tables[:4]), _table_action(tables[4:])
-    return lambda m: low(m & 0xFFFFFFFF) | high(m >> 32)
+def chunk_width(degree):
+    """The width w of the chunk tables on a domain of this degree: the
+    domain is cut into ceil(degree / CHUNK_BITS) chunks of w points each,
+    the last one perhaps shorter."""
+    chunks = -(-degree // CHUNK_BITS)
+    return -(-degree // chunks)
 
 
-def byte_tables(g):
-    """One image table per byte of g's domain.  Entry b of a byte's table is
-    the image of that byte's points in b: entry b + 2^j extends entry b by
-    the image of the byte's point j, so each table doubles once per point."""
+def chunk_tables(g, width):
+    """One image table per chunk of width points of g's domain.  Entry c of
+    a chunk's table is the image of that chunk's points in c: entry c + 2^j
+    extends entry c by the image of the chunk's point j, so each table
+    doubles once per point."""
     img = g.images
     tables = []
-    for base in range(0, len(img), 8):
+    for base in range(0, len(img), width):
         t = [0]
-        for x in img[base:base + 8]:
+        for x in img[base:base + width]:
             bit = 1 << x
             t += [m | bit for m in t]
         tables.append(t)
     return tables
+
+
+def _table_action(tables, width):
+    """The mask action given by chunk image tables of the given width:
+    tables[j][c] is the image of the set c << width*j.  Up to three chunks
+    are looked up in one expression; a missing high chunk is the one-entry
+    table [0], since m >> 2*width is 0 there."""
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    low, width2 = (1 << width) - 1, 2 * width
+    if len(tables) <= 3:
+        t0, t1, t2 = tables + [[0]] * (3 - len(tables))
+        return lambda m: t0[m & low] | t1[m >> width & low] | t2[m >> width2]
+    head = _table_action(tables[:3], width)
+    tail = _table_action(tables[3:], width)
+    shift = 3 * width
+    below = (1 << shift) - 1
+    return lambda m: head(m & below) | tail(m >> shift)
 
 
 def _point_moves(generators):
@@ -463,67 +480,84 @@ class PermGroup:
         return self.stabilizer(x, _point_moves(self.generators),
                                orbit_size=len(self.orbit(x)))
 
-    def _byte_tables(self):
-        """Each generator's byte_tables, built on first use.  Up to degree
-        32 they are padded with one-entry tables [0] to four, so the image
-        of a mask m is t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255]
-        | t3[m >> 24]: a byte beyond the degree is 0."""
+    def _chunk_tables(self):
+        """Each generator's chunk_tables, built on first use.  Up to degree
+        3 * CHUNK_BITS they are padded with one-entry tables [0] to three,
+        so the image of a mask m is t0[m & low] | t1[m >> w & low]
+        | t2[m >> 2w], low = 2^w - 1: a chunk beyond the degree is 0."""
         if self._tables is None:
-            pad = [[0]] * (4 - (self.degree + 7) // 8)
-            self._tables = tuple(byte_tables(g) + pad
+            width = chunk_width(self.degree)
+            pad = [[0]] * (3 - -(-self.degree // width))
+            self._tables = tuple(chunk_tables(g, width) + pad
                                  for g in self.generators)
         return self._tables
 
     def mask_moves(self):
         """Each generator's action on bitmask subsets, built on first use:
-        the action of its byte tables up to degree TABLE_DEGREE,
+        the action of its chunk tables up to degree TABLE_DEGREE,
         Permutation.apply_mask above it."""
         if self._mask_moves is None:
             if self.degree <= TABLE_DEGREE:
-                nbytes = (self.degree + 7) // 8
-                self._mask_moves = tuple(_table_action(t[:nbytes])
-                                         for t in self._byte_tables())
+                width = chunk_width(self.degree)
+                nchunks = -(-self.degree // width)
+                self._mask_moves = tuple(_table_action(t[:nchunks], width)
+                                         for t in self._chunk_tables())
             else:
                 self._mask_moves = tuple(g.apply_mask
                                          for g in self.generators)
         return self._mask_moves
 
-    def subset_orbit(self, mask, cap=DEFAULT_ORBIT_CAP):
+    def subset_orbit(self, mask, cap=DEFAULT_ORBIT_CAP, index=None,
+                     number=None):
         """The orbit of a bitmask subset under the induced action on
         subsets, as a tuple of masks in ascending order.
 
         The walk keeps a seen-set and no Schreier map; an orbit that needs
-        transversals or a stabilizer is walked by schreier_orbit.  Up to
-        degree 32 each member is split into its four bytes once and every
-        image is four lookups in the generators' byte tables; above it the
-        images come from mask_moves.  More than cap members raise
-        ResourceCapError.
+        transversals or a stabilizer is walked by schreier_orbit.  When
+        index, a dict that does not hold mask, is given, it is the seen-set:
+        each member is written into it with the value number as it is
+        found.  Up to degree 3 * CHUNK_BITS each member is cut into its
+        three chunks once and every image is three lookups in the
+        generators' chunk tables; above it the images come from mask_moves.
+        More than cap members raise ResourceCapError, after the members
+        written into index are deleted from it again.
         """
         if mask >> self.degree:
             raise PermError("subset not contained in the domain")
         members = [mask]
-        seen = {mask}
-        if self.degree <= 32:
-            tables = self._byte_tables()
-            for x in members:
-                b0, b1, b2, b3 = x & 255, x >> 8 & 255, x >> 16 & 255, x >> 24
-                for t0, t1, t2, t3 in tables:
-                    y = t0[b0] | t1[b1] | t2[b2] | t3[b3]
-                    if y not in seen:
-                        seen.add(y)
-                        members.append(y)
-                        if len(members) > cap:
-                            raise ResourceCapError(f"orbit exceeds cap {cap}")
-        else:
-            moves = self.mask_moves()
-            for x in members:
-                for move in moves:
-                    y = move(x)
-                    if y not in seen:
-                        seen.add(y)
-                        members.append(y)
-                        if len(members) > cap:
-                            raise ResourceCapError(f"orbit exceeds cap {cap}")
+        seen = {} if index is None else index
+        seen[mask] = number
+        try:
+            if self.degree <= 3 * CHUNK_BITS:
+                width = chunk_width(self.degree)
+                low, width2 = (1 << width) - 1, 2 * width
+                tables = self._chunk_tables()
+                for x in members:
+                    c0, c1, c2 = x & low, x >> width & low, x >> width2
+                    for t0, t1, t2 in tables:
+                        y = t0[c0] | t1[c1] | t2[c2]
+                        if y not in seen:
+                            seen[y] = number
+                            members.append(y)
+                            if len(members) > cap:
+                                raise ResourceCapError(
+                                    f"orbit exceeds cap {cap}")
+            else:
+                moves = self.mask_moves()
+                for x in members:
+                    for move in moves:
+                        y = move(x)
+                        if y not in seen:
+                            seen[y] = number
+                            members.append(y)
+                            if len(members) > cap:
+                                raise ResourceCapError(
+                                    f"orbit exceeds cap {cap}")
+        except ResourceCapError:
+            if index is not None:
+                for m in members:
+                    del index[m]
+            raise
         members.sort()
         return tuple(members)
 
@@ -545,10 +579,16 @@ class PermGroup:
         """None when the induced action on the non-empty subset collection
         masks is transitive; otherwise (the smallest mask, a mask outside
         its orbit): the first image that escapes masks, or else the
-        smallest mask the orbit misses."""
+        smallest mask the orbit misses.
+
+        The walk applies each generator to at most len(masks) members.
+        Incidence-transitivity passes at most k(v-k) <= v^2/4 masks, fewer
+        than a generator's chunk tables have entries, so the walk acts by
+        Permutation.apply_mask and builds no tables."""
         masks = set(masks)
         start = min(masks)
-        members, _, escape = schreier_orbit(start, self.mask_moves(), masks)
+        members, _, escape = schreier_orbit(
+            start, [g.apply_mask for g in self.generators], masks)
         if escape is not None:
             return start, escape
         if len(members) < len(masks):

@@ -227,6 +227,29 @@ def test_verify_caps_give_none_flags(tmp_path, capsys):
     assert payload["completely_regular"] is None
 
 
+def test_verify_orbit_cap_between_orbits(tmp_path, capsys):
+    # J(12,6) under S_3 wr S_4 has orbits of 6, 216, 108, 108 and 486
+    # vertices.  At --cap-orbit 300 the fill stops at the fifth and the
+    # flags that need only the code and its neighbours are decided; at 200
+    # it stops at the second, which the neighbour flags need whole, so the
+    # call ends at the cap rather than read a part-walked orbit
+    code, _ = codes.build("blowup", a=3, b=4, k0=2)
+    path = tmp_path / "c.json"
+    path.write_text(code_to_json(code))
+    rc, out, err = run(capsys, "verify", str(path), "--group", "wreath:3,4",
+                       "--cap-orbit", "300")
+    assert (rc, err) == (0, "")
+    payload = json.loads(out[out.index("{"):])
+    assert payload["neighbour_set_size"] == 216
+    assert payload["strongly_incidence_transitive"] is True
+    assert payload["completely_transitive"] is None
+    assert payload["completely_regular"] is None
+    rc, out, err = run(capsys, "verify", str(path), "--group", "wreath:3,4",
+                       "--cap-orbit", "200")
+    assert (rc, out) == (3, "")
+    assert err == "resource cap exceeded: orbit exceeds cap 200\n"
+
+
 @pytest.mark.parametrize("v,k", [(v, k) for v in (4, 5, 6)
                                  for k in (1, 2, 3)])
 def test_verify_skips_consistency_on_degenerate_codes(tmp_path, capsys, v, k):
@@ -779,17 +802,27 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     assert {"perm.setwise_stabilizer", "codes.check_properties"} <= spans
 
     # subset orbits are walked once, by subset_orbits: the codeword
-    # stabilizers form their generators during a walk that stops early
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "perfbench", "traced_cli.py"),
-         str(trace), "search", "--group", "agammal:1,16", "--k", "3",
-         "--predicate", "strongly_incidence_transitive", "--max-union", "1"],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    traced = json.loads(trace.read_text())
-    assert "perm.setwise_stabilizer" in {span[0] for span in traced["spans"]}
-    assert traced["counters"]["perm.subset_orbit_members"] == comb(16, 3)
-    assert traced["counters"]["perm.stabilizer_gens"] == 12
+    # stabilizers form their generators during a walk that stops early,
+    # and only for an orbit whose stabilizer order k(v-k) divides; at k=4
+    # one orbit passes that count, at k=3 none does
+    def search(k):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "perfbench", "traced_cli.py"),
+             str(trace), "search", "--group", "agammal:1,16", "--k", str(k),
+             "--predicate", "strongly_incidence_transitive",
+             "--max-union", "1"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        traced = json.loads(trace.read_text())
+        return {span[0] for span in traced["spans"]}, traced["counters"]
+
+    spans, counters = search(4)
+    assert "perm.setwise_stabilizer" in spans
+    assert counters["perm.subset_orbit_members"] == comb(16, 4)
+    assert counters["perm.stabilizer_gens"] == 12
+    spans, counters = search(3)
+    assert "perm.setwise_stabilizer" not in spans
+    assert counters["perm.subset_orbit_members"] == comb(16, 3)
 
     # the union counter wraps the PREDICATES entries, so it reads one per
     # union the search tests; the orbit quotient looks at the neighbours

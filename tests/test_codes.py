@@ -252,6 +252,53 @@ def test_unitary_bases_profile():
     assert not codes._strongly_incidence_transitive(code, psu)[0]
 
 
+def _plain_strong_pairs(G, gamma):
+    """The pair test with no orbit count: G_gamma, formed, transitive on
+    (point of gamma) x (point outside gamma)."""
+    inside = list(bits(gamma))
+    outside = [x for x in range(G.degree) if not (gamma >> x) & 1]
+    ok = G.setwise_stabilizer(gamma).is_transitive_on_product(inside,
+                                                              outside)
+    return ok, None if ok else ("pair action on gamma x complement splits",)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_strong_pairs_count_matches_the_pair_test(data):
+    # the orbit-counting test that skips G_gamma must give the flag and
+    # witness of the pair test on G_gamma, on single orbits
+    n = data.draw(st.integers(2, 8), label="degree")
+    perms = data.draw(st.lists(st.permutations(range(n)), min_size=1,
+                               max_size=3), label="generators")
+    G = PermGroup(n, [Permutation(p) for p in perms])
+    k = data.draw(st.integers(1, n - 1), label="k")
+    gamma = min(G.subset_orbit(mask_of(data.draw(
+        st.sets(st.integers(0, n - 1), min_size=k, max_size=k),
+        label="points"))))
+    code = Code(n, k, G.subset_orbit(gamma))
+    assert (codes._strongly_incidence_transitive(code, G)
+            == _plain_strong_pairs(G, gamma))
+
+
+def test_strong_pairs_count_skips_the_stabilizer():
+    # AGammaL(1,16) has order 960 and k(v-k) = 39 at k = 3, which divides
+    # no |G_gamma|, so no stabilizer is formed; at k = 4 the subfield line
+    # passes the count and its stabilizer is formed and tested
+    G = geometry.group_generators("agammal", n=1, q=16)
+    quotient = subset_orbits(G, 3)
+    for i, orbit in enumerate(quotient.orbits):
+        facts = codes._Facts(G, quotient, [i])
+        assert codes._strong_pairs(facts) == (
+            False, ("pair action on gamma x complement splits",))
+        assert "stabilizer" not in vars(facts)
+        assert _plain_strong_pairs(G, orbit[0])[0] is False
+    code, _ = build("subfield_line")
+    quotient = subset_orbits(G, 4)
+    facts = codes._Facts(G, quotient, quotient.orbits_of(code.codewords))
+    assert codes._strong_pairs(facts) == (True, None)
+    assert "stabilizer" in vars(facts)
+
+
 def test_unitary_bases_codewords_unchanged():
     # the codeword list, in order, that construct writes and verify reads
     code, _ = build("unitary_bases")

@@ -5,7 +5,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ntcodes import codes as codes_mod
 from ntcodes import johnson
@@ -186,6 +186,65 @@ def test_orbit_quotient_rejects_a_code_that_splits_an_orbit():
     assert quotient.orbits == [tuple(all_ksubsets(v, k))]
     with pytest.raises(JohnsonError, match="union of orbits"):
         quotient.orbits_of([mask_of([0, 1]), mask_of([2, 3])])
+
+
+def _union_find_orbits(G, k):
+    """The orbits of G on the k-subsets, by a union-find of J(v,k) under
+    each generator's apply_mask: sorted tuples, ascending by smallest
+    member."""
+    parent = {m: m for m in all_ksubsets(G.degree, k)}
+
+    def find(m):
+        while parent[m] != m:
+            parent[m] = parent[parent[m]]
+            m = parent[m]
+        return m
+
+    for g in G.generators:
+        for m in parent:
+            a, b = find(m), find(g.apply_mask(m))
+            parent[max(a, b)] = min(a, b)
+    orbits = {}
+    for m in parent:
+        orbits.setdefault(find(m), []).append(m)
+    return [tuple(sorted(o)) for _, o in sorted(orbits.items())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fill_matches_union_find(data):
+    # the one-pass fill against a union-find, at degrees on both sides of
+    # each chunk edge and of the table degree bound; a cap between the
+    # orbit sizes stops the fill, and index then holds exactly the members
+    # of the orbits found before the one over the cap
+    v = data.draw(st.sampled_from([1, 11, 12, 22, 23, 33, 34, 64, 65]),
+                  label="degree")
+    k = data.draw(st.sampled_from([k for k in range(v + 1)
+                                   if comb(v, k) <= 6000]), label="k")
+    gens = []
+    for _ in range(data.draw(st.integers(0, 3), label="ngens")):
+        support = data.draw(st.lists(st.integers(0, v - 1), unique=True,
+                                     max_size=6), label="support")
+        shuffled = data.draw(st.permutations(support), label="shuffled")
+        images = list(range(v))
+        for x, y in zip(support, shuffled):
+            images[x] = y
+        gens.append(Permutation(images))
+    G = PermGroup(v, gens)
+    expected = _union_find_orbits(G, k)
+    cap = data.draw(st.integers(1, max(map(len, expected))), label="cap")
+    quotient = johnson.OrbitQuotient(G, k, cap)
+    try:
+        quotient.fill()
+    except ResourceCapError as exc:
+        assert str(exc) == f"orbit exceeds cap {cap}"
+        first_over = next(i for i, o in enumerate(expected) if len(o) > cap)
+        expected = expected[:first_over]
+    else:
+        assert max(map(len, expected)) <= cap
+    assert quotient.orbits == expected
+    assert quotient.index == {m: i for i, o in enumerate(expected)
+                              for m in o}
 
 
 # ---- networkx oracle ---------------------------------------------------------

@@ -105,17 +105,32 @@ def test_apply_mask_matches_pointwise():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_table_action_matches_apply_mask(data):
-    # byte tables take one, two, three or four, and more than four bytes
-    # on separate paths; a group above TABLE_DEGREE keeps the bit loop
-    n = data.draw(st.one_of(st.sampled_from([1, 7, 8, 9, 16, 28, 64, 65]),
+    # chunk tables take one, two or three, and more than three chunks on
+    # separate paths; a group above TABLE_DEGREE keeps the bit loop
+    n = data.draw(st.one_of(st.sampled_from([1, 7, 8, 9, 11, 12, 16, 22, 23,
+                                             28, 33, 34, 64, 65]),
                             st.integers(1, 130)), label="degree")
     p = Permutation(data.draw(st.permutations(range(n)), label="images"))
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
                                max_size=10), label="masks")
-    table = perm._table_action(perm.byte_tables(p))
+    width = perm.chunk_width(n)
+    table = perm._table_action(perm.chunk_tables(p, width), width)
     move = PermGroup(n, [p]).mask_moves()[0]
     for m in masks:
         assert table(m) == move(m) == p.apply_mask(m)
+
+
+def test_chunk_tables_are_bounded():
+    # ceil(n / CHUNK_BITS) chunks of near-equal width, none over 2^11
+    # entries, covering the domain
+    for n in range(1, 200):
+        width = perm.chunk_width(n)
+        tables = perm.chunk_tables(Permutation.identity(n), width)
+        assert len(tables) == -(-n // perm.CHUNK_BITS)
+        assert max(map(len, tables)) == 2 ** width <= 2 ** perm.CHUNK_BITS
+        assert sum(len(t).bit_length() - 1 for t in tables) == n
+    assert [perm.chunk_width(n) for n in (1, 11, 12, 22, 23, 33, 34, 64)] \
+        == [1, 11, 6, 11, 8, 11, 9, 11]
 
 
 def test_table_action_degree_bound():
@@ -361,11 +376,11 @@ def _random_generator(data, n):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_subset_orbit_is_the_sorted_schreier_orbit(data):
-    # the byte-table walk (up to degree 32) and the mask_moves walk (above
+    # the chunk-table walk (up to degree 33) and the mask_moves walk (above
     # it) against a Schreier orbit under the bit-loop action, across the
-    # byte and 32-bit edges
-    n = data.draw(st.one_of(st.sampled_from([1, 8, 9, 16, 17, 24, 25, 32,
-                                             33]),
+    # chunk edges and the table degree bound
+    n = data.draw(st.one_of(st.sampled_from([1, 8, 9, 11, 12, 16, 17, 22, 23,
+                                             24, 25, 32, 33, 34, 64, 65]),
                             st.integers(1, 40)), label="degree")
     gens = [_random_generator(data, n)
             for _ in range(data.draw(st.integers(0, 3), label="ngens"))]
@@ -382,11 +397,22 @@ def test_subset_orbit_is_the_sorted_schreier_orbit(data):
         return
     assert G.subset_orbit(mask) == expected
     assert G.subset_orbit(mask, cap=len(expected)) == expected
+    # given an index, the walk writes each member's number into it, and a
+    # walk over the cap deletes what it wrote
+    before = {1 << n: 0}
+    index = dict(before)
+    assert G.subset_orbit(mask, len(expected), index, 1) == expected
+    assert index == {**before, **dict.fromkeys(expected, 1)}
     if len(expected) > 1:
         cap = data.draw(st.integers(1, len(expected) - 1), label="cap")
         with pytest.raises(ResourceCapError,
                            match=f"^orbit exceeds cap {cap}$"):
             G.subset_orbit(mask, cap=cap)
+        index = dict(before)
+        with pytest.raises(ResourceCapError,
+                           match=f"^orbit exceeds cap {cap}$"):
+            G.subset_orbit(mask, cap, index, 1)
+        assert index == before
     outside = 1 << data.draw(st.integers(n, n + 40), label="outside")
     with pytest.raises(PermError, match="subset not contained"):
         G.subset_orbit(mask | outside)
