@@ -175,7 +175,9 @@ def build_hyperoval_ag24():
     line, under the stabilizer of that line in PGammaL(3,4)."""
     space, hmask, ext, _ = geometry.hyperoval_setting()
     big = geometry.group_generators("pgammal", n=3, q=4)
-    line_stab = big.setwise_stabilizer(ext)
+    # PGammaL(3,4) is transitive on the lines of PG(2,4), as many as its
+    # points, so the walk is that short
+    line_stab = big.setwise_stabilizer(ext, walk=len(space))
     full = (1 << len(space)) - 1
     G = geometry.restrict_group(line_stab, full ^ ext)
     pts = [i for i in range(len(space)) if not (ext >> i) & 1]

@@ -212,10 +212,12 @@ class OrbitQuotient:
 
     The orbits are found on demand: orbit_of walks the orbit of a vertex
     not seen before (at most cap members, see PermGroup.subset_orbit) and
-    gives it the next number.  orbits[i] is orbit i as a sorted tuple of
-    masks, and index maps every vertex found to its orbit; the walk writes
-    each member's number into index as it finds it, and a walk stopped by
-    the cap leaves index as it was.  An orbit partition is equitable
+    gives it the next number.  All the walks together apply each generator
+    to at most size = C(v,k) vertices, which sizes the walk for G's subset
+    tables.  orbits[i] is orbit i as a sorted tuple of masks, and index
+    maps every vertex found to its orbit; the walk writes each member's
+    number into index as it finds it, and a walk stopped by the cap leaves
+    index as it was.  An orbit partition is equitable
     (Godsil-Royle, Algebraic Graph Theory, 9.3): every member of orbit i
     has the same number row(i)[j] of neighbours in orbit j, counted at the
     smallest member on first use; a row keeps its non-zero entries.  A
@@ -230,6 +232,7 @@ class OrbitQuotient:
         self.v = G.degree
         self.k = k
         self.cap = cap
+        self.size = comb(self.v, k)
         self.orbits = []
         self.index = {}
         self._rows = {}
@@ -239,7 +242,8 @@ class OrbitQuotient:
         if i is None:
             i = len(self.orbits)
             self.orbits.append(
-                self.G.subset_orbit(mask, self.cap, self.index, i))
+                self.G.subset_orbit(mask, self.cap, self.index, i,
+                                    walk=self.size))
         return i
 
     def fill(self):

@@ -21,7 +21,9 @@ The bulk subset routines act on masks through chunk image tables, built on
 first use up to degree TABLE_DEGREE: the domain is cut into
 ceil(degree / CHUNK_BITS) chunks of near-equal width w, and each generator
 has one 2^w-entry table per chunk, so no table has more than 2^CHUNK_BITS
-entries and a mask's image is one lookup per chunk.
+entries and a mask's image is one lookup per chunk.  A walk that will act
+on fewer masks per generator than those tables have entries, and finds them
+not yet built, acts by Permutation.apply_mask instead (_tables_pay).
 """
 
 import re
@@ -302,6 +304,9 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._bsgs = None
+        # the chunk tables' layout: chunk width and number of chunks
+        self._width = chunk_width(degree)
+        self._nchunks = -(-degree // self._width)
         self._tables = None
         self._mask_moves = None
 
@@ -486,29 +491,36 @@ class PermGroup:
         so the image of a mask m is t0[m & low] | t1[m >> w & low]
         | t2[m >> 2w], low = 2^w - 1: a chunk beyond the degree is 0."""
         if self._tables is None:
-            width = chunk_width(self.degree)
-            pad = [[0]] * (3 - -(-self.degree // width))
-            self._tables = tuple(chunk_tables(g, width) + pad
+            pad = [[0]] * (3 - self._nchunks)
+            self._tables = tuple(chunk_tables(g, self._width) + pad
                                  for g in self.generators)
         return self._tables
 
-    def mask_moves(self):
-        """Each generator's action on bitmask subsets, built on first use:
-        the action of its chunk tables up to degree TABLE_DEGREE,
-        Permutation.apply_mask above it."""
+    def _tables_pay(self, walk):
+        """Whether a walk acts on masks through the chunk tables: up to
+        degree TABLE_DEGREE, when they are built already, or when walk, the
+        number of masks each generator is to act on, is unknown (None) or
+        at least nchunks * 2^w, the most entries one generator's tables
+        hold.  A shorter walk costs less by Permutation.apply_mask than the
+        tables cost to build, in time and in memory."""
+        return self.degree <= TABLE_DEGREE and (
+            self._tables is not None or walk is None
+            or walk >= self._nchunks << self._width)
+
+    def mask_moves(self, walk=None):
+        """Each generator's action on bitmask subsets, for a walk as in
+        _tables_pay: the action of its chunk tables, built on first use,
+        when they pay, and Permutation.apply_mask otherwise."""
         if self._mask_moves is None:
-            if self.degree <= TABLE_DEGREE:
-                width = chunk_width(self.degree)
-                nchunks = -(-self.degree // width)
-                self._mask_moves = tuple(_table_action(t[:nchunks], width)
-                                         for t in self._chunk_tables())
-            else:
-                self._mask_moves = tuple(g.apply_mask
-                                         for g in self.generators)
+            if not self._tables_pay(walk):
+                return tuple(g.apply_mask for g in self.generators)
+            self._mask_moves = tuple(
+                _table_action(t[:self._nchunks], self._width)
+                for t in self._chunk_tables())
         return self._mask_moves
 
     def subset_orbit(self, mask, cap=DEFAULT_ORBIT_CAP, index=None,
-                     number=None):
+                     number=None, walk=None):
         """The orbit of a bitmask subset under the induced action on
         subsets, as a tuple of masks in ascending order.
 
@@ -516,11 +528,14 @@ class PermGroup:
         transversals or a stabilizer is walked by schreier_orbit.  When
         index, a dict that does not hold mask, is given, it is the seen-set:
         each member is written into it with the value number as it is
-        found.  Up to degree 3 * CHUNK_BITS each member is cut into its
-        three chunks once and every image is three lookups in the
-        generators' chunk tables; above it the images come from mask_moves.
-        More than cap members raise ResourceCapError, after the members
-        written into index are deleted from it again.
+        found.  walk is the number of masks each generator is to act on
+        while these tables are in use, as in _tables_pay: the orbit's size,
+        or the number of k-subsets for a walk over all of them.  Up to
+        degree 3 * CHUNK_BITS, when the chunk tables pay, each member is
+        cut into its three chunks once and every image is three lookups in
+        the generators' chunk tables; otherwise the images come from
+        mask_moves(walk).  More than cap members raise ResourceCapError,
+        after the members written into index are deleted from it again.
         """
         if mask >> self.degree:
             raise PermError("subset not contained in the domain")
@@ -528,8 +543,8 @@ class PermGroup:
         seen = {} if index is None else index
         seen[mask] = number
         try:
-            if self.degree <= 3 * CHUNK_BITS:
-                width = chunk_width(self.degree)
+            if self.degree <= 3 * CHUNK_BITS and self._tables_pay(walk):
+                width = self._width
                 low, width2 = (1 << width) - 1, 2 * width
                 tables = self._chunk_tables()
                 for x in members:
@@ -543,7 +558,7 @@ class PermGroup:
                                 raise ResourceCapError(
                                     f"orbit exceeds cap {cap}")
             else:
-                moves = self.mask_moves()
+                moves = self.mask_moves(walk)
                 for x in members:
                     for move in moves:
                         y = move(x)
@@ -562,13 +577,19 @@ class PermGroup:
         return tuple(members)
 
     def setwise_stabilizer(self, mask, cap=DEFAULT_ORBIT_CAP,
-                           orbit_size=None):
+                           orbit_size=None, walk=None):
         """Stabilizer of a subset (as bitmask); see stabilizer for cap and
-        orbit_size, the exact size of the subset's orbit when known."""
+        orbit_size, the exact size of the subset's orbit when known.  The
+        orbit is walked by mask_moves(walk), walk defaulting to orbit_size,
+        so a short one builds no tables; a caller that knows the orbit is
+        short passes walk alone, since orbit_size makes the walk compute
+        |G| to stop early."""
         if mask >> self.degree:
             raise PermError("subset not contained in the domain")
-        return self.stabilizer(mask, self.mask_moves(), orbit_size=orbit_size,
-                               cap=cap)
+        if walk is None:
+            walk = orbit_size
+        return self.stabilizer(mask, self.mask_moves(walk),
+                               orbit_size=orbit_size, cap=cap)
 
     # ---- transitivity and primitivity --------------------------------------
 
@@ -581,14 +602,11 @@ class PermGroup:
         its orbit): the first image that escapes masks, or else the
         smallest mask the orbit misses.
 
-        The walk applies each generator to at most len(masks) members.
-        Incidence-transitivity passes at most k(v-k) <= v^2/4 masks, fewer
-        than a generator's chunk tables have entries, so the walk acts by
-        Permutation.apply_mask and builds no tables."""
+        The walk applies each generator to at most len(masks) members."""
         masks = set(masks)
         start = min(masks)
         members, _, escape = schreier_orbit(
-            start, [g.apply_mask for g in self.generators], masks)
+            start, self.mask_moves(len(masks)), masks)
         if escape is not None:
             return start, escape
         if len(members) < len(masks):

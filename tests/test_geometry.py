@@ -180,6 +180,14 @@ def test_restrict_group():
     big = group_generators("pgammal", n=3, q=4)
     _, hmask, ext, _ = hyperoval_setting()
     stab = big.setwise_stabilizer(ext)
+    # the line orbit is all 21 lines, the walk codes.build_hyperoval_ag24
+    # passes: that walk builds no tables, computes no |G|, and gives the
+    # same generators
+    short = group_generators("pgammal", n=3, q=4)
+    assert short.setwise_stabilizer(ext, walk=21).generators \
+        == stab.generators
+    assert short._tables is None and short._bsgs is None
+    assert len(big.subset_orbit(ext)) == 21
     small = restrict_group(stab, ((1 << 21) - 1) ^ ext)
     assert small.degree == 16
     assert small.order() == stab.order() == 5760

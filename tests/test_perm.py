@@ -360,7 +360,7 @@ def test_subset_orbit_cap():
 
 def _random_generator(data, n):
     # any permutation, or one of a few points anywhere in range(n), so
-    # that orbits can stay small while every byte of the domain is reached
+    # that orbits can stay small while every chunk of the domain is reached
     if data.draw(st.booleans(), label="dense"):
         return Permutation(data.draw(st.permutations(range(n)),
                                      label="images"))
@@ -416,6 +416,58 @@ def test_subset_orbit_is_the_sorted_schreier_orbit(data):
     outside = 1 << data.draw(st.integers(n, n + 40), label="outside")
     with pytest.raises(PermError, match="subset not contained"):
         G.subset_orbit(mask | outside)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_short_walks_build_no_tables(data):
+    # a walk of fewer masks per generator than one generator's chunk tables
+    # have entries acts by apply_mask and builds no tables, with the same
+    # orbit and witness as a walk through the tables; tables once built
+    # serve every later walk
+    n = data.draw(st.sampled_from([1, 5, 11, 12, 21, 28, 33, 34, 64, 65]),
+                  label="degree")
+    gens = [_random_generator(data, n)
+            for _ in range(data.draw(st.integers(1, 3), label="ngens"))]
+    points = data.draw(st.sets(st.integers(0, n - 1), max_size=2),
+                       label="points")
+    mask = mask_of(points)
+    width = perm.chunk_width(n)
+    entries = -(-n // width) << width
+    tabled = n <= perm.TABLE_DEGREE
+    G = PermGroup(n, gens)
+    orbit = G.subset_orbit(mask)
+    assert (G._tables is not None) == tabled
+    short = PermGroup(n, gens)
+    assert short.subset_orbit(mask, walk=entries - 1) == orbit
+    assert short.mask_moves(entries - 1) == tuple(g.apply_mask for g in gens)
+    other = mask_of(range(len(points))) if points else 0
+    masks = set(orbit) | {other}
+    assert short.transitive_witness(masks) == G.transitive_witness(masks)
+    assert short._tables is None
+    long = PermGroup(n, gens)
+    assert long.subset_orbit(mask, walk=entries) == orbit
+    assert (long._tables is not None) == tabled
+    assert (long.mask_moves(0) != tuple(g.apply_mask for g in gens)) == tabled
+
+
+def test_setwise_stabilizer_sizes_its_walk():
+    # the 28 pairs of S8 are fewer than its 256-entry tables, the 70
+    # 4-sets too; the stabilizer is the one a table walk finds, and a walk
+    # sized by walk alone does not compute |G|
+    for points, size in (([0, 1], 28), ([0, 1, 2, 3], 70)):
+        mask = mask_of(points)
+        tabled = PermGroup.symmetric(8)
+        stab = tabled.setwise_stabilizer(mask)
+        assert tabled._tables is not None
+        short = PermGroup.symmetric(8)
+        assert short.setwise_stabilizer(mask, orbit_size=size).generators \
+            == stab.generators
+        assert short._tables is None
+        walked = PermGroup.symmetric(8)
+        assert walked.setwise_stabilizer(mask, walk=size).generators \
+            == stab.generators
+        assert walked._tables is None and walked._bsgs is None
 
 
 # ---- transitivity tests ---------------------------------------------------------
