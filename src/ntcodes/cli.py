@@ -36,7 +36,7 @@ from . import geometry
 from .gf import FieldError
 from .johnson import DEFAULT_PARTITION_CAP, Code, JohnsonError
 from .perm import (DEFAULT_ORBIT_CAP, PermError, PermGroup, Permutation,
-                   ResourceCapError)
+                   ResourceCapError, bits)
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -129,8 +129,30 @@ def _read_generators(path):
 
 # ---- JSON code files ---------------------------------------------------------
 
+def _code_json(code, indent):
+    """json.dumps(code.as_dict(), indent=2) for an object that opens at
+    the given indent, written from the masks: each codeword's points
+    ascending, and the codewords sorted as point lists.  The standard
+    encoder runs in pure Python when it indents, at about twice the time."""
+    i1, i2 = indent + "  ", indent + "    "
+    item = [f",\n{i2}  {x}" for x in range(code.v)]
+    words = [f"[{''.join(map(item.__getitem__, w))[1:]}\n{i2}]" if w else "[]"
+             for w in sorted(map(tuple, map(bits, code.codewords)))]
+    return (f'{{\n{i1}"v": {code.v},\n{i1}"k": {code.k},\n{i1}"name": '
+            f'{json.dumps(code.name)},\n{i1}"codewords": [\n{i2}'
+            + f",\n{i2}".join(words) + f"\n{i1}]\n{indent}}}")
+
+
 def code_to_json(code):
-    return json.dumps(code.as_dict(), indent=2) + "\n"
+    """A code file: json.dumps(code.as_dict(), indent=2) and a newline."""
+    return _code_json(code, "") + "\n"
+
+
+def codes_to_json(codes):
+    """json.dumps([c.as_dict() for c in codes], indent=2) and a newline."""
+    if not codes:
+        return "[]\n"
+    return "[\n  " + ",\n  ".join(_code_json(c, "  ") for c in codes) + "\n]\n"
 
 
 def parse_code_file(path):
@@ -288,8 +310,7 @@ def cmd_search(args):
             cap=args.cap_orbit)
     except ValueError as exc:
         raise UsageError(f"search: {exc}")
-    text = json.dumps([c.as_dict() for c in found], indent=2) + "\n"
-    _write_output(text, args.output)
+    _write_output(codes_to_json(found), args.output)
     return EXIT_OK
 
 

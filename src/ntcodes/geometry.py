@@ -7,10 +7,13 @@ phi(x,y) = x1*conj(y3) + x3*conj(y1) + x2*conj(y2).
 
 Groups are emitted as permutations of the point indices: linear parts from
 elementary transvections and a diagonal torus element, translations for the
-affine case, a Weyl element and Frobenius where needed.
+affine case, a Weyl element and Frobenius where needed.  Each group comes
+with its textbook order as its known order (see PermGroup), which a grid
+test checks against the full Schreier-Sims build.
 """
 
 from itertools import product
+from math import factorial, gcd, prod
 
 from .gf import GF, FieldError
 from .johnson import Code
@@ -50,12 +53,14 @@ def _normalize(F, vec):
 
 
 def _projective_points(F, n):
-    pts = set()
-    for vec in product(F.elements(), repeat=n):
-        nv = _normalize(F, vec)
-        if nv is not None:
-            pts.add(nv)
-    return sorted(pts)
+    """The normalized nonzero vectors of F^n, ascending: those whose first
+    nonzero coordinate, at position i, is 1, listed from i = n-1 down."""
+    pts = []
+    for i in reversed(range(n)):
+        head = (0,) * i + (1,)
+        pts += [head + tail
+                for tail in product(F.elements(), repeat=n - 1 - i)]
+    return pts
 
 
 def hermitian_form(F, x, y):
@@ -193,7 +198,7 @@ def wreath_stabilizer(a, b):
     if b >= 3:
         images = [(x + a) % n for x in range(n)]
         gens.append(Permutation(images))
-    return PermGroup(n, gens)
+    return PermGroup(n, gens, order=factorial(a) ** b * factorial(b))
 
 
 def partition_blocks(a, b):
@@ -213,7 +218,12 @@ def subset_stabilizer(v, subset):
             gens.append(Permutation.from_cycles(v, [(part[0], part[1])]))
         if len(part) >= 3:
             gens.append(Permutation.from_cycles(v, [tuple(part)]))
-    return PermGroup(v, gens)
+    return PermGroup(v, gens, order=factorial(len(u)) * factorial(len(rest)))
+
+
+def _gl_order(n, q):
+    """|GL(n,q)| = (q^n - 1)(q^n - q) ... (q^n - q^(n-1))."""
+    return prod(q ** n - q ** i for i in range(n))
 
 
 def _affine_group(n, q, semilinear):
@@ -227,7 +237,8 @@ def _affine_group(n, q, semilinear):
     gens.append(perm_from_map(space, translation=e1))
     if semilinear and F.a > 1:
         gens.append(perm_from_map(space, frob=1))
-    return PermGroup(len(space), gens)
+    order = q ** n * _gl_order(n, q) * (F.a if semilinear else 1)
+    return PermGroup(len(space), gens, order=order)
 
 
 def _projective_group(n, q, semilinear):
@@ -237,14 +248,18 @@ def _projective_group(n, q, semilinear):
     gens.append(perm_from_map(space, matrix=_gl_extra(F, n)))
     if semilinear and F.a > 1:
         gens.append(perm_from_map(space, frob=1))
-    return PermGroup(len(space), gens)
+    # PG(0,q) is one point, on which the group acts trivially
+    order = (_gl_order(n, q) // (q - 1) * (F.a if semilinear else 1)
+             if n > 1 else 1)
+    return PermGroup(len(space), gens, order=order)
 
 
 def _psl2(q):
     space = build_space("projective", n=2, q=q)
     F = space.field
     gens = [perm_from_map(space, matrix=M) for M in _sl_generators(F, 2)]
-    return PermGroup(len(space), gens)
+    return PermGroup(len(space), gens,
+                     order=q * (q * q - 1) // gcd(2, q - 1))
 
 
 def _trace_zero_nonzero(F):
@@ -281,7 +296,9 @@ def _unitary_group(q, semilinear):
         [0, 0, 1], [0, F.neg(1), 0], [1, 0, 0]]))
     if semilinear:
         gens.append(perm_from_map(space, frob=1))
-    return PermGroup(len(space), gens)
+    # |PGU(3,q)|, times the order 2e of the Frobenius of GF(q^2), q = p^e
+    order = q ** 3 * (q ** 3 + 1) * (q * q - 1) * (F.a if semilinear else 1)
+    return PermGroup(len(space), gens, order=order)
 
 
 # ---- lines ------------------------------------------------------------------

@@ -8,7 +8,7 @@ between masks a, b is k - popcount(a & b).
 """
 
 from collections import Counter
-from itertools import combinations, filterfalse
+from itertools import combinations
 from math import comb
 from types import MappingProxyType
 
@@ -26,6 +26,17 @@ def all_ksubsets(v, k):
     the k-combinations of the descending powers 2^(v-1) .. 1 descend."""
     powers = [1 << i for i in reversed(range(v))]
     return list(map(sum, combinations(powers, k)))[::-1]
+
+
+def ksubsets_ascending(v, k):
+    """The k-subset masks of {0..v-1}, ascending by mask value, listed
+    lazily: those whose top point is t, from all_ksubsets(t, k-1), come
+    after all those below t."""
+    if k == 0:
+        yield 0
+        return
+    for t in range(k - 1, v):
+        yield from map((1 << t).__or__, all_ksubsets(t, k - 1))
 
 
 def jdistance(a, b, k=None):
@@ -214,17 +225,20 @@ class OrbitQuotient:
     not seen before (at most cap members, see PermGroup.subset_orbit) and
     gives it the next number.  All the walks together apply each generator
     to at most size = C(v,k) vertices, which sizes the walk for G's subset
-    tables.  orbits[i] is orbit i as a sorted tuple of masks, and index
-    maps every vertex found to its orbit; the walk writes each member's
-    number into index as it finds it, and a walk stopped by the cap leaves
-    index as it was.  An orbit partition is equitable
-    (Godsil-Royle, Algebraic Graph Theory, 9.3): every member of orbit i
+    tables.  fill() walks with G.subset_walker(size), which may be a
+    generating pair of G: the orbits are G's either way.  orbits[i] is
+    orbit i as a sorted tuple of masks, and index maps every vertex found
+    to its orbit; the walk writes each member's number into index as it
+    finds it, and a walk stopped by the cap leaves index as it was.  An
+    orbit partition is equitable (Godsil-Royle, Algebraic Graph Theory,
+    9.3): every member of orbit i
     has the same number row(i)[j] of neighbours in orbit j, counted at the
     smallest member on first use; a row keeps its non-zero entries.  A
     G-invariant code is a union of orbits, so its distance partition and
     the equitability of that partition are decided on these rows alone.
     fill() finds every orbit, numbered in ascending order of smallest
-    member when none was found before.
+    member when none was found before; its scan of J(v,k) in that order
+    stops once index holds all C(v,k) vertices.
     """
 
     def __init__(self, G, k, cap):
@@ -236,21 +250,25 @@ class OrbitQuotient:
         self.orbits = []
         self.index = {}
         self._rows = {}
+        self._walker = G
 
     def orbit_of(self, mask):
         i = self.index.get(mask)
         if i is None:
             i = len(self.orbits)
             self.orbits.append(
-                self.G.subset_orbit(mask, self.cap, self.index, i,
-                                    walk=self.size))
+                self._walker.subset_orbit(mask, self.cap, self.index, i,
+                                          walk=self.size))
         return i
 
     def fill(self):
-        unseen = filterfalse(self.index.__contains__,
-                             all_ksubsets(self.v, self.k))
-        for mask in unseen:
-            self.orbit_of(mask)
+        index, size = self.index, self.size
+        self._walker = self.G.subset_walker(size)
+        for mask in ksubsets_ascending(self.v, self.k):
+            if len(index) == size:
+                break
+            if mask not in index:
+                self.orbit_of(mask)
         return self
 
     def in_order(self, numbers):

@@ -7,6 +7,8 @@ domain travel as integer bitmasks throughout.
 The stabilizer chain is built by a deterministic Schreier-Sims: base points
 are the smallest non-fixed points, orbits grow breadth-first in generator
 order, so orders, transversals and element enumeration are reproducible.
+A group built with its known order stops closing the chain once the chain
+reaches that order, with the same result.
 Every orbit that needs a transversal, a stabilizer or an escape test (of
 points, subsets or pairs) is grown by schreier_orbit, and _schreier_images
 forms the Schreier generators during that walk: for each level of the
@@ -27,7 +29,8 @@ not yet built, acts by Permutation.apply_mask instead (_tables_pay).
 """
 
 import re
-from math import lcm
+from itertools import count
+from math import factorial, lcm, prod
 
 MAX_DEGREE = 4096
 DEFAULT_ORBIT_CAP = 10 ** 6
@@ -36,6 +39,11 @@ DEFAULT_ORBIT_CAP = 10 ** 6
 TABLE_DEGREE = 64
 # A chunk table has at most 2^CHUNK_BITS entries.
 CHUNK_BITS = 11
+# PermGroup.subset_walker: the cost of one try at a generating pair, in
+# subset images per unit of degree^2 * L^3 (measured at 0.1-1.3 on 19
+# groups of degree 9-65), and the number of pairs tried.
+PAIR_COST_PER_IMAGE = 2
+PAIR_TRIES = 3
 
 
 class PermError(ValueError):
@@ -278,6 +286,25 @@ def _schreier_images(x, i, y, schreier, generators, cache):
     return tuple([uy_inv[gi[a]] for a in ux])
 
 
+def _random_elements(generators, rng):
+    """Random elements of the group the generators generate, by product
+    replacement with an accumulator (Celler, Leedham-Green, Murray,
+    Niemeyer and O'Brien, Comm. Algebra 23, 1995; Seress, Permutation Group
+    Algorithms, 2.2): a step replaces a random slot s_i of a tuple of at
+    least 10 elements by s_i * s_j for another random slot s_j, and
+    multiplies the accumulator by the new s_i.  After 50 steps, every 5th
+    step's accumulator is yielded; rng makes the draws reproducible."""
+    state = [generators[i % len(generators)]
+             for i in range(max(10, len(generators)))]
+    acc = state[0]
+    for step in count(1):
+        i, j = rng.sample(range(len(state)), 2)
+        state[i] = state[i] * state[j]
+        acc = acc * state[i]
+        if step >= 50 and step % 5 == 0:
+            yield acc
+
+
 def _strip(g, base, transversals, start=0):
     """Residue of g stripped through levels start.. of a chain: at each
     level, divide by the coset rep of g's image of the base point, and stop
@@ -293,7 +320,7 @@ def _strip(g, base, transversals, start=0):
 class PermGroup:
     """A finitely generated permutation group on {0..degree-1}."""
 
-    def __init__(self, degree, generators):
+    def __init__(self, degree, generators, order=None):
         if degree < 1 or degree > MAX_DEGREE:
             raise PermError(f"degree {degree} out of range")
         gens = []
@@ -303,7 +330,12 @@ class PermGroup:
             gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
+        # the group's order when known beforehand; _build_bsgs trusts it
+        # only to stop closing the chain, and raises if a full closure
+        # ends at another order
+        self.known_order = order
         self._bsgs = None
+        self._pair = None
         # the chunk tables' layout: chunk width and number of chunks
         self._width = chunk_width(degree)
         self._nchunks = -(-degree // self._width)
@@ -321,7 +353,7 @@ class PermGroup:
             gens.append(Permutation.from_cycles(n, [(0, 1)]))
         if n >= 3:
             gens.append(Permutation.from_cycles(n, [tuple(range(n))]))
-        return cls(n, gens)
+        return cls(n, gens, order=factorial(n))
 
     @classmethod
     def alternating(cls, n):
@@ -331,7 +363,7 @@ class PermGroup:
         if n >= 4:
             cyc = tuple(range(n)) if n % 2 else tuple(range(1, n))
             gens.append(Permutation.from_cycles(n, [cyc]))
-        return cls(n, gens)
+        return cls(n, gens, order=max(factorial(n) // 2, 1))
 
     # ---- stabilizer chain ------------------------------------------------
 
@@ -340,15 +372,29 @@ class PermGroup:
         base[i] under level_gens[i]: each Schreier generator the walk
         offers is stripped from level i+1, and the first non-identity
         residue joins the strong generators and restarts the closing at the
-        deepest level; a walk with none gives level i's transversal."""
+        deepest level; a walk with none gives level i's transversal.
+
+        The product of the basic orbits, each base point's orbit under its
+        level's generators, never exceeds |G|, and equals it only once the
+        chain is complete (Seress, Permutation Group Algorithms, 4.1): from
+        then on every Schreier generator strips to the identity, and the
+        closing adds nothing.  So with a known order the builder stops as
+        soon as that product reaches it, and walks every level once more
+        for its transversal: the chain is the one the whole closing gives.
+        A whole closing that ends at another order raises PermError.
+        """
         base = []          # base points
         level_gens = []    # level_gens[i]: strong generators fixing base[:i]
         transversals = []  # transversals[i]: point -> coset rep (base[i] -> point)
         identity = Permutation.identity(self.degree)
+        known = self.known_order
+        sizes = []         # sizes[i]: basic orbit size, with a known order
+        stale = -1         # sizes[:stale+1] are out of date
 
         def add_gen(g):
             # g joins levels 0..j, j the first level whose base point it
             # moves; if it fixes them all, its first moved point is a new one
+            nonlocal stale
             img = g.images
             j = next((l for l, b in enumerate(base) if img[b] != b), None)
             if j is None:
@@ -358,9 +404,21 @@ class PermGroup:
                 base.append(moved)
                 level_gens.append([])
                 transversals.append({})
+                sizes.append(1)
                 j = len(base) - 1
             for l in range(j + 1):
                 level_gens[l].append(g)
+            stale = max(stale, j)
+
+        def complete():
+            nonlocal stale
+            if known is None:
+                return False
+            for l in range(stale + 1):
+                sizes[l] = len(schreier_orbit(
+                    base[l], _point_moves(level_gens[l]))[0])
+            stale = -1
+            return prod(sizes) == known
 
         def offer(x, k, y, schreier):
             nonlocal residue
@@ -374,7 +432,7 @@ class PermGroup:
         for g in self.generators:
             add_gen(g)
         i = len(base) - 1
-        while i >= 0:
+        while i >= 0 and not complete():
             gens = level_gens[i]
             cache = {base[i]: identity}
             residue = identity
@@ -387,6 +445,17 @@ class PermGroup:
             else:
                 add_gen(residue)
                 i = len(base) - 1
+        if i >= 0:
+            # stopped at the known order
+            for l, gens in enumerate(level_gens):
+                cache = {base[l]: identity}
+                members, schreier, _ = schreier_orbit(base[l],
+                                                      _point_moves(gens))
+                transversals[l] = {pt: _transversal(pt, schreier, gens, cache)
+                                   for pt in members}
+        elif known is not None and prod(map(len, transversals)) != known:
+            raise PermError(f"group order {prod(map(len, transversals))} "
+                            f"is not the known order {known}")
         self._bsgs = (base, level_gens, transversals)
 
     def bsgs(self):
@@ -456,15 +525,17 @@ class PermGroup:
         which has |G| / orbit_size elements.  So when orbit_size, the exact
         size of start's orbit, is given, the walk stops once it holds
         |G| / orbit_size - 1 generators: that is every non-identity element,
-        and the tuple is the one the whole walk returns.  More than cap
+        and the tuple is the one the whole walk returns; the stabilizer then
+        has |G| / orbit_size as its known order.  More than cap
         members raise ResourceCapError, at once when orbit_size is over cap.
         """
         gens = []
-        enough = None
+        enough = order = None
         if orbit_size is not None:
             if cap is not None and orbit_size > cap:
                 raise ResourceCapError(f"orbit exceeds cap {cap}")
-            enough = self.order() // orbit_size - 1
+            order = self.order() // orbit_size
+            enough = order - 1
         if enough != 0:
             generators = self.generators
             cache = {start: Permutation.identity(self.degree)}
@@ -478,12 +549,52 @@ class PermGroup:
                 return len(gens) == enough
 
             schreier_orbit(start, moves, cap=cap, on_revisit=offer)
-        return PermGroup(self.degree, gens)
+        return PermGroup(self.degree, gens, order=order)
 
     def point_stabilizer(self, x):
         """Stabilizer of the point x."""
         return self.stabilizer(x, _point_moves(self.generators),
                                orbit_size=len(self.orbit(x)))
+
+    def subset_walker(self, walk):
+        """A group with this group's orbits on subsets, to walk them with:
+        a pair of seeded random elements that generates G, or G itself.
+
+        A pair is sought when G's order is known and the images it saves
+        on walks that apply each generator to walk masks,
+        walk * (|generators| - 2), exceed PAIR_COST_PER_IMAGE *
+        degree^2 * L^3, where L = ceil(log|G| / log degree) is a lower
+        bound on the base length.  A try draws two elements by
+        _random_elements and builds the known-order chain of the pair: it
+        raises PermError when the pair generates a proper subgroup, and
+        after PAIR_TRIES such pairs G walks itself.  The pair found, or
+        G after the failed tries, is kept for later walks.  Stabilizers
+        and witnesses keep G's own generators.
+        """
+        if self._pair is not None:
+            return self._pair
+        order, n = self.known_order, self.degree
+        if order is None or n < 2 or len(self.generators) <= 2:
+            return self
+        depth = 1
+        while n ** depth < order:
+            depth += 1
+        if walk * (len(self.generators) - 2) <= (
+                PAIR_COST_PER_IMAGE * n * n * depth ** 3):
+            return self
+        # imported where it is used: most groups never seek a pair
+        import random
+        draw = _random_elements(self.generators, random.Random(0))
+        self._pair = self
+        for _ in range(PAIR_TRIES):
+            pair = PermGroup(n, [next(draw), next(draw)], order=order)
+            try:
+                pair.bsgs()
+            except PermError:
+                continue
+            self._pair = pair
+            break
+        return self._pair
 
     def _chunk_tables(self):
         """Each generator's chunk_tables, built on first use.  Up to degree

@@ -19,6 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 from ntcodes import cli, codes
 from ntcodes.cli import (UsageError, code_to_json, main, parse_code_dict,
                          parse_group_spec)
+from ntcodes.johnson import Code
+from ntcodes.perm import mask_of
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -85,6 +87,30 @@ def test_code_json_roundtrip():
     back = parse_code_dict(json.loads(text))
     assert back.codewords == code.codewords
     assert code_to_json(back) == text  # byte-identical reconstruction
+
+
+@st.composite
+def _codes(draw):
+    v = draw(st.integers(1, 4096), label="v")
+    k = draw(st.integers(0, min(v, 12)), label="k")
+    words = draw(st.lists(st.lists(st.integers(0, v - 1), min_size=k,
+                                   max_size=k, unique=True).map(mask_of),
+                          min_size=1, max_size=30), label="codewords")
+    name = draw(st.text(st.sampled_from('ab"\\/\n\té\u2603\U0001f600 '),
+                        max_size=8), label="name")
+    return Code(v, k, words, name=name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_codes(), max_size=3))
+def test_code_json_is_the_standard_encoding(found):
+    # the writer from masks against json.dumps with indent=2, for a code
+    # file and for a search result, which may be empty
+    for code in found:
+        assert code_to_json(code) == json.dumps(code.as_dict(),
+                                                indent=2) + "\n"
+    assert cli.codes_to_json(found) == json.dumps(
+        [c.as_dict() for c in found], indent=2) + "\n"
 
 
 @pytest.mark.parametrize("mutate,message", [

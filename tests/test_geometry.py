@@ -32,6 +32,19 @@ def test_projective_point_counts(n, q, count):
     assert list(space.points) == sorted(space.points)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_projective_points_match_normalizing_every_vector(n, q):
+    # the listing by leading coordinate against normalizing all q^n
+    # vectors, dropping zero and duplicates, and sorting
+    from itertools import product
+    from ntcodes.gf import GF
+    F = GF(q)
+    old = sorted({geometry._normalize(F, vec)
+                  for vec in product(F.elements(), repeat=n)} - {None})
+    assert geometry._projective_points(F, n) == old
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_hermitian_isotropic_counts(q):
     space = build_space("hermitian_isotropic", q=q)

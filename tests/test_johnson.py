@@ -247,6 +247,43 @@ def test_fill_matches_union_find(data):
                               for m in o}
 
 
+@pytest.mark.parametrize("v,k", [(0, 0), (1, 0), (1, 1), (5, 0), (5, 2),
+                                 (6, 6), (4, 5), (9, 4)])
+def test_ksubsets_ascending_lists_all_ksubsets(v, k):
+    assert list(johnson.ksubsets_ascending(v, k)) == all_ksubsets(v, k)
+
+
+@pytest.mark.parametrize("spec,k,paired", [
+    ("pgammau:3", 4, True),    # C(28,4) * 4 images saved: the pair walks
+    ("pgammau:3", 3, False),   # C(28,3) * 4: G walks itself
+    ("pgammal:3,4", 4, True),
+    ("pgammal:3,4", 2, False),
+    ("wreath:3,4", 6, False),
+])
+def test_fill_by_the_pair_matches_union_find(spec, k, paired):
+    # orbits, their numbers and the index are G's on either side of the
+    # size rule, against a union-find on G's own generators
+    from ntcodes.cli import parse_group_spec
+    G = parse_group_spec(spec)
+    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+    assert (quotient._walker is not G) == paired
+    expected = _union_find_orbits(G, k)
+    assert quotient.orbits == expected
+    assert quotient.index == {m: i for i, o in enumerate(expected)
+                              for m in o}
+
+
+@pytest.mark.parametrize("v,points,k", [(8, "6,7", 3), (9, "8", 4),
+                                        (7, "0,1,2,3,4,5,6", 3)])
+def test_fill_scans_to_the_last_orbit(v, points, k):
+    # a trivial group's last orbit is the last k-subset, and the orbits of
+    # a stabilizer of the top points start late in the scan
+    from ntcodes.cli import parse_group_spec
+    for G in (parse_group_spec(f"stab:{v}:{points}"), PermGroup.trivial(v)):
+        quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+        assert quotient.orbits == _union_find_orbits(G, k)
+
+
 # ---- networkx oracle ---------------------------------------------------------
 
 def nx_johnson(v, k):

@@ -557,6 +557,91 @@ def test_chain_is_pinned(make, digest):
     assert _chain_digest(make()) == digest
 
 
+def _prime_powers(top):
+    return [q for q in range(2, top + 1)
+            if len({p for p in range(2, q + 1)
+                    if q % p == 0 and all(p % d for d in range(2, p))}) == 1]
+
+
+# Every builder that passes a known order, over a grid that takes in the
+# degenerate cases: PG(0,q) is one point, alt:1 and alt:2 are trivial, and
+# wreath:1,b and wreath:a,1 are a symmetric group.
+KNOWN_ORDER_GRID = (
+    [f"{fam}:1,{q}" for fam in ("agl", "agammal") for q in _prime_powers(32)]
+    + [f"{fam}:{n},{q}" for fam in ("agl", "agammal")
+       for n, top in ((2, 9), (3, 5)) for q in _prime_powers(top)]
+    + [f"{fam}:1,{q}" for fam in ("pgl", "pgammal") for q in (2, 4, 9)]
+    + [f"{fam}:{n},{q}" for fam in ("pgl", "pgammal")
+       for n, top in ((2, 32), (3, 9)) for q in _prime_powers(top)]
+    + [f"psl:2,{q}" for q in _prime_powers(25)]
+    + [f"{fam}:{q}" for fam in ("pgu", "pgammau") for q in (2, 3, 4, 5)]
+    + [f"wreath:{a},{b}" for a in range(1, 5) for b in range(1, 5)]
+    + ["stab:1:0", "stab:6:0", "stab:7:0,1,2", "stab:9:0,4,8",
+       "stab:5:0,1,2,3,4", "stab:12:1,5,6,10"]
+    + [f"{fam}:{n}" for fam in ("sym", "alt") for n in range(1, 9)])
+
+
+@pytest.mark.parametrize("spec", KNOWN_ORDER_GRID)
+def test_known_order_matches_the_full_build(spec):
+    # the full Schreier-Sims of the same generators, with no order given,
+    # reaches the builder's order, and the chain that stops at the known
+    # order is the one the whole closing gives
+    from ntcodes.cli import parse_group_spec
+    G = parse_group_spec(spec)
+    full = PermGroup(G.degree, G.generators)
+    assert G.known_order == full.order()
+    assert _chain_digest(G) == _chain_digest(full)
+
+
+def test_known_order_builders_are_in_the_grid():
+    families = {spec.partition(":")[0] for spec in KNOWN_ORDER_GRID}
+    assert families == {"agl", "agammal", "pgl", "pgammal", "psl", "pgu",
+                        "pgammau", "wreath", "stab", "sym", "alt"}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: group_generators("pgammau", q=3),
+    lambda: wreath_stabilizer(3, 4),
+    lambda: PermGroup.symmetric(5),
+    lambda: PermGroup.trivial(4),
+    lambda: build("hyperoval_ag24")[1],
+], ids=["pgammau3", "wreath34", "sym5", "trivial", "hyperoval"])
+def test_wrong_known_order_raises(make):
+    # the product of the basic orbits never exceeds |G|, so it never
+    # reaches an order above it: the closing runs to the end and raises
+    G = make()
+    true = PermGroup(G.degree, G.generators).order()
+    for wrong in (2 * true, true + 1):
+        H = PermGroup(G.degree, G.generators, order=wrong)
+        with pytest.raises(PermError, match="not the known order"):
+            H.order()
+
+
+def test_stabilizer_passes_its_known_order():
+    G = group_generators("pgammau", q=3)
+    code, _ = build("unital", q=3)
+    S = G.setwise_stabilizer(code.codewords[0], orbit_size=len(code))
+    assert S.known_order == G.order() // len(code) == 192
+    assert S.order() == PermGroup(S.degree, S.generators).order()
+    assert G.point_stabilizer(0).known_order == G.order() // 28
+    assert G.setwise_stabilizer(code.codewords[0]).known_order is None
+
+
+def test_subset_walker_pair_generates_the_group():
+    # pgammau:3 on J(28,4): the six generators' images saved outweigh a
+    # try at a pair; on J(28,3), a trivial walk or with no known order, G
+    # walks itself
+    G = group_generators("pgammau", q=3)
+    W = G.subset_walker(math.comb(28, 4))
+    assert W is not G and len(W.generators) == 2
+    assert W.order() == G.order() and all(g in G for g in W.generators)
+    assert G.subset_walker(math.comb(28, 4)) is W
+    assert group_generators("pgammau", q=3).subset_walker(
+        math.comb(28, 3)).generators == G.generators
+    plain = PermGroup(G.degree, G.generators)
+    assert plain.subset_walker(math.comb(28, 4)) is plain
+
+
 @settings(max_examples=50)
 @given(st.permutations(list(range(6))), st.permutations(list(range(6))))
 def test_product_inverse_property(a, b):

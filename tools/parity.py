@@ -1,0 +1,188 @@
+"""Output parity of the ntcodes CLI between two checkouts.
+
+    python3 tools/parity.py OLD NEW [--only PATTERN ...]
+
+OLD and NEW are checkout roots (or their ``src`` directories).  Every call
+runs as ``python -m ntcodes.cli ...`` in a fresh process, once with each
+checkout's ``src`` on PYTHONPATH, and the two runs must give the same exit
+code, standard output, standard error and ``-o`` file bytes.  The calls:
+
+- ``construct`` and ``verify`` of the 25 CATALOG entries of
+  ``perfbench/workloads.py``, each once to standard output and once with
+  ``-o``; ``verify`` reads the code file that OLD's ``construct`` wrote,
+  and the hyperoval group is passed as a ``gens:@file``;
+- the 15 benchmark searches (``search_orbits`` and ``search_regular``), to
+  standard output and with ``-o``;
+- the same searches with each group written as a ``gens:@file``, a group
+  of no known order;
+- calls that stop at ``--cap-orbit`` and exit 3.
+
+The generator and code files are written once, by OLD, and both sides read
+the same files.  ``--only`` keeps the calls whose name matches one of the
+given fnmatch patterns; ``--list`` prints the names.  Prints one line per
+call that differs and a summary line; the exit code is 1 when a call
+differs, else 0.
+"""
+
+import argparse
+import fnmatch
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+
+# Writes the generators of each group spec given (the hyperoval group from
+# codes.build) as a gens:@file: argv is the directory, then spec=name pairs.
+WRITE_GENS = """
+import sys
+from ntcodes import codes
+from ntcodes.cli import parse_group_spec
+for pair in sys.argv[2:]:
+    spec, name = pair.split("=", 1)
+    G = (codes.build(spec)[1] if spec == "hyperoval_ag24"
+         else parse_group_spec(spec))
+    with open(sys.argv[1] + "/" + name, "w") as fh:
+        fh.write("\\n".join([str(G.degree)] + [repr(g) for g in G.generators])
+                 + "\\n")
+"""
+
+OUTPUT = "out.json"
+
+
+def src_dir(path):
+    path = os.path.abspath(path)
+    inner = os.path.join(path, "src")
+    return inner if os.path.isdir(os.path.join(inner, "ntcodes")) else path
+
+
+def run_cli(src, argv, cwd):
+    """(exit code, stdout, stderr, -o bytes or None) of one CLI call."""
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "ntcodes.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True)
+    out = os.path.join(cwd, OUTPUT)
+    data = None
+    if os.path.exists(out):
+        with open(out, "rb") as fh:
+            data = fh.read()
+        os.remove(out)
+    return proc.returncode, proc.stdout, proc.stderr, data
+
+
+def code_file(files, key):
+    safe = "".join(ch if ch.isalnum() else "_" for ch in key)
+    return os.path.join(files, f"code_{safe}.json")
+
+
+def catalog_entries():
+    """(key, construct arguments, group spec) of each CATALOG entry."""
+    out = []
+    for family, params in workloads.CATALOG:
+        argv = ["--family", family]
+        for name, val in params.items():
+            argv += [f"--{name}", str(val)]
+        out.append((workloads.entry_key(family, params), argv,
+                    workloads.catalog_spec(family, params)))
+    return out
+
+
+def calls(files):
+    """(name, argv) of every call; files is the directory of the shared
+    generator and code files."""
+    def gens(spec):
+        return "gens:@" + os.path.join(files, workloads.gens_filename(spec))
+
+    out = []
+    for key, argv, spec in catalog_entries():
+        if spec == workloads.HYPEROVAL:
+            spec = gens(spec)
+        code = code_file(files, key)
+        out += [(f"construct {key}", ["construct", *argv]),
+                (f"construct {key} -o", ["construct", *argv, "-o", OUTPUT]),
+                (f"verify {key}", ["verify", code, "--group", spec]),
+                (f"verify {key} -o",
+                 ["verify", code, "--group", spec, "-o", OUTPUT])]
+    for workload in ("search_orbits", "search_regular"):
+        for call in workloads.search_calls(workload):
+            argv, spec = ["search", *call["argv"]], call["group"]
+            out += [(f"search {call['key']}", argv + ["--group", spec]),
+                    (f"search {call['key']} -o",
+                     argv + ["--group", spec, "-o", OUTPUT]),
+                    (f"search gens {call['key']}",
+                     argv + ["--group", gens(spec)])]
+    capped = ["--k", "4", "--predicate", "completely_regular",
+              "--cap-orbit", "100"]
+    out += [("cap search pgammau:3",
+             ["search", "--group", "pgammau:3", *capped]),
+            ("cap search gens pgammau:3",
+             ["search", "--group", gens("pgammau:3"), *capped]),
+            ("cap verify unital(q=3)",
+             ["verify", code_file(files, "unital(q=3)"),
+              "--group", "pgammau:3", "--cap-orbit", "50"])]
+    return out
+
+
+def prepare(old_src, files, chosen):
+    """Write, with OLD, the generator files and the code files that the
+    chosen calls read."""
+    read = {arg.removeprefix("gens:@") for _, argv in chosen for arg in argv}
+    specs = workloads.group_specs(
+        workloads.catalog_calls() + workloads.search_calls("search_orbits")
+        + workloads.search_calls("search_regular"))
+    pairs = [f"{spec}={workloads.gens_filename(spec)}" for spec in specs
+             if os.path.join(files, workloads.gens_filename(spec)) in read]
+    if pairs:
+        subprocess.run([sys.executable, "-c", WRITE_GENS, files, *pairs],
+                       env=dict(os.environ, PYTHONPATH=old_src), check=True)
+    for key, argv, _ in catalog_entries():
+        path = code_file(files, key)
+        if path in read:
+            rc, stdout, _, _ = run_cli(old_src, ["construct", *argv], files)
+            if rc:
+                raise SystemExit(f"construct {key}: exit {rc} at OLD")
+            with open(path, "wb") as fh:
+                fh.write(stdout)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("old")
+    parser.add_argument("new")
+    parser.add_argument("--only", action="append", metavar="PATTERN")
+    parser.add_argument("--list", action="store_true")
+    args = parser.parse_args(argv)
+    old_src, new_src = src_dir(args.old), src_dir(args.new)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = os.path.join(tmp, "files")
+        sides = [os.path.join(tmp, "old"), os.path.join(tmp, "new")]
+        for d in [files] + sides:
+            os.mkdir(d)
+        chosen = [(name, argv) for name, argv in calls(files)
+                  if args.only is None
+                  or any(fnmatch.fnmatchcase(name, p) for p in args.only)]
+        if args.list:
+            print("\n".join(name for name, _ in chosen))
+            return 0
+        prepare(old_src, files, chosen)
+        differ = 0
+        for name, argv in chosen:
+            old = run_cli(old_src, argv, sides[0])
+            new = run_cli(new_src, argv, sides[1])
+            if old != new:
+                differ += 1
+                parts = [part for part, a, b in zip(
+                    ("exit code", "stdout", "stderr", "-o bytes"), old, new)
+                    if a != b]
+                print(f"DIFFERS {name}: {', '.join(parts)}")
+        print(f"parity: {len(chosen) - differ} of {len(chosen)} calls "
+              f"identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
