@@ -392,8 +392,7 @@ def _one_orbit(quotient, chosen):
     PermGroup.transitive_witness gives on that union."""
     if len(chosen) == 1:
         return True, None
-    return False, (quotient.orbits[chosen[0]][0],
-                   quotient.orbits[chosen[1]][0])
+    return False, (quotient.reps[chosen[0]], quotient.reps[chosen[1]])
 
 
 class _Facts:
@@ -413,7 +412,7 @@ class _Facts:
         self.quotient = quotient
         self.chosen = chosen
         self.partition_error = partition_error
-        self.gamma = quotient.orbits[chosen[0]][0]
+        self.gamma = quotient.reps[chosen[0]]
 
     @cached_property
     def code_orbit(self):
@@ -427,7 +426,7 @@ class _Facts:
 
     @cached_property
     def gamma1_size(self):
-        return sum(len(self.quotient.orbits[i]) for i in self.gamma1_orbits)
+        return sum(self.quotient.sizes[i] for i in self.gamma1_orbits)
 
     @cached_property
     def gamma1_orbit(self):
@@ -441,7 +440,7 @@ class _Facts:
         PermGroup.stabilizer)."""
         q = self.quotient
         return self.G.setwise_stabilizer(
-            self.gamma, cap=q.cap, orbit_size=len(q.orbits[self.chosen[0]]))
+            self.gamma, cap=q.cap, orbit_size=q.sizes[self.chosen[0]])
 
     @cached_property
     def partition(self):
@@ -499,7 +498,7 @@ def _strong_pairs(f):
     not formed."""
     q = f.quotient
     pairs = q.k * (q.v - q.k)
-    if pairs and (f.G.order() // len(q.orbits[f.chosen[0]])) % pairs:
+    if pairs and (f.G.order() // q.sizes[f.chosen[0]]) % pairs:
         return False, _PAIRS_SPLIT
     gamma = f.gamma
     inside = list(bits(gamma))
@@ -730,8 +729,10 @@ def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP):
     single orbits, which are automatically code-transitive) and keeps the
     unions satisfying the predicate.  The full vertex set is always
     skipped, since a code must be a proper subset.  One
-    orbit quotient of J(v,k) serves every union's predicate, and a Code is
-    built only for a union that is found.
+    orbit quotient of J(v,k) serves every union's predicate, which reads
+    only orbit numbers, reps and sizes; a Code is built only for a union
+    that is found, and only the orbits of those unions are walked for
+    their members.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}; choose from "
@@ -744,16 +745,15 @@ def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP):
         raise ValueError("unions of more than 3 orbits are not supported")
     pred = PREDICATES[predicate]
     quotient = subset_orbits(G, k, cap=cap)
-    orbits = quotient.orbits
+    sizes = quotient.sizes
     total = comb(G.degree, k)
-    found = []
-    for r in range(1, max_union + 1):
-        for chosen in combinations(range(len(orbits)), r):
-            if sum(len(orbits[i]) for i in chosen) == total:
-                continue
-            if pred(G, quotient, chosen):
-                found.append(Code(G.degree, k,
-                                  [m for i in chosen for m in orbits[i]],
-                                  name=f"search(k={k},orbits={list(chosen)})"))
+    unions = [chosen for r in range(1, max_union + 1)
+              for chosen in combinations(range(len(sizes)), r)
+              if sum(sizes[i] for i in chosen) != total
+              and pred(G, quotient, chosen)]
+    quotient.walk_members(i for chosen in unions for i in chosen)
+    found = [Code(G.degree, k, [m for i in chosen for m in quotient.orbits[i]],
+                  name=f"search(k={k},orbits={list(chosen)})")
+             for chosen in unions]
     found.sort(key=lambda c: (len(c), c.codewords))
     return found

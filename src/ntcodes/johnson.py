@@ -5,14 +5,24 @@ J(v,k) by a group's orbits, part-intersection types, and complementation.
 A vertex of J(v,k) is a k-subset of {0..v-1}, stored as an int bitmask.
 Two vertices are adjacent when they share k-1 points, so the graph distance
 between masks a, b is k - popcount(a & b).
+
+The quotient (OrbitQuotient) keeps each orbit's smallest member and size.
+For a group transitive on the points it finds them through the stabilizer
+of one point: it walks only the k-sets through that point (or, for
+2k > v, those that miss it), fuses the stabilizer's orbits there into the
+group's by a union-find over coset reps, and sizes each orbit by counting
+its flags, |O| = v |O meet X| / k.  The members of an orbit are walked
+only when they are asked for.
 """
 
 from collections import Counter
+from collections.abc import Sequence
 from itertools import combinations
 from math import comb
+from operator import eq
 from types import MappingProxyType
 
-from .perm import ResourceCapError, bits, popcount
+from .perm import PermGroup, ResourceCapError, bits, popcount
 
 DEFAULT_PARTITION_CAP = 10 ** 6
 
@@ -218,27 +228,74 @@ def equitable_matrix(part, v):
     return True, matrix
 
 
+class _OrbitMembers(Sequence):
+    """The orbits of an OrbitQuotient as sorted tuples of masks, ascending
+    by orbit number.  An orbit's members are walked by the quotient's
+    walk_members the first time they are asked for, unless the quotient
+    walked them already.  It compares equal to a list or tuple of the same
+    tuples, as the list of orbits it stands for did."""
+
+    def __init__(self, quotient):
+        self._quotient = quotient
+        self.walked = {}
+
+    def __len__(self):
+        return len(self._quotient.reps)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        if i not in self.walked:
+            self._quotient.walk_members([i])
+        return self.walked[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, tuple, _OrbitMembers)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+
+def _flag_point(mask, inside):
+    """The lowest point of mask when inside, else the lowest point outside
+    it."""
+    low = (mask & -mask) if inside else (~mask & (mask + 1))
+    return low.bit_length() - 1
+
+
 class OrbitQuotient:
     """J(v,k) collapsed onto the orbits of the group G acting on its vertices.
 
-    The orbits are found on demand: orbit_of walks the orbit of a vertex
-    not seen before (at most cap members, see PermGroup.subset_orbit) and
-    gives it the next number.  All the walks together apply each generator
-    to at most size = C(v,k) vertices, which sizes the walk for G's subset
-    tables.  fill() walks with G.subset_walker(size), which may be a
-    generating pair of G: the orbits are G's either way.  orbits[i] is
-    orbit i as a sorted tuple of masks, and index maps every vertex found
-    to its orbit; the walk writes each member's number into index as it
-    finds it, and a walk stopped by the cap leaves index as it was.  An
-    orbit partition is equitable (Godsil-Royle, Algebraic Graph Theory,
-    9.3): every member of orbit i
-    has the same number row(i)[j] of neighbours in orbit j, counted at the
-    smallest member on first use; a row keeps its non-zero entries.  A
-    G-invariant code is a union of orbits, so its distance partition and
-    the equitability of that partition are decided on these rows alone.
-    fill() finds every orbit, numbered in ascending order of smallest
-    member when none was found before; its scan of J(v,k) in that order
-    stops once index holds all C(v,k) vertices.
+    Orbit i has the smallest member reps[i] and sizes[i] members, and
+    orbits[i] lists them on demand (see _OrbitMembers); orbit_of(mask) is
+    the number of mask's orbit.  The orbits are found in one of two ways,
+    with the same numbers, reps and sizes:
+
+    - On demand: orbit_of walks the orbit of a vertex not seen before (at
+      most cap members, see PermGroup.subset_orbit) and gives it the next
+      number; index maps every vertex walked to its orbit, and the walk
+      writes each member's number into index as it finds it, so a walk
+      stopped by the cap leaves index as it was.  All the walks together
+      apply each generator to at most size = C(v,k) vertices, which sizes
+      the walk for G's subset tables.
+    - fill() finds every orbit, numbered in ascending order of smallest
+      member when none was found before.  For a G transitive on the
+      points and 0 < k < v it walks only the set X of the k-sets through
+      one point a under its stabilizer, the first rung of Schmalz's ladder,
+      and sizes each orbit O by counting its flags, |O| = v |O meet X| / k
+      (see _fill_through_a_point); it walks no orbit.  Otherwise, or when an
+      orbit is over cap, it scans J(v,k) in ascending order and walks each
+      orbit on demand with G.subset_walker(size), which may be a
+      generating pair of G, stopping once index holds all C(v,k) vertices.
+      Walked, an orbit over cap raises ResourceCapError and the orbits
+      before it stay found.
+
+    An orbit partition is equitable (Godsil-Royle, Algebraic Graph Theory,
+    9.3): every member of orbit i has the same number row(i)[j] of
+    neighbours in orbit j, counted at reps[i] on first use; a row keeps its
+    non-zero entries.  A G-invariant code is a union of orbits, so its
+    distance partition and the equitability of that partition are decided
+    on these rows alone.
     """
 
     def __init__(self, G, k, cap):
@@ -247,46 +304,159 @@ class OrbitQuotient:
         self.k = k
         self.cap = cap
         self.size = comb(self.v, k)
-        self.orbits = []
+        self.reps = []
+        self.sizes = []
         self.index = {}
+        self.orbits = _OrbitMembers(self)
         self._rows = {}
         self._walker = G
+        # set by a fill through a point, see _fill_through_a_point
+        self._through = None
 
     def orbit_of(self, mask):
+        if self._through is not None:
+            inside, into, xindex, number = self._through
+            j = xindex.get(mask)
+            if j is None:
+                j = xindex[into[_flag_point(mask, inside)](mask)]
+            return number[j]
         i = self.index.get(mask)
         if i is None:
-            i = len(self.orbits)
-            self.orbits.append(
-                self._walker.subset_orbit(mask, self.cap, self.index, i,
-                                          walk=self.size))
+            i = len(self.reps)
+            members = self._walker.subset_orbit(mask, self.cap, self.index,
+                                                i, walk=self.size)
+            self.orbits.walked[i] = members
+            self.reps.append(members[0])
+            self.sizes.append(len(members))
         return i
 
+    def walk_members(self, numbers):
+        """Walk the members of the orbits numbered numbers that orbits has
+        not listed yet, with G.subset_walker sized to all of them."""
+        todo = sorted(set(numbers).difference(self.orbits.walked))
+        walk = sum(self.sizes[i] for i in todo)
+        walker = self.G.subset_walker(walk)
+        for i in todo:
+            self.orbits.walked[i] = walker.subset_orbit(self.reps[i], self.cap,
+                                                        walk=walk)
+
     def fill(self):
-        index, size = self.index, self.size
-        self._walker = self.G.subset_walker(size)
-        for mask in ksubsets_ascending(self.v, self.k):
-            if len(index) == size:
-                break
-            if mask not in index:
-                self.orbit_of(mask)
+        if not self._fill_through_a_point():
+            index, size = self.index, self.size
+            self._walker = self.G.subset_walker(size)
+            for mask in ksubsets_ascending(self.v, self.k):
+                if len(index) == size:
+                    break
+                if mask not in index:
+                    self.orbit_of(mask)
         return self
+
+    def _fill_through_a_point(self):
+        """fill() for a G transitive on the points, through the stabilizer
+        G_a of a = base[0] of G's chain: the first rung of Schmalz's ladder
+        (B. Schmalz, Leiterspiel, Bayreuther Math. Schr. 1990).  False, and
+        the quotient untouched, when G is not transitive, k is 0 or v, an
+        orbit was found before, or an orbit is over cap.
+
+        X is the set of k-sets through a or, when 2k > v, the smaller set
+        of k-sets that miss a; inside tells which.  G_a = <level_gens[1]>,
+        of order |G|/v, walks X with G_a.subset_walker.  Every G-orbit O
+        meets X in a union of G_a-orbits.  The flags (p, S) of O, p in S
+        (not in S when outside), are G-images of the flags (a, S'), S' in
+        O meet X; and (p, S) is the image by u_p of (a, u_p^-1(S)), u_p
+        the coset rep of transversals[0] that maps a to p.  So the
+        union-find that joins each G_a-orbit, with first member r, to the
+        G_a-orbit of u_p^-1(r) for every p in r (not in r) other than a
+        gives the G-orbits.  Counting O's flags by their points and by
+        their sets (Seress, Permutation Group Algorithms, 4.1) gives
+        |O| = v |O meet X| / k, or v |O meet X| / (v - k).
+
+        A mask S lies in the orbit of u_p^-1(S), p = _flag_point(S), a
+        k-set in X; so the scan of J(v,k) in ascending order meets each
+        orbit first at its smallest member, and numbers the orbits as the
+        walk of J(v,k) does, stopping at the last orbit.  _through keeps
+        inside, the actions into = [u_p^-1], the G_a-orbit of each k-set
+        in X, and each G_a-orbit's orbit number, for orbit_of.
+        """
+        G, v, k = self.G, self.v, self.k
+        if self.reps or not 0 < k < v or not G.is_transitive():
+            return False
+        base, level_gens, _ = G.bsgs()
+        a = base[0]
+        inside = 2 * k <= v
+        # the k-sets of X, from the ascending (k-1)-sets, or k-sets, of
+        # the points other than a: the points above a move up by one
+        xsize = comb(v - 1, k - inside)
+        below, with_a = (1 << a) - 1, (1 << a) if inside else 0
+        stab = PermGroup(v, level_gens[1] if len(base) > 1 else [],
+                         order=G.order() // v)
+        walker = stab.subset_walker(xsize)
+        xindex, firsts, counts = {}, [], []
+        for m in ksubsets_ascending(v - 1, k - inside):
+            if len(xindex) == xsize:
+                break
+            x = m & below | (m & ~below) << 1 | with_a
+            if x not in xindex:
+                firsts.append(x)
+                counts.append(len(walker.subset_orbit(
+                    x, xsize, xindex, len(counts), walk=xsize)))
+        # fuse the G_a-orbits into G-orbits
+        into = [u.apply_mask
+                for _, u in sorted(G.coset_inverses()[0].items())]
+        parent = list(range(len(firsts)))
+
+        def find(j):
+            while parent[j] != j:
+                parent[j] = parent[parent[j]]
+                j = parent[j]
+            return j
+
+        full = (1 << v) - 1
+        for j, r in enumerate(firsts):
+            for p in bits(r if inside else full ^ r):
+                if p != a:
+                    ra, rb = find(j), find(xindex[into[p](r)])
+                    parent[max(ra, rb)] = min(ra, rb)
+        root = [find(j) for j in parent]
+        meet = [0] * len(firsts)  # |O meet X|, at the root of each G-orbit O
+        for j, n in enumerate(counts):
+            meet[root[j]] += n
+        # number the G-orbits by the ascending scan
+        number = {}
+        reps, sizes = [], []
+        orbits = len(set(root))
+        for mask in ksubsets_ascending(v, k):
+            j = xindex.get(mask)
+            if j is None:
+                j = xindex[into[_flag_point(mask, inside)](mask)]
+            if root[j] not in number:
+                number[root[j]] = len(reps)
+                reps.append(mask)
+                sizes.append(v * meet[root[j]] // (k if inside else v - k))
+                if len(reps) == orbits:
+                    break
+        if max(sizes) > self.cap:
+            return False
+        self.reps, self.sizes = reps, sizes
+        self._through = (inside, into, xindex, [number[r] for r in root])
+        return True
 
     def in_order(self, numbers):
         """Orbit numbers, ascending by smallest member."""
-        return sorted(numbers, key=lambda i: self.orbits[i][0])
+        return sorted(numbers, key=self.reps.__getitem__)
 
     def orbits_of(self, masks):
         """The numbers of the orbits whose union is the set of distinct
         k-subsets masks, in_order."""
         chosen = self.in_order({self.orbit_of(m) for m in masks})
-        if sum(len(self.orbits[i]) for i in chosen) != len(masks):
+        if sum(self.sizes[i] for i in chosen) != len(masks):
             raise JohnsonError("code is not a union of orbits")
         return chosen
 
     def row(self, i):
         if i not in self._rows:
             self._rows[i] = Counter(map(
-                self.orbit_of, vertex_neighbours(self.orbits[i][0], self.v)))
+                self.orbit_of, vertex_neighbours(self.reps[i], self.v)))
         return self._rows[i]
 
     def distance_partition(self, start):
@@ -329,8 +499,8 @@ class OrbitQuotient:
                     row = counts
                 elif counts != row:
                     j = next(j for j in range(r) if counts[j] != row[j])
-                    return False, (c, j, self.orbits[cell[0]][0],
-                                   self.orbits[i][0], row[j], counts[j])
+                    return False, (c, j, self.reps[cell[0]], self.reps[i],
+                                   row[j], counts[j])
             matrix.append(row)
         return True, matrix
 

@@ -14,7 +14,12 @@ points, subsets or pairs) is grown by schreier_orbit, and _schreier_images
 forms the Schreier generators during that walk: for each level of the
 chain, which strips them through the deeper levels with _strip, the one
 strip routine, and for every stabilizer (of a point, a subset, or anything
-else the generators move), which is PermGroup.stabilizer.
+else the generators move), which is PermGroup.stabilizer.  Each level keeps
+the inverses of its coset reps beside its transversal (coset_inverses), so
+_strip multiplies by them and never inverts; a walk that forms Schreier
+generators inverts each member's coset rep once (_inverse).  The orbit
+quotient reads the first level's inverses to carry a k-set into the k-sets
+through the first base point.
 PermGroup.subset_orbit needs only the members, so it walks with a seen-set
 and keeps no Schreier map; given an orbit quotient's index dict, it walks
 with that dict as its seen-set and writes each member's orbit number into
@@ -23,9 +28,10 @@ The bulk subset routines act on masks through chunk image tables, built on
 first use up to degree TABLE_DEGREE: the domain is cut into
 ceil(degree / CHUNK_BITS) chunks of near-equal width w, and each generator
 has one 2^w-entry table per chunk, so no table has more than 2^CHUNK_BITS
-entries and a mask's image is one lookup per chunk.  A walk that will act
-on fewer masks per generator than those tables have entries, and finds them
-not yet built, acts by Permutation.apply_mask instead (_tables_pay).
+entries and a mask's image is one lookup per chunk.  A walk that will move
+fewer points per generator than those tables have entries, over
+ENTRIES_PER_STEP, and finds them not yet built, acts by
+Permutation.apply_mask instead (_tables_pay).
 """
 
 import re
@@ -39,6 +45,10 @@ DEFAULT_ORBIT_CAP = 10 ** 6
 TABLE_DEGREE = 64
 # A chunk table has at most 2^CHUNK_BITS entries.
 CHUNK_BITS = 11
+# One loop step of Permutation.apply_mask, which moves one point of a mask,
+# costs about as much time as building this many chunk table entries
+# (measured at 2.0-3.9 at degrees 16-64).
+ENTRIES_PER_STEP = 2.5
 # PermGroup.subset_walker: the cost of one try at a generating pair, in
 # subset images per unit of degree^2 * L^3 (measured at 0.1-1.3 on 19
 # groups of degree 9-65), and the number of pairs tried.
@@ -276,12 +286,22 @@ def _transversal(x, schreier, generators, cache):
     return g
 
 
-def _schreier_images(x, i, y, schreier, generators, cache):
+def _inverse(x, schreier, generators, cache, inverses):
+    """u_x^-1, with u and cache as in _transversal; inverses holds the
+    inverses found so far, and gains this one."""
+    inv = inverses.get(x)
+    if inv is None:
+        inv = inverses[x] = _transversal(x, schreier, generators,
+                                         cache).inverse()
+    return inv
+
+
+def _schreier_images(x, i, y, schreier, generators, cache, inverses):
     """The images of the Schreier generator u_x g_i u_y^-1 of an orbit
-    edge x -> y = g_i(x), with u and cache as in _transversal:
-    p -> u_y^-1(g_i(u_x(p)))."""
+    edge x -> y = g_i(x), with u and cache as in _transversal and inverses
+    as in _inverse: p -> u_y^-1(g_i(u_x(p)))."""
     ux = _transversal(x, schreier, generators, cache).images
-    uy_inv = _transversal(y, schreier, generators, cache).inverse().images
+    uy_inv = _inverse(y, schreier, generators, cache, inverses).images
     gi = generators[i].images
     return tuple([uy_inv[gi[a]] for a in ux])
 
@@ -305,15 +325,16 @@ def _random_elements(generators, rng):
             yield acc
 
 
-def _strip(g, base, transversals, start=0):
+def _strip(g, base, inverses, start=0):
     """Residue of g stripped through levels start.. of a chain: at each
-    level, divide by the coset rep of g's image of the base point, and stop
-    at the first image outside that level's transversal."""
-    for b, tr in zip(base[start:], transversals[start:]):
-        im = g.images[b]
-        if im not in tr:
+    level, divide by the coset rep of g's image of the base point, read
+    from inverses[level], that level's inverse coset reps, and stop at the
+    first image outside that level's transversal."""
+    for b, inv in zip(base[start:], inverses[start:]):
+        u = inv.get(g.images[b])
+        if u is None:
             return g
-        g = g * tr[im].inverse()
+        g = g * u
     return g
 
 
@@ -335,6 +356,7 @@ class PermGroup:
         # ends at another order
         self.known_order = order
         self._bsgs = None
+        self._inverses = None
         self._pair = None
         # the chunk tables' layout: chunk width and number of chunks
         self._width = chunk_width(degree)
@@ -386,6 +408,7 @@ class PermGroup:
         base = []          # base points
         level_gens = []    # level_gens[i]: strong generators fixing base[:i]
         transversals = []  # transversals[i]: point -> coset rep (base[i] -> point)
+        inverses = []      # inverses[i]: point -> that coset rep's inverse
         identity = Permutation.identity(self.degree)
         known = self.known_order
         sizes = []         # sizes[i]: basic orbit size, with a known order
@@ -404,6 +427,7 @@ class PermGroup:
                 base.append(moved)
                 level_gens.append([])
                 transversals.append({})
+                inverses.append({})
                 sizes.append(1)
                 j = len(base) - 1
             for l in range(j + 1):
@@ -422,12 +446,18 @@ class PermGroup:
 
         def offer(x, k, y, schreier):
             nonlocal residue
-            s = _schreier_images(x, k, y, schreier, gens, cache)
+            s = _schreier_images(x, k, y, schreier, gens, cache, inv_cache)
             if s == identity.images:
                 return False
-            residue = _strip(Permutation(s, check=False), base, transversals,
+            residue = _strip(Permutation(s, check=False), base, inverses,
                              i + 1)
             return residue != identity
+
+        def close_level(l, members, schreier):
+            transversals[l] = {pt: _transversal(pt, schreier, gens, cache)
+                               for pt in members}
+            inverses[l] = {pt: _inverse(pt, schreier, gens, cache, inv_cache)
+                           for pt in members}
 
         for g in self.generators:
             add_gen(g)
@@ -435,12 +465,12 @@ class PermGroup:
         while i >= 0 and not complete():
             gens = level_gens[i]
             cache = {base[i]: identity}
+            inv_cache = {base[i]: identity}
             residue = identity
             members, schreier, _ = schreier_orbit(
                 base[i], _point_moves(gens), on_revisit=offer)
             if residue == identity:
-                transversals[i] = {pt: _transversal(pt, schreier, gens, cache)
-                                   for pt in members}
+                close_level(i, members, schreier)
                 i -= 1
             else:
                 add_gen(residue)
@@ -449,19 +479,26 @@ class PermGroup:
             # stopped at the known order
             for l, gens in enumerate(level_gens):
                 cache = {base[l]: identity}
-                members, schreier, _ = schreier_orbit(base[l],
-                                                      _point_moves(gens))
-                transversals[l] = {pt: _transversal(pt, schreier, gens, cache)
-                                   for pt in members}
+                inv_cache = {base[l]: identity}
+                close_level(l, *schreier_orbit(base[l],
+                                               _point_moves(gens))[:2])
         elif known is not None and prod(map(len, transversals)) != known:
             raise PermError(f"group order {prod(map(len, transversals))} "
                             f"is not the known order {known}")
         self._bsgs = (base, level_gens, transversals)
+        self._inverses = inverses
 
     def bsgs(self):
         if self._bsgs is None:
             self._build_bsgs()
         return self._bsgs
+
+    def coset_inverses(self):
+        """The inverse coset reps kept beside the chain's transversals:
+        coset_inverses()[i][pt] is bsgs()[2][i][pt]^-1, which maps pt to
+        base[i]."""
+        self.bsgs()
+        return self._inverses
 
     def order(self):
         base, _, transversals = self.bsgs()
@@ -474,8 +511,7 @@ class PermGroup:
         """Residue of g after stripping through the chain (identity iff g in G)."""
         if g.degree != self.degree:
             raise PermError("degree mismatch")
-        base, _, transversals = self.bsgs()
-        return _strip(g, base, transversals)
+        return _strip(g, self.bsgs()[0], self.coset_inverses())
 
     def __contains__(self, g):
         return self.sift(g).is_identity()
@@ -539,10 +575,12 @@ class PermGroup:
         if enough != 0:
             generators = self.generators
             cache = {start: Permutation.identity(self.degree)}
+            inverses = dict(cache)
             seen = {cache[start].images}  # so the identity is never kept
 
             def offer(x, i, y, schreier):
-                s = _schreier_images(x, i, y, schreier, generators, cache)
+                s = _schreier_images(x, i, y, schreier, generators, cache,
+                                     inverses)
                 if s not in seen:
                     seen.add(s)
                     gens.append(Permutation(s, check=False))
@@ -607,23 +645,25 @@ class PermGroup:
                                  for g in self.generators)
         return self._tables
 
-    def _tables_pay(self, walk):
+    def _tables_pay(self, steps):
         """Whether a walk acts on masks through the chunk tables: up to
-        degree TABLE_DEGREE, when they are built already, or when walk, the
-        number of masks each generator is to act on, is unknown (None) or
-        at least nchunks * 2^w, the most entries one generator's tables
-        hold.  A shorter walk costs less by Permutation.apply_mask than the
-        tables cost to build, in time and in memory."""
+        degree TABLE_DEGREE, when they are built already, or when steps,
+        the number of points each generator is to move (masks times their
+        size), is unknown (None) or at least nchunks * 2^w / ENTRIES_PER_STEP,
+        nchunks * 2^w being the most entries one generator's tables hold.
+        A shorter walk costs less by Permutation.apply_mask, one step per
+        point, than the tables cost to build, in time and in memory."""
         return self.degree <= TABLE_DEGREE and (
-            self._tables is not None or walk is None
-            or walk >= self._nchunks << self._width)
+            self._tables is not None or steps is None
+            or steps * ENTRIES_PER_STEP >= self._nchunks << self._width)
 
-    def mask_moves(self, walk=None):
-        """Each generator's action on bitmask subsets, for a walk as in
-        _tables_pay: the action of its chunk tables, built on first use,
-        when they pay, and Permutation.apply_mask otherwise."""
+    def mask_moves(self, steps=None):
+        """Each generator's action on bitmask subsets, for a walk of steps
+        point moves as in _tables_pay: the action of its chunk tables,
+        built on first use, when they pay, and Permutation.apply_mask
+        otherwise."""
         if self._mask_moves is None:
-            if not self._tables_pay(walk):
+            if not self._tables_pay(steps):
                 return tuple(g.apply_mask for g in self.generators)
             self._mask_moves = tuple(
                 _table_action(t[:self._nchunks], self._width)
@@ -640,21 +680,23 @@ class PermGroup:
         index, a dict that does not hold mask, is given, it is the seen-set:
         each member is written into it with the value number as it is
         found.  walk is the number of masks each generator is to act on
-        while these tables are in use, as in _tables_pay: the orbit's size,
-        or the number of k-subsets for a walk over all of them.  Up to
-        degree 3 * CHUNK_BITS, when the chunk tables pay, each member is
-        cut into its three chunks once and every image is three lookups in
-        the generators' chunk tables; otherwise the images come from
-        mask_moves(walk).  More than cap members raise ResourceCapError,
-        after the members written into index are deleted from it again.
+        while these tables are in use: the orbit's size, or the number of
+        k-subsets for a walk over all of them; walk times the size of mask
+        is the walk's steps in _tables_pay.  Up to degree 3 * CHUNK_BITS,
+        when the chunk tables pay, each member is cut into its three chunks
+        once and every image is three lookups in the generators' chunk
+        tables; otherwise the images come from mask_moves.  More than cap
+        members raise ResourceCapError, after the members written into
+        index are deleted from it again.
         """
         if mask >> self.degree:
             raise PermError("subset not contained in the domain")
         members = [mask]
         seen = {} if index is None else index
         seen[mask] = number
+        steps = None if walk is None else walk * popcount(mask)
         try:
-            if self.degree <= 3 * CHUNK_BITS and self._tables_pay(walk):
+            if self.degree <= 3 * CHUNK_BITS and self._tables_pay(steps):
                 width = self._width
                 low, width2 = (1 << width) - 1, 2 * width
                 tables = self._chunk_tables()
@@ -669,7 +711,7 @@ class PermGroup:
                                 raise ResourceCapError(
                                     f"orbit exceeds cap {cap}")
             else:
-                moves = self.mask_moves(walk)
+                moves = self.mask_moves(steps)
                 for x in members:
                     for move in moves:
                         y = move(x)
@@ -691,15 +733,16 @@ class PermGroup:
                            orbit_size=None, walk=None):
         """Stabilizer of a subset (as bitmask); see stabilizer for cap and
         orbit_size, the exact size of the subset's orbit when known.  The
-        orbit is walked by mask_moves(walk), walk defaulting to orbit_size,
-        so a short one builds no tables; a caller that knows the orbit is
-        short passes walk alone, since orbit_size makes the walk compute
-        |G| to stop early."""
+        orbit is walked by mask_moves for walk masks of the subset's size,
+        walk defaulting to orbit_size, so a short one builds no tables; a
+        caller that knows the orbit is short passes walk alone, since
+        orbit_size makes the walk compute |G| to stop early."""
         if mask >> self.degree:
             raise PermError("subset not contained in the domain")
         if walk is None:
             walk = orbit_size
-        return self.stabilizer(mask, self.mask_moves(walk),
+        steps = None if walk is None else walk * popcount(mask)
+        return self.stabilizer(mask, self.mask_moves(steps),
                                orbit_size=orbit_size, cap=cap)
 
     # ---- transitivity and primitivity --------------------------------------
@@ -713,11 +756,12 @@ class PermGroup:
         its orbit): the first image that escapes masks, or else the
         smallest mask the orbit misses.
 
-        The walk applies each generator to at most len(masks) members."""
+        The walk applies each generator to at most len(masks) members, of
+        the size of the smallest."""
         masks = set(masks)
         start = min(masks)
         members, _, escape = schreier_orbit(
-            start, self.mask_moves(len(masks)), masks)
+            start, self.mask_moves(len(masks) * popcount(start)), masks)
         if escape is not None:
             return start, escape
         if len(members) < len(masks):

@@ -827,10 +827,13 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     spans = {span[0] for span in json.loads(trace.read_text())["spans"]}
     assert {"perm.setwise_stabilizer", "codes.check_properties"} <= spans
 
-    # subset orbits are walked once, by subset_orbits: the codeword
-    # stabilizers form their generators during a walk that stops early,
-    # and only for an orbit whose stabilizer order k(v-k) divides; at k=4
-    # one orbit passes that count, at k=3 none does
+    # AGammaL(1,16) is transitive, so subset_orbits walks only the k-sets
+    # through one point, C(15, k-1) of them, under that point's
+    # stabilizer, and then the members of the orbits found (the 20
+    # subfield lines at k=4): the codeword stabilizers form their
+    # generators during a walk that stops early, and only for an orbit
+    # whose stabilizer order k(v-k) divides; at k=4 one orbit passes that
+    # count, at k=3 none does
     def search(k):
         proc = subprocess.run(
             [sys.executable, os.path.join(ROOT, "perfbench", "traced_cli.py"),
@@ -844,11 +847,11 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
 
     spans, counters = search(4)
     assert "perm.setwise_stabilizer" in spans
-    assert counters["perm.subset_orbit_members"] == comb(16, 4)
+    assert counters["perm.subset_orbit_members"] == comb(15, 3) + len(code)
     assert counters["perm.stabilizer_gens"] == 12
     spans, counters = search(3)
     assert "perm.setwise_stabilizer" not in spans
-    assert counters["perm.subset_orbit_members"] == comb(16, 3)
+    assert counters["perm.subset_orbit_members"] == comb(15, 2)
 
     # the union counter wraps the PREDICATES entries, so it reads one per
     # union the search tests; the orbit quotient looks at the neighbours

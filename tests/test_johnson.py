@@ -253,6 +253,17 @@ def test_ksubsets_ascending_lists_all_ksubsets(v, k):
     assert list(johnson.ksubsets_ascending(v, k)) == all_ksubsets(v, k)
 
 
+def _assert_orbits(quotient, expected):
+    """quotient holds the orbits expected, sorted tuples ascending by
+    smallest member: numbers, reps, sizes, orbit_of of every vertex, and
+    the members it lists."""
+    assert quotient.reps == [o[0] for o in expected]
+    assert quotient.sizes == [len(o) for o in expected]
+    assert all(quotient.orbit_of(m) == i
+               for i, o in enumerate(expected) for m in o)
+    assert list(quotient.orbits) == expected
+
+
 @pytest.mark.parametrize("spec,k,paired", [
     ("pgammau:3", 4, True),    # C(28,4) * 4 images saved: the pair walks
     ("pgammau:3", 3, False),   # C(28,3) * 4: G walks itself
@@ -261,16 +272,25 @@ def test_ksubsets_ascending_lists_all_ksubsets(v, k):
     ("wreath:3,4", 6, False),
 ])
 def test_fill_by_the_pair_matches_union_find(spec, k, paired):
-    # orbits, their numbers and the index are G's on either side of the
-    # size rule, against a union-find on G's own generators
+    # orbits, their numbers and orbit_of are G's on either side of the
+    # size rule, against a union-find on G's own generators.  These groups
+    # are transitive, so fill() walks J(v,k) only once an orbit was found
+    # before it, and then its index holds every vertex; a fresh quotient
+    # is filled through a point and walks no orbit
     from ntcodes.cli import parse_group_spec
     G = parse_group_spec(spec)
-    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
-    assert (quotient._walker is not G) == paired
     expected = _union_find_orbits(G, k)
-    assert quotient.orbits == expected
-    assert quotient.index == {m: i for i, o in enumerate(expected)
-                              for m in o}
+    walked = johnson.OrbitQuotient(G, k, 10 ** 6)
+    walked.orbit_of(expected[0][0])
+    walked.fill()
+    assert (walked._walker is not G) == paired
+    assert walked.index == {m: i for i, o in enumerate(expected)
+                            for m in o}
+    _assert_orbits(walked, expected)
+    through = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+    assert through._through is not None
+    assert through.index == {} and through.orbits.walked == {}
+    _assert_orbits(through, expected)
 
 
 @pytest.mark.parametrize("v,points,k", [(8, "6,7", 3), (9, "8", 4),
@@ -282,6 +302,74 @@ def test_fill_scans_to_the_last_orbit(v, points, k):
     for G in (parse_group_spec(f"stab:{v}:{points}"), PermGroup.trivial(v)):
         quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
         assert quotient.orbits == _union_find_orbits(G, k)
+
+
+@pytest.mark.parametrize("spec,k", [
+    ("pgammau:3", 1), ("pgammau:3", 2), ("pgammau:3", 4), ("pgammau:3", 26),
+    ("pgammau:3", 27),
+    ("pgammal:3,4", 1), ("pgammal:3,4", 3), ("pgammal:3,4", 18),
+    ("pgammal:3,4", 20),
+    ("agammal:1,16", 1), ("agammal:1,16", 7), ("agammal:1,16", 8),
+    ("agammal:1,16", 9), ("agammal:1,16", 15),
+    ("wreath:3,4", 0), ("wreath:3,4", 1), ("wreath:3,4", 5),
+    ("wreath:3,4", 6), ("wreath:3,4", 7), ("wreath:3,4", 11),
+    ("wreath:3,4", 12),
+    ("stab:9:0,1,2", 1), ("stab:9:0,1,2", 4), ("stab:9:0,1,2", 5),
+    ("stab:9:0,1,2", 8),
+    ("stab:7:0,1,2,3,4,5,6", 3), ("stab:7:0,1,2,3,4,5,6", 4),
+])
+def test_fill_through_a_point_matches_union_find(spec, k):
+    # k = 1, k = v - 1 and both sides of 2k = v, for transitive groups,
+    # which fill through a point, and for stab:9:0,1,2, which is not
+    # transitive and walks J(v,k); k = 0 and k = v walk J(v,k) too
+    from ntcodes.cli import parse_group_spec
+    G = parse_group_spec(spec)
+    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+    assert (quotient._through is not None) == (
+        0 < k < G.degree and G.is_transitive())
+    _assert_orbits(quotient, _union_find_orbits(G, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fill_through_a_point_on_random_groups(data):
+    # random groups, mostly transitive, of degree 2..9, against the
+    # union-find on their own generators
+    n = data.draw(st.integers(2, 9), label="degree")
+    perms = data.draw(st.lists(st.permutations(range(n)), min_size=1,
+                               max_size=3), label="generators")
+    G = PermGroup(n, [Permutation(p) for p in perms])
+    k = data.draw(st.integers(0, n), label="k")
+    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+    _assert_orbits(quotient, _union_find_orbits(G, k))
+
+
+@pytest.mark.parametrize("spec,k,seed", [
+    ("pgammau:3", 3, 1), ("agammal:1,16", 6, 2), ("agammal:1,16", 11, 3),
+    ("wreath:3,4", 5, 4), ("pgammal:3,4", 2, 5),
+])
+def test_fill_is_invariant_under_relabelling(spec, k, seed):
+    # relabelling the points by sigma conjugates G and moves its base
+    # point: the multiset of orbit sizes stays, and sigma maps each rep
+    # into an orbit of the same size of the relabelled group
+    from ntcodes.cli import parse_group_spec
+    G = parse_group_spec(spec)
+    v = G.degree
+    sigma = list(range(v))
+    random.Random(seed).shuffle(sigma)
+    inverse = [0] * v
+    for x, y in enumerate(sigma):
+        inverse[y] = x
+    H = PermGroup(v, [Permutation([sigma[g.images[inverse[y]]]
+                                   for y in range(v)])
+                      for g in G.generators])
+    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+    relabelled = johnson.OrbitQuotient(H, k, 10 ** 6).fill()
+    assert relabelled._through is not None
+    assert sorted(relabelled.sizes) == sorted(quotient.sizes)
+    for rep, size in zip(quotient.reps, quotient.sizes):
+        image = mask_of(sigma[x] for x in bits(rep))
+        assert relabelled.sizes[relabelled.orbit_of(image)] == size
 
 
 # ---- networkx oracle ---------------------------------------------------------

@@ -421,10 +421,10 @@ def test_subset_orbit_is_the_sorted_schreier_orbit(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_short_walks_build_no_tables(data):
-    # a walk of fewer masks per generator than one generator's chunk tables
-    # have entries acts by apply_mask and builds no tables, with the same
-    # orbit and witness as a walk through the tables; tables once built
-    # serve every later walk
+    # a walk that moves fewer points per generator than one generator's
+    # chunk tables have entries, over ENTRIES_PER_STEP, acts by apply_mask
+    # and builds no tables, with the same orbit and witness as a walk
+    # through the tables; tables once built serve every later walk
     n = data.draw(st.sampled_from([1, 5, 11, 12, 21, 28, 33, 34, 64, 65]),
                   label="degree")
     gens = [_random_generator(data, n)
@@ -434,28 +434,51 @@ def test_short_walks_build_no_tables(data):
     mask = mask_of(points)
     width = perm.chunk_width(n)
     entries = -(-n // width) << width
+    # the fewest steps, and the fewest masks of len(points) points, that
+    # pay for the tables; a walk of the empty set moves no point
+    steps = math.ceil(entries / perm.ENTRIES_PER_STEP)
+    walk = math.ceil(steps / len(points)) if points else entries
     tabled = n <= perm.TABLE_DEGREE
     G = PermGroup(n, gens)
     orbit = G.subset_orbit(mask)
     assert (G._tables is not None) == tabled
     short = PermGroup(n, gens)
-    assert short.subset_orbit(mask, walk=entries - 1) == orbit
-    assert short.mask_moves(entries - 1) == tuple(g.apply_mask for g in gens)
+    assert short.subset_orbit(mask, walk=walk - 1) == orbit
+    assert short.mask_moves(steps - 1) == tuple(g.apply_mask for g in gens)
     other = mask_of(range(len(points))) if points else 0
     masks = set(orbit) | {other}
-    assert short.transitive_witness(masks) == G.transitive_witness(masks)
     assert short._tables is None
+    # the witness walk moves at most len(masks) masks of the smallest's size
+    assert short.transitive_witness(masks) == G.transitive_witness(masks)
+    assert (short._tables is not None) == (
+        tabled and len(masks) * min(masks).bit_count() >= steps)
     long = PermGroup(n, gens)
-    assert long.subset_orbit(mask, walk=entries) == orbit
-    assert (long._tables is not None) == tabled
-    assert (long.mask_moves(0) != tuple(g.apply_mask for g in gens)) == tabled
+    assert long.subset_orbit(mask, walk=walk) == orbit
+    assert (long._tables is not None) == (tabled and bool(points))
+    assert (long.mask_moves(0) != tuple(g.apply_mask for g in gens)) \
+        == (tabled and bool(points))
+
+
+def test_table_rule_counts_points():
+    # degree 28 has three chunks of 10 points, 3,072 table entries per
+    # generator, which pay from 3,072 / ENTRIES_PER_STEP = 1,228.8 points
+    # moved on: 307 4-sets move 1,228 points and walk by apply_mask, 308
+    # move 1,232 and build the tables, with the same orbit
+    assert perm.ENTRIES_PER_STEP == 2.5
+    mask = mask_of(range(4))
+    short, long = PermGroup.symmetric(28), PermGroup.symmetric(28)
+    assert short.subset_orbit(mask, walk=307) \
+        == long.subset_orbit(mask, walk=308)
+    assert short._tables is None and long._tables is not None
 
 
 def test_setwise_stabilizer_sizes_its_walk():
-    # the 28 pairs of S8 are fewer than its 256-entry tables, the 70
-    # 4-sets too; the stabilizer is the one a table walk finds, and a walk
-    # sized by walk alone does not compute |G|
-    for points, size in (([0, 1], 28), ([0, 1, 2, 3], 70)):
+    # the 28 pairs of S8 move 56 points, worth 140 of its 256-entry
+    # tables, and walk by apply_mask; the 70 4-sets move 280 points, worth
+    # 700 entries, and build the tables.  The stabilizer is the one a table
+    # walk finds, and a walk sized by walk alone does not compute |G|
+    for points, size, pays in (([0, 1], 28, False),
+                               ([0, 1, 2, 3], 70, True)):
         mask = mask_of(points)
         tabled = PermGroup.symmetric(8)
         stab = tabled.setwise_stabilizer(mask)
@@ -463,11 +486,12 @@ def test_setwise_stabilizer_sizes_its_walk():
         short = PermGroup.symmetric(8)
         assert short.setwise_stabilizer(mask, orbit_size=size).generators \
             == stab.generators
-        assert short._tables is None
+        assert (short._tables is not None) == pays
         walked = PermGroup.symmetric(8)
         assert walked.setwise_stabilizer(mask, walk=size).generators \
             == stab.generators
-        assert walked._tables is None and walked._bsgs is None
+        assert (walked._tables is not None) == pays
+        assert walked._bsgs is None
 
 
 # ---- transitivity tests ---------------------------------------------------------

@@ -15,6 +15,10 @@ code, standard output, standard error and ``-o`` file bytes.  The calls:
   standard output and with ``-o``;
 - the same searches with each group written as a ``gens:@file``, a group
   of no known order;
+- searches on the routes of the orbit quotient's fill that the benchmark
+  does not take: a group that is not transitive on the points, k = 1 and
+  k = v - 1 for it and for a transitive group, and two larger quotients,
+  J(65,4) under PGU(3,4) and J(65,3) under PGammaU(3,4);
 - calls that stop at ``--cap-orbit`` and exit 3.
 
 The generator and code files are written once, by OLD, and both sides read
@@ -52,6 +56,18 @@ for pair in sys.argv[2:]:
 """
 
 OUTPUT = "out.json"
+
+# (group spec, k, predicate, max union) of the searches beyond the
+# benchmark's
+EXTRA_SEARCHES = [
+    ("stab:9:0,1,2", 3, "completely_regular", 2),
+    ("stab:9:0,1,2", 1, "completely_regular", 1),
+    ("stab:9:0,1,2", 8, "neighbour_transitive", 1),
+    ("wreath:3,4", 1, "completely_regular", 1),
+    ("wreath:3,4", 11, "neighbour_transitive", 1),
+    ("pgu:4", 4, "neighbour_transitive", 1),
+    ("pgammau:4", 3, "strongly_incidence_transitive", 1),
+]
 
 
 def src_dir(path):
@@ -115,6 +131,10 @@ def calls(files):
                      argv + ["--group", spec, "-o", OUTPUT]),
                     (f"search gens {call['key']}",
                      argv + ["--group", gens(spec)])]
+    out += [(f"search {spec} k={k} {pred} max-union={union}",
+             ["search", "--group", spec, "--k", str(k), "--predicate", pred,
+              "--max-union", str(union)])
+            for spec, k, pred, union in EXTRA_SEARCHES]
     capped = ["--k", "4", "--predicate", "completely_regular",
               "--cap-orbit", "100"]
     out += [("cap search pgammau:3",
