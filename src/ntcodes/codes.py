@@ -176,8 +176,8 @@ def build_hyperoval_ag24():
     space, hmask, ext, _ = geometry.hyperoval_setting()
     big = geometry.group_generators("pgammal", n=3, q=4)
     # PGammaL(3,4) is transitive on the lines of PG(2,4), as many as its
-    # points, so the walk is that short
-    line_stab = big.setwise_stabilizer(ext, walk=len(space))
+    # points, so the walk stops once the stabilizer has |G| / 21 elements
+    line_stab = big.setwise_stabilizer(ext, orbit_size=len(space))
     full = (1 << len(space)) - 1
     G = geometry.restrict_group(line_stab, full ^ ext)
     pts = [i for i in range(len(space)) if not (ext >> i) & 1]
@@ -436,8 +436,8 @@ class _Facts:
     @cached_property
     def stabilizer(self):
         """G_gamma.  The size of gamma's orbit is known, so the stabilizer's
-        orbit walk stops as soon as it holds every generator (see
-        PermGroup.stabilizer)."""
+        orbit walk stops as soon as its kept generators generate all of
+        G_gamma (see PermGroup.stabilizer)."""
         q = self.quotient
         return self.G.setwise_stabilizer(
             self.gamma, cap=q.cap, orbit_size=q.sizes[self.chosen[0]])
@@ -505,14 +505,6 @@ def _strong_pairs(f):
     outside = [x for x in range(q.v) if not (gamma >> x) & 1]
     ok = f.stabilizer.is_transitive_on_product(inside, outside)
     return ok, None if ok else _PAIRS_SPLIT
-
-
-def _strongly_incidence_transitive(code, G, cap=DEFAULT_ORBIT_CAP):
-    """The pair test of _strong_pairs alone, on the orbit of the code's
-    first codeword, without the flag's check that the code is one orbit."""
-    quotient = johnson.OrbitQuotient(G, code.k, cap)
-    return _strong_pairs(
-        _Facts(G, quotient, [quotient.orbit_of(code.codewords[0])]))
 
 
 def _strongly(f):
@@ -644,17 +636,6 @@ def check_properties(code, G, cap_orbit=DEFAULT_ORBIT_CAP,
                           min_distance(code), facts.gamma1_size, group_facts,
                           intersection_numbers=intersection_numbers,
                           notes=notes)
-
-
-def delta_block(u, code):
-    """Intersection of all codewords containing the point u."""
-    words = [w for w in code.codewords if (w >> u) & 1]
-    if not words:
-        raise ValueError(f"point {u} lies in no codeword")
-    out = words[0]
-    for w in words[1:]:
-        out &= w
-    return out
 
 
 def check_theorem_consistency(code, G=None, report=None):

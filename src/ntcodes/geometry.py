@@ -395,21 +395,18 @@ def hyperoval_setting():
 
 
 def restrict_group(G, mask):
-    """Induced group on the points of an invariant subset, relabeled 0..m-1.
+    """Induced group on the points of an invariant subset, relabeled 0..m-1,
+    generated by the restrictions of G's generators.
 
     Point i of the new domain is the i-th smallest member of the subset.
-    A restricted generator is kept only if it sifts to a non-identity
-    element of the group generated by those kept before it (Seress,
-    Permutation Group Algorithms, 4), so the stabilizers' unreduced
-    Schreier generators shrink to a small generating set of the same group.
+    A stabilizer from PermGroup.stabilizer has only generators that grow
+    its group, so the restriction of one carries as few.
     """
     pts = [i for i in range(G.degree) if (mask >> i) & 1]
     relabel = {p: i for i, p in enumerate(pts)}
-    H = PermGroup(len(pts), [])
+    gens = []
     for g in G.generators:
         if g.apply_mask(mask) != mask:
             raise GeometryError("generator does not preserve the subset")
-        h = Permutation([relabel[g.images[p]] for p in pts])
-        if h not in H:
-            H = PermGroup(len(pts), H.generators + (h,))
-    return H
+        gens.append(Permutation([relabel[g.images[p]] for p in pts]))
+    return PermGroup(len(pts), gens)

@@ -49,16 +49,6 @@ def ksubsets_ascending(v, k):
         yield from map((1 << t).__or__, all_ksubsets(t, k - 1))
 
 
-def jdistance(a, b, k=None):
-    """Graph distance in J(v,k) between two k-subset masks."""
-    ka = popcount(a)
-    if popcount(b) != ka:
-        raise JohnsonError("subsets have different cardinalities")
-    if k is not None and k != ka:
-        raise JohnsonError(f"subsets are not {k}-subsets")
-    return ka - popcount(a & b)
-
-
 def vertex_neighbours(mask, v):
     """All k-subsets at distance 1 from mask: swap one point in for one out."""
     out = []

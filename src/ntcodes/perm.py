@@ -14,10 +14,13 @@ points, subsets or pairs) is grown by schreier_orbit, and _schreier_images
 forms the Schreier generators during that walk: for each level of the
 chain, which strips them through the deeper levels with _strip, the one
 strip routine, and for every stabilizer (of a point, a subset, or anything
-else the generators move), which is PermGroup.stabilizer.  Each level keeps
-the inverses of its coset reps beside its transversal (coset_inverses), so
-_strip multiplies by them and never inverts; a walk that forms Schreier
-generators inverts each member's coset rep once (_inverse).  The orbit
+else the generators move), which is PermGroup.stabilizer.  A stabilizer
+keeps a Schreier generator only when it does not sift to the identity in
+the group of the generators kept before it; that one rule decides how many
+generators a derived group carries.  Each level keeps the inverses of its
+coset reps beside its transversal (coset_inverses), so _strip multiplies
+by them and never inverts; a walk that forms Schreier generators inverts
+each member's coset rep once (_inverse).  The orbit
 quotient reads the first level's inverses to carry a k-set into the k-sets
 through the first base point.
 PermGroup.subset_orbit needs only the members, so it walks with a seen-set
@@ -555,39 +558,42 @@ class PermGroup:
 
         The orbit is walked once by schreier_orbit, and each edge
         x -> y = moves[i](x) that is not a tree edge offers the Schreier
-        generator u_x g_i u_y^-1, with u as in _transversal; it is kept
-        when it is new and not the identity (Seress, Permutation Group
-        Algorithms, 4.1).  Every Schreier generator lies in the stabilizer,
-        which has |G| / orbit_size elements.  So when orbit_size, the exact
-        size of start's orbit, is given, the walk stops once it holds
-        |G| / orbit_size - 1 generators: that is every non-identity element,
-        and the tuple is the one the whole walk returns; the stabilizer then
-        has |G| / orbit_size as its known order.  More than cap
-        members raise ResourceCapError, at once when orbit_size is over cap.
+        generator u_x g_i u_y^-1, with u as in _transversal; these generate
+        the stabilizer (Seress, Permutation Group Algorithms, 4.1).  One is
+        kept only when it does not sift to the identity in the group that
+        the generators kept before it generate, so each kept generator
+        grows that group, and its chain is rebuilt for the next sift.  The
+        stabilizer has |G| / orbit_size elements, so when orbit_size, the
+        exact size of start's orbit, is given, the walk stops once the kept
+        generators' group has that order: no later Schreier generator would
+        be kept, and the tuple is the one the whole walk returns; the
+        stabilizer then has |G| / orbit_size as its known order.  More than
+        cap members raise ResourceCapError, at once when orbit_size is over
+        cap.
         """
-        gens = []
-        enough = order = None
+        order = None
         if orbit_size is not None:
             if cap is not None and orbit_size > cap:
                 raise ResourceCapError(f"orbit exceeds cap {cap}")
             order = self.order() // orbit_size
-            enough = order - 1
-        if enough != 0:
+        kept = PermGroup(self.degree, [])
+        if order != 1:
             generators = self.generators
             cache = {start: Permutation.identity(self.degree)}
             inverses = dict(cache)
-            seen = {cache[start].images}  # so the identity is never kept
 
             def offer(x, i, y, schreier):
-                s = _schreier_images(x, i, y, schreier, generators, cache,
-                                     inverses)
-                if s not in seen:
-                    seen.add(s)
-                    gens.append(Permutation(s, check=False))
-                return len(gens) == enough
+                nonlocal kept
+                s = Permutation(_schreier_images(x, i, y, schreier,
+                                                 generators, cache, inverses),
+                                check=False)
+                if s in kept:
+                    return False
+                kept = PermGroup(self.degree, kept.generators + (s,))
+                return kept.order() == order
 
             schreier_orbit(start, moves, cap=cap, on_revisit=offer)
-        return PermGroup(self.degree, gens, order=order)
+        return PermGroup(self.degree, kept.generators, order=order)
 
     def point_stabilizer(self, x):
         """Stabilizer of the point x."""
@@ -731,12 +737,12 @@ class PermGroup:
 
     def setwise_stabilizer(self, mask, cap=DEFAULT_ORBIT_CAP,
                            orbit_size=None, walk=None):
-        """Stabilizer of a subset (as bitmask); see stabilizer for cap and
-        orbit_size, the exact size of the subset's orbit when known.  The
-        orbit is walked by mask_moves for walk masks of the subset's size,
-        walk defaulting to orbit_size, so a short one builds no tables; a
-        caller that knows the orbit is short passes walk alone, since
-        orbit_size makes the walk compute |G| to stop early."""
+        """Stabilizer of a subset (as bitmask), with only the Schreier
+        generators that grow it; see stabilizer for cap and orbit_size, the
+        exact size of the subset's orbit when known, with which the walk
+        computes |G| to stop early.  The orbit is walked by mask_moves for
+        walk masks of the subset's size, walk defaulting to orbit_size, so
+        a short one builds no tables."""
         if mask >> self.degree:
             raise PermError("subset not contained in the domain")
         if walk is None:
@@ -829,28 +835,16 @@ class PermGroup:
                 return "imprimitive", block
         return "primitive", None
 
-    def is_primitive(self):
-        return self.primitivity()[0] == "primitive"
-
     def is_2transitive(self):
+        """G transitive, and the stabilizer of the first base point, which
+        the chain's second level holds, transitive on the other points."""
         if not self.is_transitive():
             return False
-        stab = self.point_stabilizer(0)
-        if self.degree == 1:
+        if self.degree <= 2:
             return True
-        return len(stab.orbit(1)) == self.degree - 1
-
-    def block_system(self, block):
-        """The G-translates of a block; raises if they do not partition the domain."""
-        translates = self.subset_orbit(mask_of(block))
-        seenpts = 0
-        for m in translates:
-            if m & seenpts:
-                raise PermError("witness block system is not G-invariant")
-            seenpts |= m
-        if seenpts != (1 << self.degree) - 1:
-            raise PermError("block translates do not cover the domain")
-        return [set(bits(m)) for m in translates]
+        transversals = self.bsgs()[2]
+        return (len(transversals) > 1
+                and len(transversals[1]) == self.degree - 1)
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"

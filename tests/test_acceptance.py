@@ -16,10 +16,10 @@ from ntcodes.codes import (CATALOG, blowup_code, build, check_properties,
                            check_theorem_consistency, classify_search,
                            utype_gamma1_target, utype_target)
 from ntcodes.geometry import group_generators, partition_blocks, wreath_stabilizer
-from ntcodes.johnson import (Code, all_ksubsets, complement_code, jdistance,
+from ntcodes.johnson import (Code, all_ksubsets, complement_code,
                              min_distance, neighbour_set, u_type,
                              vertex_neighbours)
-from ntcodes.perm import PermGroup, mask_of
+from ntcodes.perm import DEFAULT_ORBIT_CAP, PermGroup, mask_of
 
 
 def verdict(capsys, n, ok):
@@ -116,10 +116,18 @@ def test_criterion_6_unitary_bases(capsys):
     code, G = build("unitary_bases")
     ok = (code.v, code.k, len(code)) == (28, 12, 63)
     ok &= min_distance(code) == 6
-    ok &= codes._strongly_incidence_transitive(code, G)[0]
+    ok &= _first_orbit_pairs(code, G)[0]
     psu = group_generators("pgu", q=3)
-    ok &= not codes._strongly_incidence_transitive(code, psu)[0]
+    ok &= not _first_orbit_pairs(code, psu)[0]
     verdict(capsys, 6, ok)
+
+
+def _first_orbit_pairs(code, G):
+    """The strong incidence pair test on the orbit of the code's first
+    codeword."""
+    quotient = johnson.OrbitQuotient(G, code.k, DEFAULT_ORBIT_CAP)
+    return codes._strong_pairs(
+        codes._Facts(G, quotient, [quotient.orbit_of(code.codewords[0])]))
 
 
 def test_criterion_7_consistency_suite(capsys):
@@ -191,7 +199,7 @@ def test_criterion_9_engine_oracles(capsys):
                 if nb not in dist:
                     dist[nb] = dist[m] + 1
                     queue.append(nb)
-        ok &= all(jdistance(start, b) == dist[b] for b in verts)
+        ok &= all(3 - (start & b).bit_count() == dist[b] for b in verts)
     verdict(capsys, 9, ok)
 
 

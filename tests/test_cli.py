@@ -833,7 +833,9 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     # subfield lines at k=4): the codeword stabilizers form their
     # generators during a walk that stops early, and only for an orbit
     # whose stabilizer order k(v-k) divides; at k=4 one orbit passes that
-    # count, at k=3 none does
+    # count, at k=3 none does.  That stabilizer, of order 960 / 20 = 48,
+    # keeps only the Schreier generators that grow its group: 3 of them,
+    # where keeping every distinct one gave 12
     def search(k):
         proc = subprocess.run(
             [sys.executable, os.path.join(ROOT, "perfbench", "traced_cli.py"),
@@ -848,7 +850,7 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     spans, counters = search(4)
     assert "perm.setwise_stabilizer" in spans
     assert counters["perm.subset_orbit_members"] == comb(15, 3) + len(code)
-    assert counters["perm.stabilizer_gens"] == 12
+    assert counters["perm.stabilizer_gens"] == 3
     spans, counters = search(3)
     assert "perm.setwise_stabilizer" not in spans
     assert counters["perm.subset_orbit_members"] == comb(15, 2)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ntcodes import codes, geometry, johnson, perm
 from ntcodes.codes import (CATALOG, ConstructionError, PREDICATES, blowup_code,
                            build, check_properties, check_theorem_consistency,
-                           classify_search, delta_block, subset_orbits,
+                           classify_search, subset_orbits,
                            utype_gamma1_target, utype_target)
 from ntcodes.johnson import (Code, all_ksubsets, min_distance, neighbour_set,
                              u_type, vertex_neighbours)
@@ -203,11 +203,36 @@ def test_hyperoval_profile():
 
 
 def test_hyperoval_group_is_reduced():
-    # restrict_group drops the redundant Schreier generators of the line
-    # stabilizer (126 before reduction)
+    # the line stabilizer keeps only the Schreier generators that grow its
+    # group (126 distinct ones before that rule), and restrict_group keeps
+    # each of them
     _, G = build("hyperoval_ag24")
     assert len(G.generators) <= 8
     assert G.order() == 5760
+    _, _, ext, _ = geometry.hyperoval_setting()
+    line_stab = geometry.group_generators("pgammal", n=3,
+                                          q=4).setwise_stabilizer(ext)
+    assert len(line_stab.generators) <= 8
+    assert line_stab.order() == 5760
+
+
+@pytest.mark.parametrize("family,params", [
+    ("unital", {"q": 3}), ("unitary_bases", {}),
+    ("affine_subspace", {"n": 3, "q": 3, "s": 1})])
+def test_codeword_stabilizer_against_sympy(family, params):
+    # each of these G_gamma once came with 48-225 distinct Schreier
+    # generators; the kept ones generate a group of sympy's order
+    # |G| / |orbit|, and they fix gamma
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    code, G = build(family, **params)
+    gamma = code.codewords[0]
+    assert len(G.subset_orbit(gamma)) == len(code)
+    S = G.setwise_stabilizer(gamma, orbit_size=len(code))
+    assert len(S.generators) <= 8
+    assert all(g.apply_mask(gamma) == gamma for g in S.generators)
+    sym = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g.images)) for g in S.generators])
+    assert sym.order() == G.order() // len(code)
 
 
 def test_baer_subline_k_and_note():
@@ -247,9 +272,17 @@ def test_unitary_bases_profile():
     assert (code.v, code.k, len(code)) == (28, 12, 63)
     assert G.order() == 12096
     assert min_distance(code) == 6
-    assert codes._strongly_incidence_transitive(code, G)[0]
+    assert _first_orbit_pairs(code, G)[0]
     psu = geometry.group_generators("pgu", q=3)
-    assert not codes._strongly_incidence_transitive(code, psu)[0]
+    assert not _first_orbit_pairs(code, psu)[0]
+
+
+def _first_orbit_pairs(code, G):
+    """The pair test of _strong_pairs alone, on the orbit of the code's
+    first codeword, without the flag's check that the code is one orbit."""
+    quotient = johnson.OrbitQuotient(G, code.k, perm.DEFAULT_ORBIT_CAP)
+    return codes._strong_pairs(
+        codes._Facts(G, quotient, [quotient.orbit_of(code.codewords[0])]))
 
 
 def _plain_strong_pairs(G, gamma):
@@ -276,8 +309,7 @@ def test_strong_pairs_count_matches_the_pair_test(data):
         st.sets(st.integers(0, n - 1), min_size=k, max_size=k),
         label="points"))))
     code = Code(n, k, G.subset_orbit(gamma))
-    assert (codes._strongly_incidence_transitive(code, G)
-            == _plain_strong_pairs(G, gamma))
+    assert _first_orbit_pairs(code, G) == _plain_strong_pairs(G, gamma)
 
 
 def test_strong_pairs_count_skips_the_stabilizer():
@@ -336,18 +368,6 @@ def test_unitary_bases_are_three_unital_blocks():
         inside = [b for b in blocks if b & w == b]
         assert len(inside) == 3
         assert inside[0] | inside[1] | inside[2] == w
-
-
-def test_delta_block():
-    unital, _ = build("unital", q=3)
-    assert delta_block(0, unital) == 1  # blocks through a point meet in it
-    part_code, _ = build("utype", a=3, b=2, line=1, k=3)
-    assert delta_block(0, part_code) == mask_of([0, 1, 2])
-    cc, _ = build("intransitive", v=9, u=2, k=4)
-    # codewords all contain U; through a point u outside U they share U u {u}
-    assert delta_block(3, cc) == mask_of([0, 1, 3])
-    with pytest.raises(ValueError):
-        delta_block(0, Code(6, 2, [mask_of([3, 4])]))
 
 
 # ---- property machinery ----------------------------------------------------------

@@ -193,16 +193,20 @@ def test_restrict_group():
     big = group_generators("pgammal", n=3, q=4)
     _, hmask, ext, _ = hyperoval_setting()
     stab = big.setwise_stabilizer(ext)
-    # the line orbit is all 21 lines, the walk codes.build_hyperoval_ag24
-    # passes: that walk builds no tables, computes no |G|, and gives the
-    # same generators
+    # the line orbit is all 21 lines: a walk sized by walk alone builds no
+    # tables, computes no |G|, and gives the same generators, as does the
+    # walk of codes.build_hyperoval_ag24, which stops at |G| / 21
     short = group_generators("pgammal", n=3, q=4)
     assert short.setwise_stabilizer(ext, walk=21).generators \
         == stab.generators
     assert short._tables is None and short._bsgs is None
+    assert big.setwise_stabilizer(ext, orbit_size=21).generators \
+        == stab.generators
     assert len(big.subset_orbit(ext)) == 21
+    # restrict_group restricts each of the stabilizer's few generators
     small = restrict_group(stab, ((1 << 21) - 1) ^ ext)
     assert small.degree == 16
+    assert len(small.generators) == len(stab.generators) <= 8
     assert small.order() == stab.order() == 5760
     with pytest.raises(GeometryError):
         restrict_group(big, ext)  # not invariant under the full group

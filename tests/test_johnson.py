@@ -11,7 +11,7 @@ from ntcodes import codes as codes_mod
 from ntcodes import johnson
 from ntcodes.johnson import (Code, JohnsonError, all_ksubsets, complement_code,
                              distance_partition, is_completely_regular,
-                             jdistance, min_distance, neighbour_set, u_type,
+                             min_distance, neighbour_set, u_type,
                              vertex_neighbours)
 from ntcodes.perm import (PermGroup, Permutation, ResourceCapError, bits,
                           mask_of)
@@ -31,20 +31,15 @@ def bfs_distances(v, k, start):
 
 @pytest.mark.parametrize("v,k", [(7, 3), (8, 4)])
 def test_jdistance_equals_bfs(v, k):
+    # the distance k - |a & b| that min_distance reads off a pair of
+    # codewords is the graph distance
     verts = all_ksubsets(v, k)
     for a in verts:
         dist = bfs_distances(v, k, a)
         for b in verts:
-            assert jdistance(a, b) == dist[b]
-
-
-def test_jdistance_errors():
-    with pytest.raises(JohnsonError):
-        jdistance(0b111, 0b11)
-    with pytest.raises(JohnsonError):
-        jdistance(0b111, 0b1011, k=4)
-    assert jdistance(0b111, 0b111) == 0
-    assert jdistance(mask_of([0, 1, 2]), mask_of([0, 1, 3])) == 1
+            assert k - (a & b).bit_count() == dist[b]
+            if b != a:
+                assert min_distance(Code(v, k, [a, b])) == dist[b]
 
 
 def test_neighbour_count_random():
@@ -115,7 +110,8 @@ def test_distance_partition_covering_index():
     # every vertex in cell i is at distance exactly i from the code
     for i, cell in enumerate(part.cells):
         m = min(cell)
-        assert min(jdistance(m, w) for w in code.codewords) == i
+        assert min(code.k - (m & w).bit_count()
+                   for w in code.codewords) == i
 
 
 def test_distance_partition_full_vertex_set():
@@ -394,7 +390,9 @@ def test_jdistance_matches_networkx(v, k):
     assert len(lengths) == comb(v, k)
     for a, row in lengths.items():
         for b, d in row.items():
-            assert jdistance(mask_of(a), mask_of(b), k) == d
+            if a != b:
+                assert min_distance(Code(v, k, [mask_of(a),
+                                                mask_of(b)])) == d
 
 
 def check_partition_against_networkx(code, G=None):
@@ -540,13 +538,3 @@ def test_degenerate_flags():
     assert Code(5, 2, all_ksubsets(5, 2)).degenerate
     assert Code(5, 1, [1]).degenerate  # k < 2
     assert not Code(5, 2, [mask_of([0, 1])]).degenerate
-
-
-@given(st.sets(st.integers(0, 6), min_size=3, max_size=3),
-       st.sets(st.integers(0, 6), min_size=3, max_size=3),
-       st.sets(st.integers(0, 6), min_size=3, max_size=3))
-def test_jdistance_is_a_metric(a, b, c):
-    ma, mb, mc = mask_of(a), mask_of(b), mask_of(c)
-    assert jdistance(ma, mb) == jdistance(mb, ma)
-    assert (jdistance(ma, mb) == 0) == (ma == mb)
-    assert jdistance(ma, mc) <= jdistance(ma, mb) + jdistance(mb, mc)

@@ -16,7 +16,7 @@ from ntcodes import perm
 from ntcodes.codes import CATALOG, build
 from ntcodes.geometry import group_generators, wreath_stabilizer
 from ntcodes.perm import (PermError, PermGroup, Permutation,
-                          ResourceCapError, bits, mask_of)
+                          ResourceCapError, bits, mask_of, popcount)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -271,12 +271,25 @@ def _conjugation(g):
     return lambda E: frozenset(tuple([gi[e[p]] for p in ginv]) for e in E)
 
 
+def _schreier_generators(G, start, moves):
+    """Every distinct Schreier generator u_x g_i u_y^-1 of the whole walk
+    of start's orbit, with u_x read off schreier_orbit's Schreier map."""
+    members, schreier, _ = perm.schreier_orbit(start, moves)
+    u = {start: Permutation.identity(G.degree)}
+    for x in members[1:]:
+        pred, i = schreier[x]
+        u[x] = u[pred] * G.generators[i]
+    return {u[x] * g * u[move(x)].inverse()
+            for x in members for g, move in zip(G.generators, moves)}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_stabilizer_early_stop_keeps_generators(data):
-    # given the orbit's size the walk stops at |G|/|orbit| - 1 distinct
-    # generators, which must be exactly the whole walk's tuple; on points,
-    # on subsets and on sets of permutations under conjugation
+    # given the orbit's size the walk stops once the kept generators'
+    # group has order |G|/|orbit|; no later Schreier generator would be
+    # kept, so the tuple must be exactly the whole walk's; on points, on
+    # subsets and on sets of permutations under conjugation
     n = data.draw(st.integers(2, 8), label="degree")
     perms = data.draw(st.lists(st.permutations(range(n)), min_size=1,
                                max_size=3), label="generators")
@@ -299,11 +312,16 @@ def test_stabilizer_early_stop_keeps_generators(data):
     early = G.stabilizer(start, moves, orbit_size=len(orbit))
     assert early.generators == G.stabilizer(start, moves).generators
     assert early.order() * len(orbit) == G.order()
+    # the kept generators generate the group of every Schreier generator
+    kept = PermGroup(n, early.generators)
+    assert kept.order() * len(orbit) == G.order()
+    assert all(s in kept for s in _schreier_generators(G, start, moves))
 
 
 def test_stabilizer_early_stop_on_regular_orbit():
-    # Z_6 acts regularly on its points: the stabilizer is trivial and the
-    # early stop returns it before forming a single Schreier generator
+    # Z_6 acts regularly on its points: the stabilizer is trivial, the
+    # early stop returns it before forming a single Schreier generator,
+    # and the whole walk keeps none, as each one sifts to the identity
     G = PermGroup(6, [Permutation.from_cycles(6, [tuple(range(6))])])
     moves = perm._point_moves(G.generators)
     assert G.stabilizer(0, moves, orbit_size=6).generators == ()
@@ -525,10 +543,11 @@ def test_primitivity_classification():
     status, block = wreath_stabilizer(3, 3).primitivity()
     assert status == "imprimitive"
     assert len(block) == 3
-    # witness block system must partition the domain into G-translates
+    # the witness block's G-translates partition the domain
     W = wreath_stabilizer(3, 3)
-    system = W.block_system(block)
-    assert sorted(len(s) for s in system) == [3, 3, 3]
+    system = W.subset_orbit(mask_of(block))
+    assert sorted(popcount(m) for m in system) == [3, 3, 3]
+    assert sum(system) == (1 << 9) - 1
     from ntcodes.geometry import subset_stabilizer
     assert subset_stabilizer(6, [0, 1]).primitivity()[0] == "intransitive"
     # a regular cyclic group of prime order is primitive
@@ -541,6 +560,49 @@ def test_2transitivity():
     assert not wreath_stabilizer(3, 3).is_2transitive()
     assert group_generators("agammal", n=1, q=16).is_2transitive()
     assert not PermGroup.trivial(3).is_2transitive()
+    # v = 1 and v = 2, a regular group and an intransitive one, each
+    # against the oracle below
+    for G, two in ((PermGroup.trivial(1), True),
+                   (PermGroup.trivial(2), False),
+                   (PermGroup.symmetric(2), True),
+                   (PermGroup(3, [Permutation.from_cycles(3, [(0, 1, 2)])]),
+                    False),
+                   (PermGroup(5, [Permutation.from_cycles(5, [(0, 1, 2)]),
+                                  Permutation.from_cycles(5, [(3, 4)])]),
+                    False)):
+        assert G.is_2transitive() == _is_2transitive(G) == two
+
+
+def _is_2transitive(G):
+    """G transitive on the points, and G_0, generated by the Schreier
+    generators of 0's orbit (Schreier's lemma), transitive on the rest."""
+    reps = {0: Permutation.identity(G.degree)}
+    queue = [0]
+    for x in queue:
+        for g in G.generators:
+            if g(x) not in reps:
+                reps[g(x)] = reps[x] * g
+                queue.append(g(x))
+    if len(queue) < G.degree:
+        return False
+    stab = [reps[x] * g * reps[g(x)].inverse()
+            for x in queue for g in G.generators]
+    orbit = queue[1:2]
+    for x in orbit:
+        for s in stab:
+            if s(x) not in orbit:
+                orbit.append(s(x))
+    return len(orbit) == G.degree - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_2transitivity_matches_point_stabilizer_orbit(data):
+    n = data.draw(st.integers(1, 8), label="degree")
+    perms = data.draw(st.lists(st.permutations(range(n)), max_size=3),
+                      label="generators")
+    G = PermGroup(n, [Permutation(p) for p in perms])
+    assert G.is_2transitive() == _is_2transitive(G)
 
 
 def test_bsgs_invariants():
@@ -615,6 +677,13 @@ def test_known_order_matches_the_full_build(spec):
     full = PermGroup(G.degree, G.generators)
     assert G.known_order == full.order()
     assert _chain_digest(G) == _chain_digest(full)
+
+
+@pytest.mark.parametrize("spec", KNOWN_ORDER_GRID)
+def test_2transitivity_of_the_grid(spec):
+    from ntcodes.cli import parse_group_spec
+    G = parse_group_spec(spec)
+    assert G.is_2transitive() == _is_2transitive(G)
 
 
 def test_known_order_builders_are_in_the_grid():
@@ -700,7 +769,8 @@ def test_catalog_groups_against_sympy(family, params):
     assert G.order() == S.order()
     assert G.point_stabilizer(0).order() == S.stabilizer(0).order()
     assert G.is_transitive() == S.is_transitive()
-    assert G.is_primitive() == (S.is_transitive() and S.is_primitive())
+    assert ((G.primitivity()[0] == "primitive")
+            == (S.is_transitive() and S.is_primitive()))
     assert G.is_2transitive() == (S.transitivity_degree >= 2)
     mask = code.codewords[0]
     assert (G.setwise_stabilizer(mask).order()

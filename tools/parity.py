@@ -11,6 +11,9 @@ code, standard output, standard error and ``-o`` file bytes.  The calls:
   ``perfbench/workloads.py``, each once to standard output and once with
   ``-o``; ``verify`` reads the code file that OLD's ``construct`` wrote,
   and the hyperoval group is passed as a ``gens:@file``;
+- ``verify`` of two codes beyond the catalog whose codeword stabilizers
+  have many Schreier generators: ``unital --q 4`` under ``pgammau:4`` and
+  ``affine_subspace --n 3 --q 3 --s 1`` under ``agammal:3,3``;
 - the 15 benchmark searches (``search_orbits`` and ``search_regular``), to
   standard output and with ``-o``;
 - the same searches with each group written as a ``gens:@file``, a group
@@ -69,6 +72,12 @@ EXTRA_SEARCHES = [
     ("pgammau:4", 3, "strongly_incidence_transitive", 1),
 ]
 
+# (family, params, group spec) of the verify calls beyond the catalog's
+EXTRA_VERIFIES = [
+    ("unital", {"q": 4}, "pgammau:4"),
+    ("affine_subspace", {"n": 3, "q": 3, "s": 1}, "agammal:3,3"),
+]
+
 
 def src_dir(path):
     path = os.path.abspath(path)
@@ -95,16 +104,23 @@ def code_file(files, key):
     return os.path.join(files, f"code_{safe}.json")
 
 
-def catalog_entries():
-    """(key, construct arguments, group spec) of each CATALOG entry."""
+def code_entries(entries):
+    """(key, construct arguments, group spec) of each (family, params,
+    group spec) entry."""
     out = []
-    for family, params in workloads.CATALOG:
+    for family, params, spec in entries:
         argv = ["--family", family]
         for name, val in params.items():
             argv += [f"--{name}", str(val)]
-        out.append((workloads.entry_key(family, params), argv,
-                    workloads.catalog_spec(family, params)))
+        out.append((workloads.entry_key(family, params), argv, spec))
     return out
+
+
+def catalog_entries():
+    """code_entries of the CATALOG."""
+    return code_entries([(family, params,
+                          workloads.catalog_spec(family, params))
+                         for family, params in workloads.CATALOG])
 
 
 def calls(files):
@@ -123,6 +139,9 @@ def calls(files):
                 (f"verify {key}", ["verify", code, "--group", spec]),
                 (f"verify {key} -o",
                  ["verify", code, "--group", spec, "-o", OUTPUT])]
+    out += [(f"verify {key} {spec}",
+             ["verify", code_file(files, key), "--group", spec])
+            for key, _, spec in code_entries(EXTRA_VERIFIES)]
     for workload in ("search_orbits", "search_regular"):
         for call in workloads.search_calls(workload):
             argv, spec = ["search", *call["argv"]], call["group"]
@@ -159,7 +178,7 @@ def prepare(old_src, files, chosen):
     if pairs:
         subprocess.run([sys.executable, "-c", WRITE_GENS, files, *pairs],
                        env=dict(os.environ, PYTHONPATH=old_src), check=True)
-    for key, argv, _ in catalog_entries():
+    for key, argv, _ in catalog_entries() + code_entries(EXTRA_VERIFIES):
         path = code_file(files, key)
         if path in read:
             rc, stdout, _, _ = run_cli(old_src, ["construct", *argv], files)
