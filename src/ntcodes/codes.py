@@ -713,7 +713,8 @@ def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP):
     orbit quotient of J(v,k) serves every union's predicate, which reads
     only orbit numbers, reps and sizes; a Code is built only for a union
     that is found, and only the orbits of those unions are walked for
-    their members.
+    their members, by one call to members that sizes its walker to them
+    all.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}; choose from "
@@ -732,8 +733,9 @@ def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP):
               for chosen in combinations(range(len(sizes)), r)
               if sum(sizes[i] for i in chosen) != total
               and pred(G, quotient, chosen)]
-    quotient.walk_members(i for chosen in unions for i in chosen)
-    found = [Code(G.degree, k, [m for i in chosen for m in quotient.orbits[i]],
+    quotient.members({i for chosen in unions for i in chosen})
+    found = [Code(G.degree, k, [m for o in quotient.members(chosen)
+                                for m in o],
                   name=f"search(k={k},orbits={list(chosen)})")
              for chosen in unions]
     found.sort(key=lambda c: (len(c), c.codewords))

@@ -304,43 +304,22 @@ def _unitary_group(q, semilinear):
 # ---- lines ------------------------------------------------------------------
 
 def lines(space):
-    """All lines, as sorted tuples of point indices."""
+    """All lines of a projective space, as sorted tuples of point
+    indices."""
+    if space.kind != "projective":
+        raise GeometryError(f"lines undefined for kind {space.kind!r}")
     F = space.field
-    if space.kind == "affine":
-        n = space.params["n"]
-        dirs = _projective_points(F, n)
-        out = []
-        for d in dirs:
-            seen = set()
-            for i, p in enumerate(space.points):
-                if i in seen:
-                    continue
-                line = sorted(
-                    space.index[tuple(F.add(e, F.mul(t, de))
-                                      for e, de in zip(p, d))]
-                    for t in F.elements())
-                seen.update(line)
-                out.append(tuple(line))
-        return sorted(out)
-    if space.kind == "projective":
-        out = set()
-        for i, p in enumerate(space.points):
-            for j in range(i + 1, len(space.points)):
-                r = space.points[j]
-                pts = {i, j}
-                for t in F.units():
-                    comb = tuple(F.add(e, F.mul(t, re))
-                                 for e, re in zip(p, r))
-                    pts.add(space.index[_normalize(F, comb)])
-                out.add(tuple(sorted(pts)))
-        return sorted(out)
-    raise GeometryError(f"lines undefined for kind {space.kind!r}")
-
-
-def line_class(space, mask):
-    """Sorted set of intersection sizes of the subset with all lines."""
-    return sorted({bin(mask & mask_of(line)).count("1")
-                   for line in lines(space)})
+    out = set()
+    for i, p in enumerate(space.points):
+        for j in range(i + 1, len(space.points)):
+            r = space.points[j]
+            pts = {i, j}
+            for t in F.units():
+                comb = tuple(F.add(e, F.mul(t, re))
+                             for e, re in zip(p, r))
+                pts.add(space.index[_normalize(F, comb)])
+            out.add(tuple(sorted(pts)))
+    return sorted(out)
 
 
 # ---- derived point-block structures ------------------------------------------

@@ -11,15 +11,13 @@ For a group transitive on the points it finds them through the stabilizer
 of one point: it walks only the k-sets through that point (or, for
 2k > v, those that miss it), fuses the stabilizer's orbits there into the
 group's by a union-find over coset reps, and sizes each orbit by counting
-its flags, |O| = v |O meet X| / k.  The members of an orbit are walked
-only when they are asked for.
+its flags, |O| = v |O meet X| / k.  Any other group walks J(v,k).  The
+members of an orbit are walked only when members asks for them.
 """
 
 from collections import Counter
-from collections.abc import Sequence
 from itertools import combinations
 from math import comb
-from operator import eq
 from types import MappingProxyType
 
 from .perm import PermGroup, ResourceCapError, bits, popcount
@@ -218,34 +216,6 @@ def equitable_matrix(part, v):
     return True, matrix
 
 
-class _OrbitMembers(Sequence):
-    """The orbits of an OrbitQuotient as sorted tuples of masks, ascending
-    by orbit number.  An orbit's members are walked by the quotient's
-    walk_members the first time they are asked for, unless the quotient
-    walked them already.  It compares equal to a list or tuple of the same
-    tuples, as the list of orbits it stands for did."""
-
-    def __init__(self, quotient):
-        self._quotient = quotient
-        self.walked = {}
-
-    def __len__(self):
-        return len(self._quotient.reps)
-
-    def __getitem__(self, i):
-        i = range(len(self))[i]
-        if i not in self.walked:
-            self._quotient.walk_members([i])
-        return self.walked[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, tuple, _OrbitMembers)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None
-
-
 def _flag_point(mask, inside):
     """The lowest point of mask when inside, else the lowest point outside
     it."""
@@ -257,9 +227,9 @@ class OrbitQuotient:
     """J(v,k) collapsed onto the orbits of the group G acting on its vertices.
 
     Orbit i has the smallest member reps[i] and sizes[i] members, and
-    orbits[i] lists them on demand (see _OrbitMembers); orbit_of(mask) is
-    the number of mask's orbit.  The orbits are found in one of two ways,
-    with the same numbers, reps and sizes:
+    members(numbers) lists the members of the orbits numbered numbers;
+    orbit_of(mask) is the number of mask's orbit.  The orbits are found in
+    one of two ways, with the same numbers, reps and sizes:
 
     - On demand: orbit_of walks the orbit of a vertex not seen before (at
       most cap members, see PermGroup.subset_orbit) and gives it the next
@@ -268,16 +238,17 @@ class OrbitQuotient:
       stopped by the cap leaves index as it was.  All the walks together
       apply each generator to at most size = C(v,k) vertices, which sizes
       the walk for G's subset tables.
-    - fill() finds every orbit, numbered in ascending order of smallest
-      member when none was found before.  For a G transitive on the
-      points and 0 < k < v it walks only the set X of the k-sets through
-      one point a under its stabilizer, the first rung of Schmalz's ladder,
-      and sizes each orbit O by counting its flags, |O| = v |O meet X| / k
-      (see _fill_through_a_point); it walks no orbit.  Otherwise, or when an
-      orbit is over cap, it scans J(v,k) in ascending order and walks each
+    - fill() finds every orbit of a fresh quotient, numbered in ascending
+      order of smallest member, by one route that G and k choose.  For a
+      G transitive on the points and 0 < k < v it walks only the set X of
+      the k-sets through one point a under its stabilizer, the first rung
+      of Schmalz's ladder, and sizes each orbit O by counting its flags,
+      |O| = v |O meet X| / k (see _fill_through_a_point); it walks no
+      orbit, and an orbit over cap raises ResourceCapError with no orbit
+      found.  Otherwise it scans J(v,k) in ascending order and walks each
       orbit on demand with G.subset_walker(size), which may be a
-      generating pair of G, stopping once index holds all C(v,k) vertices.
-      Walked, an orbit over cap raises ResourceCapError and the orbits
+      generating pair of G, stopping once index holds all C(v,k)
+      vertices; an orbit over cap raises ResourceCapError and the orbits
       before it stay found.
 
     An orbit partition is equitable (Godsil-Royle, Algebraic Graph Theory,
@@ -297,7 +268,7 @@ class OrbitQuotient:
         self.reps = []
         self.sizes = []
         self.index = {}
-        self.orbits = _OrbitMembers(self)
+        self._members = {}
         self._rows = {}
         self._walker = G
         # set by a fill through a point, see _fill_through_a_point
@@ -315,23 +286,28 @@ class OrbitQuotient:
             i = len(self.reps)
             members = self._walker.subset_orbit(mask, self.cap, self.index,
                                                 i, walk=self.size)
-            self.orbits.walked[i] = members
+            self._members[i] = members
             self.reps.append(members[0])
             self.sizes.append(len(members))
         return i
 
-    def walk_members(self, numbers):
-        """Walk the members of the orbits numbered numbers that orbits has
-        not listed yet, with G.subset_walker sized to all of them."""
-        todo = sorted(set(numbers).difference(self.orbits.walked))
+    def members(self, numbers):
+        """The members of the orbits numbered numbers, a sorted tuple of
+        masks for each number in turn.  The orbits that no walk has listed
+        yet are walked once, with G.subset_walker sized to all of them."""
+        numbers = list(numbers)
+        todo = sorted(set(numbers).difference(self._members))
         walk = sum(self.sizes[i] for i in todo)
         walker = self.G.subset_walker(walk)
         for i in todo:
-            self.orbits.walked[i] = walker.subset_orbit(self.reps[i], self.cap,
-                                                        walk=walk)
+            self._members[i] = walker.subset_orbit(self.reps[i], self.cap,
+                                                   walk=walk)
+        return [self._members[i] for i in numbers]
 
     def fill(self):
-        if not self._fill_through_a_point():
+        if 0 < self.k < self.v and self.G.is_transitive():
+            self._fill_through_a_point()
+        else:
             index, size = self.index, self.size
             self._walker = self.G.subset_walker(size)
             for mask in ksubsets_ascending(self.v, self.k):
@@ -342,11 +318,10 @@ class OrbitQuotient:
         return self
 
     def _fill_through_a_point(self):
-        """fill() for a G transitive on the points, through the stabilizer
-        G_a of a = base[0] of G's chain: the first rung of Schmalz's ladder
-        (B. Schmalz, Leiterspiel, Bayreuther Math. Schr. 1990).  False, and
-        the quotient untouched, when G is not transitive, k is 0 or v, an
-        orbit was found before, or an orbit is over cap.
+        """fill() for a G transitive on the points and 0 < k < v, through
+        the stabilizer G_a of a = base[0] of G's chain: the first rung of
+        Schmalz's ladder (B. Schmalz, Leiterspiel, Bayreuther Math. Schr.
+        1990).
 
         X is the set of k-sets through a or, when 2k > v, the smaller set
         of k-sets that miss a; inside tells which.  G_a = <level_gens[1]>,
@@ -359,7 +334,8 @@ class OrbitQuotient:
         G_a-orbit of u_p^-1(r) for every p in r (not in r) other than a
         gives the G-orbits.  Counting O's flags by their points and by
         their sets (Seress, Permutation Group Algorithms, 4.1) gives
-        |O| = v |O meet X| / k, or v |O meet X| / (v - k).
+        |O| = v |O meet X| / k, or v |O meet X| / (v - k).  A size over
+        cap raises ResourceCapError before any orbit is numbered.
 
         A mask S lies in the orbit of u_p^-1(S), p = _flag_point(S), a
         k-set in X; so the scan of J(v,k) in ascending order meets each
@@ -369,8 +345,6 @@ class OrbitQuotient:
         in X, and each G_a-orbit's orbit number, for orbit_of.
         """
         G, v, k = self.G, self.v, self.k
-        if self.reps or not 0 < k < v or not G.is_transitive():
-            return False
         base, level_gens, _ = G.bsgs()
         a = base[0]
         inside = 2 * k <= v
@@ -411,6 +385,9 @@ class OrbitQuotient:
         meet = [0] * len(firsts)  # |O meet X|, at the root of each G-orbit O
         for j, n in enumerate(counts):
             meet[root[j]] += n
+        per_flag = k if inside else v - k
+        if v * max(meet) // per_flag > self.cap:
+            raise ResourceCapError(f"orbit exceeds cap {self.cap}")
         # number the G-orbits by the ascending scan
         number = {}
         reps, sizes = [], []
@@ -422,14 +399,11 @@ class OrbitQuotient:
             if root[j] not in number:
                 number[root[j]] = len(reps)
                 reps.append(mask)
-                sizes.append(v * meet[root[j]] // (k if inside else v - k))
+                sizes.append(v * meet[root[j]] // per_flag)
                 if len(reps) == orbits:
                     break
-        if max(sizes) > self.cap:
-            return False
         self.reps, self.sizes = reps, sizes
         self._through = (inside, into, xindex, [number[r] for r in root])
-        return True
 
     def in_order(self, numbers):
         """Orbit numbers, ascending by smallest member."""

@@ -543,15 +543,6 @@ class PermGroup:
             raise PermError(f"point {x} out of range")
         return set(schreier_orbit(x, _point_moves(self.generators))[0])
 
-    def orbits(self):
-        rest = set(range(self.degree))
-        out = []
-        while rest:
-            o = self.orbit(min(rest))
-            out.append(o)
-            rest -= o
-        return out
-
     def stabilizer(self, start, moves, orbit_size=None, cap=None):
         """Stabilizer of start, where moves[i] is the action of
         generators[i] on start's orbit, from Schreier generators.
@@ -736,18 +727,16 @@ class PermGroup:
         return tuple(members)
 
     def setwise_stabilizer(self, mask, cap=DEFAULT_ORBIT_CAP,
-                           orbit_size=None, walk=None):
+                           orbit_size=None):
         """Stabilizer of a subset (as bitmask), with only the Schreier
         generators that grow it; see stabilizer for cap and orbit_size, the
         exact size of the subset's orbit when known, with which the walk
         computes |G| to stop early.  The orbit is walked by mask_moves for
-        walk masks of the subset's size, walk defaulting to orbit_size, so
-        a short one builds no tables."""
+        orbit_size masks of the subset's size, so a short one builds no
+        tables."""
         if mask >> self.degree:
             raise PermError("subset not contained in the domain")
-        if walk is None:
-            walk = orbit_size
-        steps = None if walk is None else walk * popcount(mask)
+        steps = None if orbit_size is None else orbit_size * popcount(mask)
         return self.stabilizer(mask, self.mask_moves(steps),
                                orbit_size=orbit_size, cap=cap)
 

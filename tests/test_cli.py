@@ -859,7 +859,8 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     # union the search tests; the orbit quotient looks at the neighbours
     # of one representative per orbit and no other vertex
     G = parse_group_spec("stab:6:0,1")
-    orbits = codes.subset_orbits(G, 2).orbits
+    quotient = codes.subset_orbits(G, 2)
+    orbits = quotient.members(range(len(quotient.reps)))
     unions = [c for r in (1, 2) for c in combinations(orbits, r)
               if sum(map(len, c)) < comb(6, 2)]
     proc = subprocess.run(

@@ -7,7 +7,7 @@ import pytest
 from ntcodes import codes, geometry
 from ntcodes.geometry import (GeometryError, build_space,
                               group_generators, hermitian_form,
-                              hyperoval_setting, line_class, lines,
+                              hyperoval_setting, lines,
                               restrict_group, standard_baer_subline,
                               unital_blocks)
 from ntcodes.perm import Permutation, bits, mask_of
@@ -62,16 +62,12 @@ def test_space_size_cap():
 # ---- lines --------------------------------------------------------------------
 
 def test_line_counts():
-    ag24 = build_space("affine", n=2, q=4)
-    ls = lines(ag24)
-    assert len(ls) == 20
-    assert all(len(l) == 4 for l in ls)
     pg24 = build_space("projective", n=3, q=4)
     ls2 = lines(pg24)
     assert len(ls2) == 21
     assert all(len(l) == 5 for l in ls2)
-    ag1 = build_space("affine", n=1, q=7)
-    assert lines(ag1) == [tuple(range(7))]
+    with pytest.raises(GeometryError):
+        lines(build_space("affine", n=2, q=4))
 
 
 def test_two_projective_lines_meet_in_one_point():
@@ -82,13 +78,11 @@ def test_two_projective_lines_meet_in_one_point():
 
 
 def test_line_class():
+    # the hyperoval meets every line of PG(2,4) in 0 or 2 points
     space = build_space("projective", n=3, q=4)
-    ls = lines(space)
-    # a projective line meets every other line, so 0 never occurs
-    assert line_class(space, mask_of(ls[0])) == [1, 5]
-    assert line_class(space, 1) == [0, 1]
     _, hmask, _, _ = hyperoval_setting()
-    assert line_class(space, hmask) == [0, 2]
+    assert sorted({(hmask & mask_of(line)).bit_count()
+                   for line in lines(space)}) == [0, 2]
 
 
 # ---- groups -------------------------------------------------------------------
@@ -193,15 +187,13 @@ def test_restrict_group():
     big = group_generators("pgammal", n=3, q=4)
     _, hmask, ext, _ = hyperoval_setting()
     stab = big.setwise_stabilizer(ext)
-    # the line orbit is all 21 lines: a walk sized by walk alone builds no
-    # tables, computes no |G|, and gives the same generators, as does the
-    # walk of codes.build_hyperoval_ag24, which stops at |G| / 21
+    # the line orbit is all 21 lines: the walk of
+    # codes.build_hyperoval_ag24, which stops at |G| / 21, builds no
+    # tables and gives the same generators
     short = group_generators("pgammal", n=3, q=4)
-    assert short.setwise_stabilizer(ext, walk=21).generators \
+    assert short.setwise_stabilizer(ext, orbit_size=21).generators \
         == stab.generators
-    assert short._tables is None and short._bsgs is None
-    assert big.setwise_stabilizer(ext, orbit_size=21).generators \
-        == stab.generators
+    assert short._tables is None
     assert len(big.subset_orbit(ext)) == 21
     # restrict_group restricts each of the stabilizer's few generators
     small = restrict_group(stab, ((1 << 21) - 1) ^ ext)

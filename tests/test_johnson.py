@@ -15,6 +15,7 @@ from ntcodes.johnson import (Code, JohnsonError, all_ksubsets, complement_code,
                              vertex_neighbours)
 from ntcodes.perm import (PermGroup, Permutation, ResourceCapError, bits,
                           mask_of)
+from test_perm import KNOWN_ORDER_GRID
 
 
 def bfs_distances(v, k, start):
@@ -161,7 +162,7 @@ def test_orbit_quotient_of_trivial_group_is_the_graph():
     # one orbit per vertex: the rows are the adjacency of J(6,3) itself
     v, k = 6, 3
     quotient = johnson.OrbitQuotient(PermGroup.trivial(v), k, 1).fill()
-    orbits = quotient.orbits
+    orbits = quotient.members(range(len(quotient.reps)))
     assert orbits == [(m,) for m in all_ksubsets(v, k)]
     for i, (m,) in enumerate(orbits):
         row = quotient.row(i)
@@ -179,15 +180,35 @@ def test_orbit_quotient_rejects_a_code_that_splits_an_orbit():
     # two of the ten 2-subsets, on the whole quotient of J(5,2) by Sym(5)
     v, k = 5, 2
     quotient = johnson.OrbitQuotient(PermGroup.symmetric(v), k, 10).fill()
-    assert quotient.orbits == [tuple(all_ksubsets(v, k))]
+    assert quotient.reps == [all_ksubsets(v, k)[0]]
+    assert quotient.members([0]) == [tuple(all_ksubsets(v, k))]
     with pytest.raises(JohnsonError, match="union of orbits"):
         quotient.orbits_of([mask_of([0, 1]), mask_of([2, 3])])
+
+
+def _is_transitive(G):
+    """Whether G moves point 0 to every point, by a closure over the
+    generators' images."""
+    reached, todo = {0}, [0]
+    while todo:
+        x = todo.pop()
+        for g in G.generators:
+            y = g.images[x]
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
+    return len(reached) == G.degree
 
 
 def _union_find_orbits(G, k):
     """The orbits of G on the k-subsets, by a union-find of J(v,k) under
     each generator's apply_mask: sorted tuples, ascending by smallest
-    member."""
+    member.  For 2k > v they are the complements of the orbits on the
+    (v-k)-subsets, which apply_mask walks in fewer steps."""
+    if 2 * k > G.degree:
+        full = (1 << G.degree) - 1
+        return sorted(tuple(sorted(full ^ m for m in o))
+                      for o in _union_find_orbits(G, G.degree - k))
     parent = {m: m for m in all_ksubsets(G.degree, k)}
 
     def find(m):
@@ -212,7 +233,9 @@ def test_fill_matches_union_find(data):
     # the one-pass fill against a union-find, at degrees on both sides of
     # each chunk edge and of the table degree bound; a cap between the
     # orbit sizes stops the fill, and index then holds exactly the members
-    # of the orbits found before the one over the cap
+    # of the orbits found before the one over the cap: none for a group
+    # transitive on the points with 0 < k < v, whose fill through a point
+    # sizes every orbit before it numbers one
     v = data.draw(st.sampled_from([1, 11, 12, 22, 23, 33, 34, 64, 65]),
                   label="degree")
     k = data.draw(st.sampled_from([k for k in range(v + 1)
@@ -235,10 +258,13 @@ def test_fill_matches_union_find(data):
     except ResourceCapError as exc:
         assert str(exc) == f"orbit exceeds cap {cap}"
         first_over = next(i for i, o in enumerate(expected) if len(o) > cap)
+        if 0 < k < v and _is_transitive(G):
+            first_over = 0
         expected = expected[:first_over]
     else:
         assert max(map(len, expected)) <= cap
-    assert quotient.orbits == expected
+    assert quotient.reps == [o[0] for o in expected]
+    assert quotient.members(range(len(expected))) == expected
     assert quotient.index == {m: i for i, o in enumerate(expected)
                               for m in o}
 
@@ -257,7 +283,7 @@ def _assert_orbits(quotient, expected):
     assert quotient.sizes == [len(o) for o in expected]
     assert all(quotient.orbit_of(m) == i
                for i, o in enumerate(expected) for m in o)
-    assert list(quotient.orbits) == expected
+    assert quotient.members(range(len(expected))) == expected
 
 
 @pytest.mark.parametrize("spec,k,paired", [
@@ -268,25 +294,17 @@ def _assert_orbits(quotient, expected):
     ("wreath:3,4", 6, False),
 ])
 def test_fill_by_the_pair_matches_union_find(spec, k, paired):
-    # orbits, their numbers and orbit_of are G's on either side of the
-    # size rule, against a union-find on G's own generators.  These groups
-    # are transitive, so fill() walks J(v,k) only once an orbit was found
-    # before it, and then its index holds every vertex; a fresh quotient
-    # is filled through a point and walks no orbit
+    # these groups are transitive, so fill() walks no orbit: it fills
+    # through a point.  members then walks every orbit with
+    # G.subset_walker sized to all C(v,k) vertices, a generating pair of G
+    # on one side of the size rule and G itself on the other, and lists
+    # G's orbits against a union-find on G's own generators
     from ntcodes.cli import parse_group_spec
     G = parse_group_spec(spec)
-    expected = _union_find_orbits(G, k)
-    walked = johnson.OrbitQuotient(G, k, 10 ** 6)
-    walked.orbit_of(expected[0][0])
-    walked.fill()
-    assert (walked._walker is not G) == paired
-    assert walked.index == {m: i for i, o in enumerate(expected)
-                            for m in o}
-    _assert_orbits(walked, expected)
-    through = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
-    assert through._through is not None
-    assert through.index == {} and through.orbits.walked == {}
-    _assert_orbits(through, expected)
+    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+    assert quotient._through is not None and quotient.index == {}
+    _assert_orbits(quotient, _union_find_orbits(G, k))
+    assert (G.subset_walker(quotient.size) is not G) == paired
 
 
 @pytest.mark.parametrize("v,points,k", [(8, "6,7", 3), (9, "8", 4),
@@ -297,7 +315,7 @@ def test_fill_scans_to_the_last_orbit(v, points, k):
     from ntcodes.cli import parse_group_spec
     for G in (parse_group_spec(f"stab:{v}:{points}"), PermGroup.trivial(v)):
         quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
-        assert quotient.orbits == _union_find_orbits(G, k)
+        _assert_orbits(quotient, _union_find_orbits(G, k))
 
 
 @pytest.mark.parametrize("spec,k", [
@@ -368,6 +386,99 @@ def test_fill_is_invariant_under_relabelling(spec, k, seed):
         assert relabelled.sizes[relabelled.orbit_of(image)] == size
 
 
+@pytest.mark.parametrize("spec", KNOWN_ORDER_GRID + ["gens:@pgammau:3"])
+def test_fill_takes_one_route_per_group(spec, tmp_path):
+    # every spec of KNOWN_ORDER_GRID, stab: specs among them, and
+    # PGammaU(3,3) read from a gens:@file, a group of no known order.  The
+    # fill through a point sets _through exactly when G is transitive on
+    # the points and 0 < k < v, for every k with C(v,k) <= 5,000; either
+    # route's reps, sizes, orbit_of and members are the union-find's
+    from ntcodes.cli import parse_group_spec
+    if spec.startswith("gens:@"):
+        G = parse_group_spec(spec.removeprefix("gens:@"))
+        path = tmp_path / "gens.txt"
+        path.write_text("\n".join([str(G.degree)]
+                                  + [repr(g) for g in G.generators]) + "\n")
+        G = parse_group_spec(f"gens:@{path}")
+        assert G.known_order is None
+    else:
+        G = parse_group_spec(spec)
+    transitive = _is_transitive(G)
+    for k in range(G.degree + 1):
+        if comb(G.degree, k) > 5000:
+            continue
+        quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+        assert (quotient._through is not None) == (
+            transitive and 0 < k < G.degree), k
+        _assert_orbits(quotient, _union_find_orbits(G, k))
+
+
+@pytest.mark.parametrize("spec,k,cap", [("wreath:3,4", 6, 300),
+                                        ("pgammau:3", 4, 100),
+                                        ("agammal:1,16", 13, 400)])
+def test_fill_through_a_point_over_cap_finds_no_orbit(spec, k, cap,
+                                                       monkeypatch):
+    # a transitive G whose largest orbit is over cap: the sizes tell so
+    # before any orbit is numbered or walked, so the fill raises with no
+    # orbit found and G itself walks no subset orbit
+    from ntcodes.cli import parse_group_spec
+    G = parse_group_spec(spec)
+    assert max(map(len, _union_find_orbits(G, k))) > cap
+    walks = []
+    monkeypatch.setattr(G, "subset_orbit",
+                        lambda *args, **kw: walks.append(args))
+    quotient = johnson.OrbitQuotient(G, k, cap)
+    with pytest.raises(ResourceCapError, match=f"^orbit exceeds cap {cap}$"):
+        quotient.fill()
+    assert quotient.reps == [] and quotient.sizes == []
+    assert quotient.index == {} and quotient._through is None
+    assert walks == [] and G._pair is None
+
+
+def test_fill_of_an_intransitive_group_keeps_the_orbits_before_the_cap():
+    # the walk of J(v,k) stops at the first orbit over cap, and the whole
+    # orbits before it stay found, numbered, indexed and listed
+    from ntcodes.cli import parse_group_spec
+    G = parse_group_spec("stab:8:0,1,2")
+    expected = _union_find_orbits(G, 3)
+    first_over = next(i for i, o in enumerate(expected) if len(o) > 20)
+    assert first_over > 0
+    quotient = johnson.OrbitQuotient(G, 3, 20)
+    with pytest.raises(ResourceCapError, match="^orbit exceeds cap 20$"):
+        quotient.fill()
+    assert quotient._through is None
+    _assert_orbits(quotient, expected[:first_over])
+    assert quotient.index == {m: i for i, o in enumerate(expected[:first_over])
+                              for m in o}
+
+
+@pytest.mark.parametrize("spec,k", [("pgammau:3", 3), ("stab:9:0,1,2", 3)])
+def test_members_walks_each_orbit_at_most_once(spec, k, monkeypatch):
+    # members lists the orbits asked for in the order asked, and walks
+    # only those that no walk has listed: neither a second time nor those
+    # that orbit_of or the walk of J(v,k) walked already
+    from ntcodes.cli import parse_group_spec
+    G = parse_group_spec(spec)
+    expected = _union_find_orbits(G, k)
+    walked = []
+    walk = PermGroup.subset_orbit
+
+    def counted(self, mask, *args, **kw):
+        members = walk(self, mask, *args, **kw)
+        walked.append(members[0])
+        return members
+    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+    monkeypatch.setattr(PermGroup, "subset_orbit", counted)
+    assert quotient.members([2, 0, 2]) == [expected[2], expected[0],
+                                           expected[2]]
+    assert quotient.members(range(len(expected))) == expected
+    assert quotient.members([1, 0]) == [expected[1], expected[0]]
+    if quotient._through is None:
+        assert walked == []  # the fill walked every orbit
+    else:
+        assert sorted(walked) == [o[0] for o in expected]
+
+
 # ---- networkx oracle ---------------------------------------------------------
 
 def nx_johnson(v, k):
@@ -432,7 +543,7 @@ def check_partition_against_networkx(code, G=None):
         quotient = johnson.OrbitQuotient(G, code.k, 10 ** 6).fill()
         qpart = quotient.distance_partition(
             quotient.orbits_of(code.codewords))
-        assert [set().union(*(quotient.orbits[i] for i in cell))
+        assert [set().union(*quotient.members(cell))
                 for cell in qpart.cells] == cells
         assert quotient.equitable_matrix(qpart) == expected
     return expected[0]
@@ -464,7 +575,8 @@ def test_random_invariant_unions_match_networkx():
     for _ in range(40):
         G = rng.choice(pool)
         k = rng.randint(2, G.degree - 2)
-        orbits = johnson.OrbitQuotient(G, k, 10 ** 6).fill().orbits
+        quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+        orbits = quotient.members(range(len(quotient.reps)))
         if len(orbits) < 2:
             continue
         chosen = rng.sample(orbits, rng.randint(1, len(orbits) - 1))

@@ -22,7 +22,9 @@ code, standard output, standard error and ``-o`` file bytes.  The calls:
   does not take: a group that is not transitive on the points, k = 1 and
   k = v - 1 for it and for a transitive group, and two larger quotients,
   J(65,4) under PGU(3,4) and J(65,3) under PGammaU(3,4);
-- calls that stop at ``--cap-orbit`` and exit 3.
+- calls that stop at ``--cap-orbit`` and exit 3, and two ``verify`` calls
+  whose fill, one by each route, stops at ``--cap-orbit`` and that exit 0
+  with both partition flags ``null``.
 
 The generator and code files are written once, by OLD, and both sides read
 the same files.  ``--only`` keeps the calls whose name matches one of the
@@ -162,7 +164,15 @@ def calls(files):
              ["search", "--group", gens("pgammau:3"), *capped]),
             ("cap verify unital(q=3)",
              ["verify", code_file(files, "unital(q=3)"),
-              "--group", "pgammau:3", "--cap-orbit", "50"])]
+              "--group", "pgammau:3", "--cap-orbit", "50"]),
+            # the fill through a point, then the walk of J(v,k), stopped
+            # at --cap-orbit: both partition flags null, exit 0
+            ("cap verify blowup(a=3,b=4,k0=2)",
+             ["verify", code_file(files, "blowup(a=3,b=4,k0=2)"),
+              "--group", "wreath:3,4", "--cap-orbit", "300"]),
+            ("cap verify intransitive(k=3,u=3,v=8)",
+             ["verify", code_file(files, "intransitive(k=3,u=3,v=8)"),
+              "--group", "stab:8:0,1,2", "--cap-orbit", "20"])]
     return out
 
 
