@@ -13,7 +13,8 @@ from math import comb, gcd
 
 from . import geometry, johnson
 from .johnson import Code, min_distance
-from .perm import DEFAULT_ORBIT_CAP, ResourceCapError, bits, mask_of
+from .perm import (DEFAULT_ORBIT_CAP, PermGroup, Permutation,
+                   ResourceCapError, bits, mask_of)
 
 
 class ConstructionError(ValueError):
@@ -172,16 +173,22 @@ def build_subfield_line():
 
 def build_hyperoval_ag24():
     """Orbit of the PG(2,4) hyperoval inside the 16 points off an external
-    line, under the stabilizer of that line in PGammaL(3,4)."""
+    line, under the stabilizer of that line in PGammaL(3,4).
+
+    Point i is the i-th smallest PG(2,4) point off the line.  The line's
+    stabilizer acts on these points as AGammaL(2,4) in the affine chart
+    that sends the line to the line at infinity, so G is AGammaL(2,4)
+    relabelled through that chart, with its order 16 * |GL(2,4)| * 2 =
+    5760 = |PGammaL(3,4)| / 21."""
     space, hmask, ext, _ = geometry.hyperoval_setting()
-    big = geometry.group_generators("pgammal", n=3, q=4)
-    # PGammaL(3,4) is transitive on the lines of PG(2,4), as many as its
-    # points, so the walk stops once the stabilizer has |G| / 21 elements
-    line_stab = big.setwise_stabilizer(ext, orbit_size=len(space))
-    full = (1 << len(space)) - 1
-    G = geometry.restrict_group(line_stab, full ^ ext)
-    pts = [i for i in range(len(space)) if not (ext >> i) & 1]
-    relabel = {p: i for i, p in enumerate(pts)}
+    chart = geometry.affine_chart(space, ext)
+    label = {a: i for i, a in enumerate(chart.values())}
+    A = geometry.group_generators("agammal", n=2, q=4)
+    G = PermGroup(len(chart), [Permutation([label[g.images[a]]
+                                            for a in chart.values()])
+                               for g in A.generators],
+                  order=A.known_order)
+    relabel = {p: i for i, p in enumerate(chart)}
     rep = mask_of(relabel[p] for p in bits(hmask))
     code = Code(16, 6, G.subset_orbit(rep), name="hyperoval_ag24",
                 params={"q": 4})

@@ -17,7 +17,8 @@ from math import factorial, gcd, prod
 
 from .gf import GF, FieldError
 from .johnson import Code
-from .perm import MAX_DEGREE, PermError, PermGroup, Permutation, mask_of
+from .perm import (MAX_DEGREE, PermError, PermGroup, Permutation, bits,
+                   mask_of)
 
 MAX_POINTS = 4096
 
@@ -305,20 +306,31 @@ def _unitary_group(q, semilinear):
 
 def lines(space):
     """All lines of a projective space, as sorted tuples of point
-    indices."""
+    indices, in ascending order.
+
+    Each line is spanned once, from its two smallest points: a pair that
+    already lies on a found line is skipped, by a mask per point of the
+    points joined to it so far.  PG(2,4) takes 21 spans, not 210.
+    """
     if space.kind != "projective":
         raise GeometryError(f"lines undefined for kind {space.kind!r}")
     F = space.field
-    out = set()
+    joined = [0] * len(space)
+    out = []
     for i, p in enumerate(space.points):
         for j in range(i + 1, len(space.points)):
+            if (joined[i] >> j) & 1:
+                continue
             r = space.points[j]
             pts = {i, j}
             for t in F.units():
                 comb = tuple(F.add(e, F.mul(t, re))
                              for e, re in zip(p, r))
                 pts.add(space.index[_normalize(F, comb)])
-            out.add(tuple(sorted(pts)))
+            line = mask_of(pts)
+            for x in pts:
+                joined[x] |= line
+            out.append(tuple(sorted(pts)))
     return sorted(out)
 
 
@@ -371,6 +383,32 @@ def hyperoval_setting():
     if len(externals) != 6:
         raise GeometryError("hyperoval should have exactly 6 external lines")
     return space, hmask, min(externals), sorted(externals)
+
+
+def affine_chart(space, line):
+    """Each point of PG(2,q) off a line, ascending, mapped to the index of
+    its image in AG(2,q) under the chart that sends the line to the line
+    at infinity.
+
+    The line is c.x = 0 with c = p x r for two of its points p, r.  A point
+    x goes to (y1/y0, y2/y0), where y = (c.x, b1.x, b2.x) and b1, b2 are
+    the unit vectors that complete c to a basis.  The collineations that
+    fix the line act in the chart as AGammaL(2,q).
+    """
+    F = space.field
+    p, r = (space.points[i] for i in list(bits(line))[:2])
+    c = [F.add(F.mul(p[(i + 1) % 3], r[(i + 2) % 3]),
+               F.neg(F.mul(p[(i + 2) % 3], r[(i + 1) % 3])))
+         for i in range(3)]
+    m = next(i for i in range(3) if c[i])
+    b = [i for i in range(3) if i != m]
+    plane = build_space("affine", n=2, q=F.q)
+    chart = {}
+    for i, x in enumerate(space.points):
+        if not (line >> i) & 1:
+            y0 = F.inv(_dot(F, c, x))
+            chart[i] = plane.index[tuple(F.mul(y0, x[j]) for j in b)]
+    return chart
 
 
 def restrict_group(G, mask):

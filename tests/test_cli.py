@@ -607,9 +607,11 @@ def test_table_reads_argv_as_argparse_did(verb, tokens):
 
 # small numbers, now and then malformed ones: every group they name is
 # cheap to search
+_MALFORMED = ["x", "", "2.5", "1e3", "0x3", "\u00b2", "\u0663"]
 _NUMBER = st.sampled_from(["-1", "0"] + ["1", "2", "3", "4"] * 8
-                          + ["x", "", "2.5", "1e3", "0x3", "\u00b2",
-                             "\u0663"])
+                          + _MALFORMED)
+# pgu:4 acts on 65 points, whose 677,040 4-sets a search prints whole
+_PGU_Q = st.sampled_from(["-1", "0"] + ["1", "2", "3"] * 8 + _MALFORMED)
 _GROUP = st.one_of(
     st.just("gens:@gens.txt"),
     st.sampled_from(["sym:4", "wreath:2,2", "stab:5:0,1", "agammal:1,4",
@@ -618,8 +620,8 @@ _GROUP = st.one_of(
                      "stab:5:9", "stab:5:x", "frob:3", "psl:3,4",
                      "gens:file", "gens:@", "gens:@missing.txt"]
                     + _NO_DIMENSION),
-    st.builds("{}:{}".format, st.sampled_from(["sym", "alt", "pgu"]),
-              _NUMBER),
+    st.builds("{}:{}".format, st.sampled_from(["sym", "alt"]), _NUMBER),
+    st.builds("pgu:{}".format, _PGU_Q),
     st.builds("{}{},{}".format,
               st.sampled_from(["wreath:", "agl:", "agammal:", "pgl:",
                                "pgammal:", "psl:"]),
@@ -707,6 +709,17 @@ def test_fuzzed_argv_exits_cleanly(call):
         finally:
             os.chdir(cwd)
     assert rc in (0, 1, 2, 3), (argv, rc)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_search_over_the_orbit_cap_exits_3():
+    # the search the fuzzed groups leave out: C(65,4) = 677,040 4-sets are
+    # over the cap, so it stops before any orbit is walked
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["search", "--group", "pgu:4", "--k", "4", "--predicate",
+                   "code_transitive", "--cap-orbit", "100000"])
+    assert rc == 3
     assert "Traceback" not in err.getvalue()
 
 

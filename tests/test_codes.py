@@ -208,9 +208,10 @@ def test_hyperoval_profile():
 
 
 def test_hyperoval_group_is_reduced():
-    # the line stabilizer keeps only the Schreier generators that grow its
-    # group (126 distinct ones before that rule), and restrict_group keeps
-    # each of them
+    # the builder relabels the 7 generators of AGammaL(2,4); the external
+    # line's stabilizer in PGammaL(3,4), the same group before restriction,
+    # keeps only the Schreier generators that grow its group (126 distinct
+    # ones before that rule)
     _, G = build("hyperoval_ag24")
     assert len(G.generators) <= 8
     assert G.order() == 5760
@@ -219,6 +220,53 @@ def test_hyperoval_group_is_reduced():
                                           q=4).setwise_stabilizer(ext)
     assert len(line_stab.generators) <= 8
     assert line_stab.order() == 5760
+
+
+def _hyperoval_by_restriction():
+    """(sorted codewords, group) of the hyperoval code built without the
+    affine chart: the external line's stabilizer in PGammaL(3,4),
+    restricted to the 16 points off the line, and the hyperoval's orbit
+    under it."""
+    _, hmask, ext, _ = geometry.hyperoval_setting()
+    stab = geometry.group_generators("pgammal", n=3, q=4).setwise_stabilizer(
+        ext, orbit_size=21)
+    off = ((1 << 21) - 1) ^ ext
+    H = geometry.restrict_group(stab, off)
+    relabel = {p: i for i, p in enumerate(bits(off))}
+    rep = mask_of(relabel[p] for p in bits(hmask))
+    return sorted(H.subset_orbit(rep)), H
+
+
+def test_hyperoval_group_is_the_line_stabilizer():
+    # each group's generators lie in the other, on the same 16 labels
+    code, G = build("hyperoval_ag24")
+    words, H = _hyperoval_by_restriction()
+    assert all(g in H for g in G.generators)
+    assert all(h in G for h in H.generators)
+    assert G.order() == H.order() == 5760
+    assert len(words) == 48
+    assert sorted(code.codewords) == words
+
+
+def test_hyperoval_group_carries_its_order(monkeypatch):
+    # built with neither a stabilizer walk nor a restriction, and its
+    # known order is the one a whole closing of its generators reaches
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(perm.PermGroup, "setwise_stabilizer", refuse)
+    monkeypatch.setattr(geometry, "restrict_group", refuse)
+    _, G = codes.build_hyperoval_ag24()
+    assert G.known_order == 5760
+    assert PermGroup(16, G.generators).order() == 5760
+
+
+def test_hyperoval_group_against_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    _, G = build("hyperoval_ag24")
+    sym = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g.images)) for g in G.generators])
+    assert sym.order() == 5760
 
 
 @pytest.mark.parametrize("family,params", [

@@ -70,6 +70,49 @@ def test_line_counts():
         lines(build_space("affine", n=2, q=4))
 
 
+def _gaussian_binomial_2(n, q):
+    """The number of 2-spaces of F_q^n, the lines of PG(n-1,q)."""
+    return (q ** n - 1) * (q ** (n - 1) - 1) // ((q * q - 1) * (q - 1))
+
+
+# (n, q) of PG(n-1,q)
+LINE_SPACES = [(3, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [(4, 2), (4, 3),
+                                                          (5, 2)]
+
+
+@pytest.mark.parametrize("n,q", LINE_SPACES)
+def test_lines_join_every_pair_once(n, q):
+    space = build_space("projective", n=n, q=q)
+    ls = lines(space)
+    assert len(ls) == _gaussian_binomial_2(n, q)
+    assert all(len(line) == q + 1 for line in ls)
+    assert ls == sorted(ls) and all(list(l) == sorted(l) for l in ls)
+    # every pair of points lies on exactly one line
+    pairs = [pair for line in ls for pair in combinations(line, 2)]
+    assert len(pairs) == len(set(pairs)) == len(space) * (len(space) - 1) // 2
+
+
+def _lines_pairwise(space):
+    """The lines of a projective space, spanned from every pair of points."""
+    F = space.field
+    out = set()
+    for i, j in combinations(range(len(space)), 2):
+        p, r = space.points[i], space.points[j]
+        pts = {i, j}
+        for t in F.units():
+            vec = [F.add(e, F.mul(t, f)) for e, f in zip(p, r)]
+            lead = F.inv(next(e for e in vec if e))
+            pts.add(space.index[tuple(F.mul(lead, e) for e in vec)])
+        out.add(tuple(sorted(pts)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n,q", [(3, 4), (4, 3)])
+def test_lines_match_the_pairwise_spans(n, q):
+    space = build_space("projective", n=n, q=q)
+    assert lines(space) == _lines_pairwise(space)
+
+
 def test_two_projective_lines_meet_in_one_point():
     space = build_space("projective", n=3, q=3)
     ls = lines(space)
@@ -187,15 +230,15 @@ def test_restrict_group():
     big = group_generators("pgammal", n=3, q=4)
     _, hmask, ext, _ = hyperoval_setting()
     stab = big.setwise_stabilizer(ext)
-    # the line orbit is all 21 lines: the walk of
-    # codes.build_hyperoval_ag24, which stops at |G| / 21, builds no
-    # tables and gives the same generators
+    # the line orbit is all 21 lines: a walk that stops at |G| / 21
+    # builds no tables and gives the same generators
     short = group_generators("pgammal", n=3, q=4)
     assert short.setwise_stabilizer(ext, orbit_size=21).generators \
         == stab.generators
     assert short._tables is None
     assert len(big.subset_orbit(ext)) == 21
-    # restrict_group restricts each of the stabilizer's few generators
+    # restrict_group restricts each of the stabilizer's few generators;
+    # tests/test_perm.py pins the chain of this restriction
     small = restrict_group(stab, ((1 << 21) - 1) ^ ext)
     assert small.degree == 16
     assert len(small.generators) == len(stab.generators) <= 8

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from ntcodes import perm
 from ntcodes.codes import CATALOG, build
-from ntcodes.geometry import group_generators, wreath_stabilizer
+from ntcodes.geometry import (group_generators, hyperoval_setting,
+                              restrict_group, wreath_stabilizer)
 from ntcodes.perm import (PermError, PermGroup, Permutation,
                           ResourceCapError, bits, mask_of, popcount)
 
@@ -619,6 +620,16 @@ def _chain_digest(G):
     return hashlib.sha256(json.dumps(chain).encode()).hexdigest()
 
 
+def _hyperoval_line_stabilizer():
+    # the hyperoval's external line's stabilizer in PGammaL(3,4), restricted
+    # to the 16 points off the line: the same group as the builder's, from
+    # other generators
+    _, _, ext, _ = hyperoval_setting()
+    stab = group_generators("pgammal", n=3, q=4).setwise_stabilizer(
+        ext, orbit_size=21)
+    return restrict_group(stab, ((1 << 21) - 1) ^ ext)
+
+
 # The chain is deterministic: base points, each level's strong generators
 # and each transversal in its dict order fix order(), elements() and every
 # residue, so a change to how the chain is built must keep these digests.
@@ -631,9 +642,12 @@ def _chain_digest(G):
      "2bee0e9e6f53940625dceb3d876f26623afb3b2d29e4b73b4ef26764f6e85acb"),
     (lambda: group_generators("pgammal", n=3, q=3),
      "afa3f490d7236930cc12d91ae2c31fa8128cc3dff57b409325809bb84072ab25"),
-    (lambda: build("hyperoval_ag24")[1],
+    (_hyperoval_line_stabilizer,
      "a621647ceb2cc1632c70f3b8b84b96a95d00fb22ae4eb69db60b7cd87b934ba4"),
-], ids=["pgammau3", "wreath34", "agammal24", "pgammal33", "hyperoval"])
+    (lambda: build("hyperoval_ag24")[1],
+     "2691c01353c549b2328a9d5cc8190cd6e0eed6d4074c178c2a389706221d3e8e"),
+], ids=["pgammau3", "wreath34", "agammal24", "pgammal33", "hyperoval",
+        "hyperoval_chart"])
 def test_chain_is_pinned(make, digest):
     assert _chain_digest(make()) == digest
 

@@ -15,17 +15,17 @@ def parity(*argv):
 
 def test_parity_lists_every_call():
     names = parity(ROOT, ROOT, "--list").stdout.split("\n")[:-1]
-    assert len(names) == len(set(names)) == 25 * 4 + 2 + 15 * 3 + 7 + 3 + 2
+    assert len(names) == len(set(names)) == 25 * 4 + 2 + 15 * 3 + 7 + 3 + 2 + 1
     assert sum(n.startswith("search gens ") for n in names) == 15
 
 
 def test_parity_of_a_checkout_with_itself():
     # a code file and a gens:@file written by the first side, to standard
-    # output and to -o, a call that exits 3 and two that stop their fill
-    # at --cap-orbit and exit 0
+    # output and to -o, a hyperoval gens:@file written by each side, a call
+    # that exits 3 and two that stop their fill at --cap-orbit and exit 0
     proc = parity(ROOT, ROOT, "--only", "construct subfield_line*",
                   "--only", "verify hyperoval_ag24*",
                   "--only", "search gens agammal:1,16 k=2 *",
                   "--only", "cap verify*")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "parity: 8 of 8 calls identical\n"
+    assert proc.stdout == "parity: 9 of 9 calls identical\n"

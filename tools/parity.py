@@ -24,13 +24,15 @@ code, standard output, standard error and ``-o`` file bytes.  The calls:
   J(65,4) under PGU(3,4) and J(65,3) under PGammaU(3,4);
 - calls that stop at ``--cap-orbit`` and exit 3, and two ``verify`` calls
   whose fill, one by each route, stops at ``--cap-orbit`` and that exit 0
-  with both partition flags ``null``.
+  with both partition flags ``null``;
+- one ``verify`` of the hyperoval under the generators each side builds.
 
 The generator and code files are written once, by OLD, and both sides read
-the same files.  ``--only`` keeps the calls whose name matches one of the
-given fnmatch patterns; ``--list`` prints the names.  Prints one line per
-call that differs and a summary line; the exit code is 1 when a call
-differs, else 0.
+the same files, except for that last call: each side writes its own
+hyperoval ``gens:@file`` into its working directory.  ``--only`` keeps the
+calls whose name matches one of the given fnmatch patterns; ``--list``
+prints the names.  Prints one line per call that differs and a summary
+line; the exit code is 1 when a call differs, else 0.
 """
 
 import argparse
@@ -173,12 +175,19 @@ def calls(files):
             ("cap verify intransitive(k=3,u=3,v=8)",
              ["verify", code_file(files, "intransitive(k=3,u=3,v=8)"),
               "--group", "stab:8:0,1,2", "--cap-orbit", "20"])]
+    # a path relative to each side's working directory, where that side
+    # writes the hyperoval's generators from its own codes.build
+    key = workloads.entry_key(workloads.HYPEROVAL, {})
+    out.append((f"verify {key} own gens",
+                ["verify", code_file(files, key), "--group",
+                 "gens:@" + workloads.gens_filename(workloads.HYPEROVAL)]))
     return out
 
 
-def prepare(old_src, files, chosen):
+def prepare(old_src, new_src, files, sides, chosen):
     """Write, with OLD, the generator files and the code files that the
-    chosen calls read."""
+    chosen calls read, and with each side its own hyperoval generator file
+    in its working directory."""
     read = {arg.removeprefix("gens:@") for _, argv in chosen for arg in argv}
     specs = workloads.group_specs(
         workloads.catalog_calls() + workloads.search_calls("search_orbits")
@@ -188,6 +197,12 @@ def prepare(old_src, files, chosen):
     if pairs:
         subprocess.run([sys.executable, "-c", WRITE_GENS, files, *pairs],
                        env=dict(os.environ, PYTHONPATH=old_src), check=True)
+    own = workloads.gens_filename(workloads.HYPEROVAL)
+    if own in read:
+        for src, side in zip((old_src, new_src), sides):
+            subprocess.run([sys.executable, "-c", WRITE_GENS, side,
+                            f"{workloads.HYPEROVAL}={own}"],
+                           env=dict(os.environ, PYTHONPATH=src), check=True)
     for key, argv, _ in catalog_entries() + code_entries(EXTRA_VERIFIES):
         path = code_file(files, key)
         if path in read:
@@ -217,7 +232,7 @@ def main(argv=None):
         if args.list:
             print("\n".join(name for name, _ in chosen))
             return 0
-        prepare(old_src, files, chosen)
+        prepare(old_src, new_src, files, sides, chosen)
         differ = 0
         for name, argv in chosen:
             old = run_cli(old_src, argv, sides[0])
