@@ -315,11 +315,8 @@ def cmd_search(args):
 
 
 def cmd_catalog(_args):
-    rows = [(fam, codes_mod.FAMILY_PARAMS[fam],
-             codes_mod.FAMILY_DESCRIPTIONS[fam])
-            for fam in codes_mod.FAMILY_PARAMS]
-    width = max(len(r[0]) for r in rows)
-    for fam, params, desc in rows:
+    width = max(map(len, codes_mod.FAMILIES))
+    for fam, (_, params, desc) in codes_mod.FAMILIES.items():
         sys.stdout.write(f"{fam:<{width}}  {desc}\n")
         sys.stdout.write(f"{'':<{width}}  parameters: {params}\n")
     return EXIT_OK
@@ -351,8 +348,7 @@ _OUTPUT = ("output", str, None, False)
 # a tuple lists the values the option accepts
 VERBS = {
     "construct": (cmd_construct, "build a catalog code", (), {
-        "--family": ("family", tuple(sorted(codes_mod.FAMILY_PARAMS)),
-                     None, True),
+        "--family": ("family", tuple(sorted(codes_mod.FAMILIES)), None, True),
         **{f"--{key}": (key, _int, None, False) for key in CONSTRUCT_PARAMS},
         "-o": _OUTPUT, "--output": _OUTPUT}),
     "verify": (cmd_verify, "verify a (code file, group) pair",

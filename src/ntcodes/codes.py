@@ -9,12 +9,12 @@ silently false flag.
 
 from functools import cached_property
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 
 from . import geometry, johnson
 from .johnson import Code, min_distance
 from .perm import (DEFAULT_ORBIT_CAP, PermGroup, Permutation,
-                   ResourceCapError, bits, mask_of)
+                   ResourceCapError, bits, mask_of, popcount)
 
 
 class ConstructionError(ValueError):
@@ -102,23 +102,27 @@ def utype_gamma1_target(a, b, line, k=None, c=None):
     return tuple(sorted(x for x in raw if x > 0))
 
 
+def _type_class(a, b, k, target):
+    """The k-subsets of {0..ab-1} whose part-intersection type with the b
+    consecutive a-blocks is target."""
+    parts = geometry.partition_blocks(a, b)
+    return [m for m in johnson.all_ksubsets(a * b, k)
+            if johnson.u_type(m, parts) == target]
+
+
 def build_utype(a, b, line, k=None, c=None):
     """All k-subsets of one fixed part-intersection type; group = the
     partition stabilizer S_a wr S_b."""
     if a < 2 or b < 2:
         raise ConstructionError("need a > 1 and b > 1")
     target, k = utype_target(a, b, line, k=k, c=c)
-    v = a * b
-    parts = geometry.partition_blocks(a, b)
-    words = [m for m in johnson.all_ksubsets(v, k)
-             if johnson.u_type(m, parts) == target]
+    words = _type_class(a, b, k, target)
     if not words:
         raise ConstructionError("type class is empty")
-    G = geometry.wreath_stabilizer(a, b)
-    code = Code(v, k, words,
+    code = Code(a * b, k, words,
                 name=f"utype(a={a},b={b},line={line},k={k})",
                 params={"a": a, "b": b, "line": line, "k": k, "c": c})
-    return code, G
+    return code, geometry.wreath_stabilizer(a, b)
 
 
 def blowup_code(a, gamma0):
@@ -146,29 +150,41 @@ def build_blowup(a, b, k0):
     return blowup_code(a, gamma0), geometry.wreath_stabilizer(a, b)
 
 
-def build_affine_subspace(n, q, s):
-    """All affine s-dimensional subspaces of AG(n,q); group = AGammaL(n,q)."""
+def _orbit_code(G, rep, name, params, notes=None):
+    """(the G-orbit of the subset rep as a code in J(G.degree, |rep|), G)."""
+    return Code(G.degree, popcount(rep), G.subset_orbit(rep), name=name,
+                params=params, notes=notes), G
+
+
+def _subspace(kind, group, n, q, s):
+    """The orbit of the span of the first s unit vectors, in the affine or
+    projective space of F_q^n, under the named group on that space."""
     if not 1 <= s < n:
         raise ConstructionError("need 1 <= s < n")
-    space = geometry.build_space("affine", n=n, q=q)
+    space = geometry.build_space(kind, n=n, q=q)
     rep = mask_of(space.index[pt] for pt in space.points
                   if all(e == 0 for e in pt[s:]))
-    G = geometry.group_generators("agammal", n=n, q=q)
-    code = Code(len(space), q ** s, G.subset_orbit(rep),
-                name=f"affine_subspace(n={n},q={q},s={s})",
-                params={"n": n, "q": q, "s": s})
-    return code, G
+    return _orbit_code(geometry.group_generators(group, n=n, q=q), rep,
+                       f"{kind}_subspace(n={n},q={q},s={s})",
+                       {"n": n, "q": q, "s": s})
+
+
+def build_affine_subspace(n, q, s):
+    """All affine s-dimensional subspaces of AG(n,q); group = AGammaL(n,q)."""
+    return _subspace("affine", "agammal", n, q, s)
+
+
+def build_projective_subspace(n, q, s):
+    """All (s-1)-dimensional subspaces of PG(n-1,q); group = PGammaL(n,q)."""
+    return _subspace("projective", "pgammal", n, q, s)
 
 
 def build_subfield_line():
     """Orbit of the order-4 subfield of GF(16) under AGammaL(1,16)."""
     from .gf import GF
-    F = GF(16)
-    rep = mask_of(F.subfield_elements(2))
-    G = geometry.group_generators("agammal", n=1, q=16)
-    code = Code(16, 4, G.subset_orbit(rep), name="subfield_line",
-                params={"q": 16, "subfield": 4})
-    return code, G
+    return _orbit_code(geometry.group_generators("agammal", n=1, q=16),
+                       mask_of(GF(16).subfield_elements(2)), "subfield_line",
+                       {"q": 16, "subfield": 4})
 
 
 def build_hyperoval_ag24():
@@ -190,23 +206,7 @@ def build_hyperoval_ag24():
                   order=A.known_order)
     relabel = {p: i for i, p in enumerate(chart)}
     rep = mask_of(relabel[p] for p in bits(hmask))
-    code = Code(16, 6, G.subset_orbit(rep), name="hyperoval_ag24",
-                params={"q": 4})
-    return code, G
-
-
-def build_projective_subspace(n, q, s):
-    """All (s-1)-dimensional subspaces of PG(n-1,q); group = PGammaL(n,q)."""
-    if not 1 <= s < n:
-        raise ConstructionError("need 1 <= s < n")
-    space = geometry.build_space("projective", n=n, q=q)
-    rep = mask_of(space.index[pt] for pt in space.points
-                  if all(e == 0 for e in pt[s:]))
-    G = geometry.group_generators("pgammal", n=n, q=q)
-    code = Code(len(space), (q ** s - 1) // (q - 1), G.subset_orbit(rep),
-                name=f"projective_subspace(n={n},q={q},s={s})",
-                params={"n": n, "q": q, "s": s})
-    return code, G
+    return _orbit_code(G, rep, "hyperoval_ag24", {"q": 4})
 
 
 _BAER_NOTE = ("pairwise subline intersections of size at most 1 would give "
@@ -217,32 +217,30 @@ _BAER_NOTE = ("pairwise subline intersections of size at most 1 would give "
 
 def build_baer_subline(q0):
     """Orbit of the standard Baer subline under PGammaL(2,q0^2)."""
-    space, rep = geometry.standard_baer_subline(q0)
-    G = geometry.group_generators("pgammal", n=2, q=q0 * q0)
-    code = Code(len(space), q0 + 1, G.subset_orbit(rep),
-                name=f"baer_subline(q0={q0})", params={"q0": q0},
-                notes=[_BAER_NOTE])
-    return code, G
+    _, rep = geometry.standard_baer_subline(q0)
+    return _orbit_code(geometry.group_generators("pgammal", n=2, q=q0 * q0),
+                       rep, f"baer_subline(q0={q0})", {"q0": q0},
+                       [_BAER_NOTE])
 
 
 def build_unital(q):
-    code = geometry.unital_blocks(q)
+    """The blocks of the classical unital; group = PGammaU(3,q)."""
+    blocks = geometry.unital_blocks(q)
     G = geometry.group_generators("pgammau", q=q)
-    return code, G
+    return Code(G.degree, q + 1, blocks, name=f"unital(q={q})",
+                params={"q": q}), G
 
 
 def build_ovoid_circles():
     """The 30 'circles' on a 10-point ovoid: realized as the PGL(2,9)-orbit
     of a Baer subline of PG(1,9), re-checked as a 3-(10,4,1) design."""
-    space, rep = geometry.standard_baer_subline(3)
-    G = geometry.group_generators("pgl", n=2, q=9)
-    words = G.subset_orbit(rep)
-    for triple in combinations(range(10), 3):
+    _, rep = geometry.standard_baer_subline(3)
+    code, G = _orbit_code(geometry.group_generators("pgl", n=2, q=9), rep,
+                          "ovoid_circles", {}, [_BAER_NOTE])
+    for triple in combinations(range(code.v), 3):
         tm = mask_of(triple)
-        if sum(1 for w in words if w & tm == tm) != 1:
+        if sum(1 for w in code.codewords if w & tm == tm) != 1:
             raise ConstructionError("circle orbit is not a 3-(10,4,1) design")
-    code = Code(10, 4, words, name="ovoid_circles", params={},
-                notes=[_BAER_NOTE])
     return code, G
 
 
@@ -253,25 +251,19 @@ def build_psl2_orbit(q):
     space = geometry.build_space("projective", n=2, q=q)
     rep = mask_of([space.index[(0, 1)], space.index[(1, 0)],
                    space.index[(1, 1)]])
-    G = geometry.group_generators("psl2", q=q)
-    orb = G.subset_orbit(rep)
-    if 2 * len(orb) != comb(q + 1, 3):
+    code, G = _orbit_code(geometry.group_generators("psl2", q=q), rep,
+                          f"psl2_orbit(q={q})", {"q": q})
+    if 2 * len(code) != comb(q + 1, 3):
         raise ConstructionError("expected two equal orbits on 3-subsets")
-    code = Code(q + 1, 3, orb, name=f"psl2_orbit(q={q})",
-                params={"q": q})
     return code, G
 
 
 def build_j93():
     """The J(9,3) union code: the 27 transversals of a 3x3 partition plus the
     3 parts; group = S_3 wr S_3 (transitive on the neighbour set only)."""
-    parts = geometry.partition_blocks(3, 3)
-    words = list(parts)
-    words += [m for m in johnson.all_ksubsets(9, 3)
-              if johnson.u_type(m, parts) == (1, 1, 1)]
-    G = geometry.wreath_stabilizer(3, 3)
-    code = Code(9, 3, words, name="j93", params={})
-    return code, G
+    words = geometry.partition_blocks(3, 3) + _type_class(3, 3, 3, (1, 1, 1))
+    return (Code(9, 3, words, name="j93", params={}),
+            geometry.wreath_stabilizer(3, 3))
 
 
 def build_unitary_bases():
@@ -288,61 +280,52 @@ def build_unitary_bases():
     rep = mask_of(i for i, x in enumerate(space.points)
                   if any(geometry.hermitian_form(F, x, m) == 0
                          for m in basis))
-    if bin(rep).count("1") != 12:
+    if popcount(rep) != 12:
         raise ConstructionError("a self-polar triangle should cover 12 "
                                 "isotropic points")
-    G = geometry.group_generators("pgammau", q=3)
-    code = Code(28, 12, G.subset_orbit(rep), name="unitary_bases",
-                params={"q": 3})
-    return code, G
+    return _orbit_code(geometry.group_generators("pgammau", q=3), rep,
+                       "unitary_bases", {"q": 3})
 
 
-_FAMILIES = {
-    "intransitive": build_intransitive,
-    "utype": build_utype,
-    "blowup": build_blowup,
-    "affine_subspace": build_affine_subspace,
-    "subfield_line": build_subfield_line,
-    "hyperoval_ag24": build_hyperoval_ag24,
-    "projective_subspace": build_projective_subspace,
-    "baer_subline": build_baer_subline,
-    "unital": build_unital,
-    "ovoid_circles": build_ovoid_circles,
-    "psl2_orbit": build_psl2_orbit,
-    "j93": build_j93,
-    "unitary_bases": build_unitary_bases,
-}
-
-FAMILY_PARAMS = {
-    "intransitive": "v, u, k (variant a/b/c chosen by u vs k)",
-    "utype": "a, b, line (1-7), k or c",
-    "blowup": "a, b, k0 (full inner vertex set; b >= 4)",
-    "affine_subspace": "n, q, s (1 <= s < n)",
-    "subfield_line": "none (fixed: order-4 subfield of GF(16))",
-    "hyperoval_ag24": "none (fixed: PG(2,4) hyperoval off an external line)",
-    "projective_subspace": "n, q, s (1 <= s < n)",
-    "baer_subline": "q0 in {2,3} (q0=2 is degenerate)",
-    "unital": "q in {3,4,5}",
-    "ovoid_circles": "none (fixed: 30 circles on a 10-point ovoid)",
-    "psl2_orbit": "q = 1 mod 4, q > 5",
-    "j93": "none (fixed: 27 transversals + 3 parts in J(9,3))",
-    "unitary_bases": "none (fixed: 63 12-subsets of 28 points)",
-}
-
-FAMILY_DESCRIPTIONS = {
-    "intransitive": "k-subsets of, equal to, or containing a fixed u-set",
-    "utype": "all k-subsets with one fixed part-intersection type",
-    "blowup": "unions of whole parts indexed by a smaller code",
-    "affine_subspace": "affine s-dimensional subspaces of AG(n,q)",
-    "subfield_line": "AGammaL(1,16)-orbit of the GF(4) subfield",
-    "hyperoval_ag24": "hyperoval orbit in the 16 points off an external line",
-    "projective_subspace": "(s-1)-dimensional subspaces of PG(n-1,q)",
-    "baer_subline": "PGammaL(2,q0^2)-orbit of the standard Baer subline",
-    "unital": "blocks of the classical unital on q^3+1 isotropic points",
-    "ovoid_circles": "blocks of the 3-(10,4,1) design of ovoid circles",
-    "psl2_orbit": "one PSL(2,q)-orbit on 3-subsets of the projective line",
-    "j93": "transversals plus parts of a 3x3 partition of 9 points",
-    "unitary_bases": "normalizer-defined 12-subsets in the unitary geometry",
+# family -> (builder, its parameters, what it builds); cli's catalog lists
+# the families in this order
+FAMILIES = {
+    "intransitive": (build_intransitive,
+                     "v, u, k (variant a/b/c chosen by u vs k)",
+                     "k-subsets of, equal to, or containing a fixed u-set"),
+    "utype": (build_utype, "a, b, line (1-7), k or c",
+              "all k-subsets with one fixed part-intersection type"),
+    "blowup": (build_blowup, "a, b, k0 (full inner vertex set; b >= 4)",
+               "unions of whole parts indexed by a smaller code"),
+    "affine_subspace": (build_affine_subspace, "n, q, s (1 <= s < n)",
+                        "affine s-dimensional subspaces of AG(n,q)"),
+    "subfield_line": (build_subfield_line,
+                      "none (fixed: order-4 subfield of GF(16))",
+                      "AGammaL(1,16)-orbit of the GF(4) subfield"),
+    "hyperoval_ag24": (build_hyperoval_ag24,
+                       "none (fixed: PG(2,4) hyperoval off an external line)",
+                       "hyperoval orbit in the 16 points off an external "
+                       "line"),
+    "projective_subspace": (build_projective_subspace,
+                            "n, q, s (1 <= s < n)",
+                            "(s-1)-dimensional subspaces of PG(n-1,q)"),
+    "baer_subline": (build_baer_subline,
+                     "q0 a prime power, q0^2+1 <= 4096 points (q0=2 is "
+                     "degenerate)",
+                     "PGammaL(2,q0^2)-orbit of the standard Baer subline"),
+    "unital": (build_unital, "q a prime power, q^3+1 <= 4096 points",
+               "blocks of the classical unital on q^3+1 isotropic points"),
+    "ovoid_circles": (build_ovoid_circles,
+                      "none (fixed: 30 circles on a 10-point ovoid)",
+                      "blocks of the 3-(10,4,1) design of ovoid circles"),
+    "psl2_orbit": (build_psl2_orbit, "q = 1 mod 4, q > 5",
+                   "one PSL(2,q)-orbit on 3-subsets of the projective line"),
+    "j93": (build_j93, "none (fixed: 27 transversals + 3 parts in J(9,3))",
+            "transversals plus parts of a 3x3 partition of 9 points"),
+    "unitary_bases": (build_unitary_bases,
+                      "none (fixed: 63 12-subsets of 28 points)",
+                      "normalizer-defined 12-subsets in the unitary "
+                      "geometry"),
 }
 
 _BUILD_CACHE = {}
@@ -350,11 +333,11 @@ _BUILD_CACHE = {}
 
 def build(family, **params):
     """Memoized (Code, PermGroup) construction by family name."""
-    if family not in _FAMILIES:
+    if family not in FAMILIES:
         raise ConstructionError(f"unknown family {family!r}")
     key = (family, tuple(sorted(params.items())))
     if key not in _BUILD_CACHE:
-        _BUILD_CACHE[key] = _FAMILIES[family](**params)
+        _BUILD_CACHE[key] = FAMILIES[family][0](**params)
     return _BUILD_CACHE[key]
 
 
@@ -715,13 +698,13 @@ def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP):
 
     Scans every union of at most max_union G-orbits on k-subsets (default:
     single orbits, which are automatically code-transitive) and keeps the
-    unions satisfying the predicate.  The full vertex set is always
-    skipped, since a code must be a proper subset.  One
-    orbit quotient of J(v,k) serves every union's predicate, which reads
-    only orbit numbers, reps and sizes; a Code is built only for a union
-    that is found, and only the orbits of those unions are walked for
-    their members, by one call to members that sizes its walker to them
-    all.
+    unions satisfying the predicate; more unions than cap raises before
+    any is tested.  The full vertex set is always skipped, since a code
+    must be a proper subset.  One orbit quotient of J(v,k) serves every
+    union's predicate, which reads only orbit numbers, reps and sizes; a
+    Code is built only for a union that is found, and only the orbits of
+    those unions are walked for their members, by one call to members
+    that sizes its walker to them all.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}; choose from "
@@ -735,9 +718,14 @@ def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP):
     pred = PREDICATES[predicate]
     quotient = subset_orbits(G, k, cap=cap)
     sizes = quotient.sizes
+    n = len(sizes)
+    tests = sum(comb(n, r) for r in range(1, min(max_union, n) + 1))
+    if tests > cap:
+        raise ResourceCapError(f"{tests} unions of at most {max_union} of "
+                               f"{n} orbits exceed cap {cap}")
     total = comb(G.degree, k)
     unions = [chosen for r in range(1, max_union + 1)
-              for chosen in combinations(range(len(sizes)), r)
+              for chosen in combinations(range(n), r)
               if sum(sizes[i] for i in chosen) != total
               and pred(G, quotient, chosen)]
     quotient.members({i for chosen in unions for i in chosen})

@@ -16,9 +16,8 @@ from itertools import product
 from math import factorial, gcd, prod
 
 from .gf import GF, FieldError
-from .johnson import Code
 from .perm import (MAX_DEGREE, PermError, PermGroup, Permutation, bits,
-                   mask_of)
+                   mask_of, popcount)
 
 MAX_POINTS = 4096
 
@@ -337,10 +336,11 @@ def lines(space):
 # ---- derived point-block structures ------------------------------------------
 
 def unital_blocks(q):
-    """The classical unital: isotropic points cut by non-degenerate 2-spaces.
+    """The blocks of the classical unital, as ascending masks: the isotropic
+    points cut by non-degenerate 2-spaces.
 
     Each block is the perp of a non-isotropic point m, i.e. the q+1 isotropic
-    points x with phi(x, m) = 0; v = q^3 + 1, k = q + 1.
+    points x with phi(x, m) = 0, among the q^3 + 1 isotropic points.
     """
     space = build_space("hermitian_isotropic", q=q)
     F = space.field
@@ -350,11 +350,10 @@ def unital_blocks(q):
             continue
         mask = mask_of(i for i, x in enumerate(space.points)
                        if hermitian_form(F, x, m) == 0)
-        if bin(mask).count("1") != q + 1:
+        if popcount(mask) != q + 1:
             raise GeometryError("unital block of wrong size")
         blocks.add(mask)
-    return Code(q ** 3 + 1, q + 1, blocks, name=f"unital(q={q})",
-                params={"q": q})
+    return sorted(blocks)
 
 
 def standard_baer_subline(q0):

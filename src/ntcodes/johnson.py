@@ -68,8 +68,7 @@ class Code:
     codes.build hands out from its memo cannot be changed by a caller.
     """
 
-    def __init__(self, v, k, codewords, name="", params=None, notes=None,
-                 degenerate=None):
+    def __init__(self, v, k, codewords, name="", params=None, notes=None):
         codewords = sorted(set(codewords))
         if not codewords:
             raise JohnsonError("empty code")
@@ -84,9 +83,7 @@ class Code:
         self.name = name
         self.params = MappingProxyType(dict(params or {}))
         self.notes = tuple(notes or ())
-        if degenerate is None:
-            degenerate = (len(codewords) == comb(v, k)) or not (2 <= k <= v - 2)
-        self.degenerate = degenerate
+        self.degenerate = len(codewords) == comb(v, k) or not 2 <= k <= v - 2
         self._set = frozenset(codewords)
 
     def __len__(self):
@@ -494,5 +491,4 @@ def complement_code(code):
     return Code(code.v, code.v - code.k,
                 [full ^ m for m in code.codewords],
                 name=f"complement({code.name})" if code.name else "complement",
-                params=code.params, notes=code.notes,
-                degenerate=code.degenerate)
+                params=code.params, notes=code.notes)

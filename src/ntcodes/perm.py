@@ -368,10 +368,6 @@ class PermGroup:
         self._mask_moves = None
 
     @classmethod
-    def trivial(cls, degree):
-        return cls(degree, [])
-
-    @classmethod
     def symmetric(cls, n):
         gens = []
         if n >= 2:

@@ -191,6 +191,18 @@ def test_construct_bad_params(capsys):
     assert err.startswith("error: cannot write output file:")
 
 
+# values the builders accept that an older parameter text left out: prime
+# powers within the point cap
+@pytest.mark.parametrize("argv,shape", [
+    (["unital", "--q", "2"], (9, 3, 12)),
+    (["baer_subline", "--q0", "4"], (17, 5, 68))])
+def test_construct_beyond_the_old_parameter_text(capsys, argv, shape):
+    rc, out, err = run(capsys, "construct", "--family", *argv)
+    assert (rc, err) == (0, "")
+    data = json.loads(out)
+    assert (data["v"], data["k"], len(data["codewords"])) == shape
+
+
 # ---- verify --------------------------------------------------------------------
 
 def test_verify_pass(tmp_path, capsys):
@@ -387,13 +399,35 @@ def test_search_resource_cap(capsys):
     assert rc == 3 and "resource cap" in err
 
 
+def test_search_over_the_union_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # the trivial group on 10 points has 252 orbits on 5-sets, so 2,667,378
+    # unions of at most 3 of them: over the cap before any is tested
+    gens = tmp_path / "g10"
+    gens.write_text("10\n")
+
+    def untested(*_):
+        raise AssertionError("a union was tested")
+    monkeypatch.setitem(codes.PREDICATES, "completely_regular", untested)
+    rc, out, err = run(capsys, "search", "--group", f"gens:@{gens}",
+                       "--k", "5", "--predicate", "completely_regular",
+                       "--max-union", "3")
+    assert (rc, out) == (3, "")
+    assert err == ("resource cap exceeded: 2667378 unions of at most 3 of "
+                   "252 orbits exceed cap 1000000\n")
+
+
 # ---- catalog and argument grammar ---------------------------------------------
 
 def test_catalog_lists_every_family(capsys):
     rc, out, _ = run(capsys, "catalog")
     assert rc == 0
-    for fam in codes.FAMILY_PARAMS:
+    for fam, (_, params, desc) in codes.FAMILIES.items():
         assert fam in out
+        assert f"  {desc}\n" in out and f"  parameters: {params}\n" in out
+    # the unital's text states the point cap that its builder enforces
+    assert "q a prime power, q^3+1 <= 4096 points" in out
+    rc, _, err = run(capsys, "construct", "--family", "unital", "--q", "16")
+    assert rc == 2 and "more than 4096 points" in err
 
 
 def test_usage_exit_code_from_argparse(capsys):
@@ -532,7 +566,7 @@ def _argparse_parser():
     sub = p.add_subparsers(dest="verb", required=True)
     pc = sub.add_parser("construct")
     pc.add_argument("--family", required=True,
-                    choices=sorted(codes.FAMILY_PARAMS))
+                    choices=sorted(codes.FAMILIES))
     for key in ("v", "u", "k", "a", "b", "c", "line", "k0", "n", "q",
                 "s", "q0"):
         pc.add_argument(f"--{key}", type=int, default=None)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import random
 from math import comb
 
@@ -17,6 +18,9 @@ from ntcodes.johnson import (Code, all_ksubsets, min_distance, neighbour_set,
                              u_type, vertex_neighbours)
 from ntcodes.perm import (PermGroup, Permutation, ResourceCapError, bits,
                           mask_of)
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def all_orbits(quotient):
@@ -49,6 +53,52 @@ def test_catalog_shapes():
         assert code.v == G.degree
         if key in CATALOG_SHAPES:
             assert (code.v, code.k, len(code)) == CATALOG_SHAPES[key], family
+
+
+def _perfbench_workloads():
+    import importlib.util
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_catalog_matches_the_benchmark_reference_digests():
+    # every CATALOG code is the one the benchmark's reference recorded
+    workloads = _perfbench_workloads()
+    with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
+        reference = json.load(fh)["catalog"]
+    assert len(CATALOG) == len(reference) == 25
+    for family, params in CATALOG:
+        code, _ = build(family, **params)
+        digest = workloads.code_digest(
+            code.v, code.k, [list(bits(w)) for w in code.codewords])
+        key = workloads.entry_key(family, params)
+        assert digest == reference[key]["construct"]["digest"], key
+
+
+def _gaussian_binomial(n, s, q):
+    """[n choose s]_q, the number of s-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(s):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("n,q,s", [(n, q, s) for n in (2, 3, 4)
+                                   for q in (2, 3, 4, 5) if q ** n <= 81
+                                   for s in range(1, n)])
+def test_subspace_codes_have_their_sizes(n, q, s):
+    # k and |C| of the orbit codes against the subspace counts
+    code, G = build("affine_subspace", n=n, q=q, s=s)
+    assert (code.v, code.k) == (G.degree, q ** s) == (q ** n, q ** s)
+    assert len(code) == q ** (n - s) * _gaussian_binomial(n, s, q)
+    code, G = build("projective_subspace", n=n, q=q, s=s)
+    assert code.v == G.degree == (q ** n - 1) // (q - 1)
+    assert code.k == (q ** s - 1) // (q - 1)
+    assert len(code) == _gaussian_binomial(n, s, q)
 
 
 def test_build_memoization_returns_same_objects():
@@ -417,7 +467,7 @@ def test_unitary_bases_are_three_unital_blocks():
     # each codeword is the union of the blocks polar to a self-polar
     # triangle's three points
     code, _ = build("unitary_bases")
-    blocks = geometry.unital_blocks(3).codewords
+    blocks = geometry.unital_blocks(3)
     for w in code.codewords:
         inside = [b for b in blocks if b & w == b]
         assert len(inside) == 3
@@ -896,6 +946,21 @@ def test_search_rejects_bad_arguments():
         classify_search(PermGroup.symmetric(5), 2, "no_such_predicate")
     with pytest.raises(ValueError):
         classify_search(PermGroup.symmetric(5), 2, "strong", max_union=4)
+
+
+def test_search_caps_the_unions_it_tests():
+    # the trivial group on 5 points has 10 orbits on 2-sets: 10 + 45 = 55
+    # unions of at most 2, and 10 + 45 + 120 = 175 of at most 3
+    G = PermGroup(5, [])
+    assert len(classify_search(G, 2, "code_transitive", max_union=2,
+                               cap=55)) == 10
+    with pytest.raises(ResourceCapError, match="55 unions of at most 2 of "
+                       "10 orbits exceed cap 54"):
+        classify_search(G, 2, "code_transitive", max_union=2, cap=54)
+    with pytest.raises(ResourceCapError, match="^175 unions"):
+        classify_search(G, 2, "code_transitive", max_union=3, cap=174)
+    # on J(5,5) the one orbit is the whole vertex set: one union, skipped
+    assert classify_search(G, 5, "code_transitive", max_union=3, cap=1) == []
 
 
 def test_orbit_flags_refuse_a_code_that_is_not_a_union_of_orbits():

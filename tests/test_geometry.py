@@ -191,17 +191,18 @@ def test_wreath_blocks():
 
 @pytest.mark.parametrize("q,blocks", [(3, 63), (4, 208)])
 def test_unital_block_counts(q, blocks):
-    code = unital_blocks(q)
-    assert code.v == q ** 3 + 1
-    assert code.k == q + 1
-    assert len(code) == blocks
+    masks = unital_blocks(q)
+    assert masks == sorted(set(masks))
+    assert all(m >> (q ** 3 + 1) == 0 for m in masks)
+    assert {len(list(bits(m))) for m in masks} == {q + 1}
+    assert len(masks) == blocks
 
 
 def test_unital_is_a_2_design():
-    code = unital_blocks(3)
+    masks = unital_blocks(3)
     for pair in combinations(range(28), 2):
         pm = mask_of(pair)
-        assert sum(1 for b in code.codewords if b & pm == pm) == 1
+        assert sum(1 for b in masks if b & pm == pm) == 1
 
 
 def test_baer_sublines():

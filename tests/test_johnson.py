@@ -161,7 +161,7 @@ def test_not_completely_regular_witness():
 def test_orbit_quotient_of_trivial_group_is_the_graph():
     # one orbit per vertex: the rows are the adjacency of J(6,3) itself
     v, k = 6, 3
-    quotient = johnson.OrbitQuotient(PermGroup.trivial(v), k, 1).fill()
+    quotient = johnson.OrbitQuotient(PermGroup(v, []), k, 1).fill()
     orbits = quotient.members(range(len(quotient.reps)))
     assert orbits == [(m,) for m in all_ksubsets(v, k)]
     for i, (m,) in enumerate(orbits):
@@ -313,7 +313,7 @@ def test_fill_scans_to_the_last_orbit(v, points, k):
     # a trivial group's last orbit is the last k-subset, and the orbits of
     # a stabilizer of the top points start late in the scan
     from ntcodes.cli import parse_group_spec
-    for G in (parse_group_spec(f"stab:{v}:{points}"), PermGroup.trivial(v)):
+    for G in (parse_group_spec(f"stab:{v}:{points}"), PermGroup(v, [])):
         quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
         _assert_orbits(quotient, _union_find_orbits(G, k))
 

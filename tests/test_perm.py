@@ -182,7 +182,7 @@ def test_unitary_order_closed_form(q, d):
 
 
 def test_trivial_group():
-    G = PermGroup.trivial(5)
+    G = PermGroup(5, [])
     assert G.order() == 1
     assert list(G.elements()) == [Permutation.identity(5)]
 
@@ -514,7 +514,7 @@ def test_transitive_on_product():
     from ntcodes.geometry import subset_stabilizer
     G = subset_stabilizer(4, [0, 1])
     assert G.is_transitive_on_product({0, 1}, {2, 3})
-    T = PermGroup.trivial(4)
+    T = PermGroup(4, [])
     assert not T.is_transitive_on_product({0, 1}, {2, 3})
     assert T.is_transitive_on_product({0}, {1})
 
@@ -555,11 +555,11 @@ def test_2transitivity():
     assert PermGroup.symmetric(3).is_2transitive()
     assert not wreath_stabilizer(3, 3).is_2transitive()
     assert group_generators("agammal", n=1, q=16).is_2transitive()
-    assert not PermGroup.trivial(3).is_2transitive()
+    assert not PermGroup(3, []).is_2transitive()
     # v = 1 and v = 2, a regular group and an intransitive one, each
     # against the oracle below
-    for G, two in ((PermGroup.trivial(1), True),
-                   (PermGroup.trivial(2), False),
+    for G, two in ((PermGroup(1, []), True),
+                   (PermGroup(2, []), False),
                    (PermGroup.symmetric(2), True),
                    (PermGroup(3, [Permutation.from_cycles(3, [(0, 1, 2)])]),
                     False),
@@ -705,7 +705,7 @@ def test_known_order_builders_are_in_the_grid():
     lambda: group_generators("pgammau", q=3),
     lambda: wreath_stabilizer(3, 4),
     lambda: PermGroup.symmetric(5),
-    lambda: PermGroup.trivial(4),
+    lambda: PermGroup(4, []),
     lambda: build("hyperoval_ag24")[1],
 ], ids=["pgammau3", "wreath34", "sym5", "trivial", "hyperoval"])
 def test_wrong_known_order_raises(make):

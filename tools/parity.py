@@ -25,11 +25,15 @@ code, standard output, standard error and ``-o`` file bytes.  The calls:
 - calls that stop at ``--cap-orbit`` and exit 3, and two ``verify`` calls
   whose fill, one by each route, stops at ``--cap-orbit`` and that exit 0
   with both partition flags ``null``;
-- one ``verify`` of the hyperoval under the generators each side builds.
+- one ``verify`` of the hyperoval under the generators each side builds;
+- the outputs the family table drives: ``catalog``, ``construct -h`` and
+  two ``construct`` usage errors, a parameter the family does not take and
+  a family that does not exist.
 
 The generator and code files are written once, by OLD, and both sides read
-the same files, except for that last call: each side writes its own
-hyperoval ``gens:@file`` into its working directory.  ``--only`` keeps the
+the same files, except for the hyperoval under each side's generators:
+each side writes its own hyperoval ``gens:@file`` into its working
+directory.  ``--only`` keeps the
 calls whose name matches one of the given fnmatch patterns; ``--list``
 prints the names.  Prints one line per call that differs and a summary
 line; the exit code is 1 when a call differs, else 0.
@@ -181,6 +185,10 @@ def calls(files):
     out.append((f"verify {key} own gens",
                 ["verify", code_file(files, key), "--group",
                  "gens:@" + workloads.gens_filename(workloads.HYPEROVAL)]))
+    out += [("catalog", ["catalog"]), ("construct -h", ["construct", "-h"]),
+            ("construct unital --v 3",
+             ["construct", "--family", "unital", "--v", "3"]),
+            ("construct no_such", ["construct", "--family", "no_such"])]
     return out
 
 
