@@ -236,7 +236,7 @@ def cmd_construct(args):
     try:
         code, _ = codes_mod.build(args.family, **params)
     except (codes_mod.ConstructionError, TypeError, FieldError,
-            geometry.GeometryError, JohnsonError) as exc:
+            geometry.GeometryError, JohnsonError, PermError) as exc:
         raise UsageError(f"construct: {exc}")
     _write_output(code_to_json(code), args.output)
     return EXIT_OK

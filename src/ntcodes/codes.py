@@ -26,24 +26,15 @@ class ConstructionError(ValueError):
 # ---------------------------------------------------------------------------
 
 def build_intransitive(v, u, k):
-    """All k-subsets of a u-set (u>k), the u-set itself (u=k), or all
-    k-subsets containing it (u<k); group = Stab(U) = Sym(U) x Sym(rest)."""
+    """All k-subsets of a u-set U = {0..u-1} (u>k), U itself (u=k), or all
+    k-subsets containing U (u<k): the orbit of {0..k-1} under the group
+    Stab(U) = Sym(U) x Sym(rest)."""
     if not (0 < u < v) or not (2 <= k <= v - 2):
         raise ConstructionError("need 0 < u < v and 2 <= k <= v-2")
-    umask = mask_of(range(u))
-    if u > k:
-        words = [mask_of(c) for c in combinations(range(u), k)]
-        variant = "a"
-    elif u == k:
-        words = [umask]
-        variant = "b"
-    else:
-        words = [umask | mask_of(c) for c in combinations(range(u, v), k - u)]
-        variant = "c"
-    G = geometry.subset_stabilizer(v, range(u))
-    code = Code(v, k, words, name=f"intransitive(v={v},u={u},k={k})",
-                params={"v": v, "u": u, "k": k, "variant": variant})
-    return code, G
+    variant = "a" if u > k else "b" if u == k else "c"
+    return _orbit_code(geometry.subset_stabilizer(v, range(u)),
+                       mask_of(range(k)), f"intransitive(v={v},u={u},k={k})",
+                       {"v": v, "u": u, "k": k, "variant": variant})
 
 
 def utype_target(a, b, line, k=None, c=None):
@@ -102,27 +93,23 @@ def utype_gamma1_target(a, b, line, k=None, c=None):
     return tuple(sorted(x for x in raw if x > 0))
 
 
-def _type_class(a, b, k, target):
-    """The k-subsets of {0..ab-1} whose part-intersection type with the b
-    consecutive a-blocks is target."""
-    parts = geometry.partition_blocks(a, b)
-    return [m for m in johnson.all_ksubsets(a * b, k)
-            if johnson.u_type(m, parts) == target]
-
-
 def build_utype(a, b, line, k=None, c=None):
-    """All k-subsets of one fixed part-intersection type; group = the
-    partition stabilizer S_a wr S_b."""
+    """All k-subsets of one fixed part-intersection type: the orbit, under
+    the partition stabilizer S_a wr S_b, of the k-set that meets part i of
+    the b consecutive a-blocks in its first target[i] points.  The class is
+    empty unless the target has at most b entries, each in 1..a, summing
+    to k."""
     if a < 2 or b < 2:
         raise ConstructionError("need a > 1 and b > 1")
     target, k = utype_target(a, b, line, k=k, c=c)
-    words = _type_class(a, b, k, target)
-    if not words:
+    if (len(target) > b or not 0 < min(target) <= max(target) <= a
+            or sum(target) != k):
         raise ConstructionError("type class is empty")
-    code = Code(a * b, k, words,
-                name=f"utype(a={a},b={b},line={line},k={k})",
-                params={"a": a, "b": b, "line": line, "k": k, "c": c})
-    return code, geometry.wreath_stabilizer(a, b)
+    return _orbit_code(geometry.wreath_stabilizer(a, b),
+                       mask_of(i * a + j for i, t in enumerate(target)
+                               for j in range(t)),
+                       f"utype(a={a},b={b},line={line},k={k})",
+                       {"a": a, "b": b, "line": line, "k": k, "c": c})
 
 
 def blowup_code(a, gamma0):
@@ -224,11 +211,13 @@ def build_baer_subline(q0):
 
 
 def build_unital(q):
-    """The blocks of the classical unital; group = PGammaU(3,q)."""
-    blocks = geometry.unital_blocks(q)
-    G = geometry.group_generators("pgammau", q=q)
-    return Code(G.degree, q + 1, blocks, name=f"unital(q={q})",
-                params={"q": q}), G
+    """The blocks of the classical unital, the isotropic points polar to a
+    non-isotropic point: one PGammaU(3,q)-orbit, that of the block polar
+    to e2; group = PGammaU(3,q)."""
+    space = geometry.build_space("hermitian_isotropic", q=q)
+    return _orbit_code(geometry.group_generators("pgammau", q=q),
+                       geometry.polar_block(space, (0, 1, 0)),
+                       f"unital(q={q})", {"q": q})
 
 
 def build_ovoid_circles():
@@ -260,10 +249,12 @@ def build_psl2_orbit(q):
 
 def build_j93():
     """The J(9,3) union code: the 27 transversals of a 3x3 partition plus the
-    3 parts; group = S_3 wr S_3 (transitive on the neighbour set only)."""
-    words = geometry.partition_blocks(3, 3) + _type_class(3, 3, 3, (1, 1, 1))
-    return (Code(9, 3, words, name="j93", params={}),
-            geometry.wreath_stabilizer(3, 3))
+    3 parts, the orbits of {0,3,6} and of {0,1,2}; group = S_3 wr S_3
+    (transitive on the neighbour set only)."""
+    G = geometry.wreath_stabilizer(3, 3)
+    words = (G.subset_orbit(mask_of(range(3)))
+             + G.subset_orbit(mask_of((0, 3, 6))))
+    return Code(9, 3, words, name="j93", params={}), G
 
 
 def build_unitary_bases():
@@ -275,11 +266,9 @@ def build_unitary_bases():
     is the triangle e2, e1+e3, e1-e3.
     """
     space = geometry.build_space("hermitian_isotropic", q=3)
-    F = space.field
-    basis = [(0, 1, 0), (1, 0, 1), (1, 0, F.neg(1))]
-    rep = mask_of(i for i, x in enumerate(space.points)
-                  if any(geometry.hermitian_form(F, x, m) == 0
-                         for m in basis))
+    rep = 0
+    for m in (0, 1, 0), (1, 0, 1), (1, 0, space.field.neg(1)):
+        rep |= geometry.polar_block(space, m)
     if popcount(rep) != 12:
         raise ConstructionError("a self-polar triangle should cover 12 "
                                 "isotropic points")

@@ -17,7 +17,7 @@ from math import factorial, gcd, prod
 
 from .gf import GF, FieldError
 from .perm import (MAX_DEGREE, PermError, PermGroup, Permutation, bits,
-                   mask_of, popcount)
+                   mask_of)
 
 MAX_POINTS = 4096
 
@@ -79,6 +79,8 @@ def build_space(kind, **params):
         raise GeometryError(f"unknown space kind {kind!r}")
     if kind == "hermitian_isotropic":
         q = params["q"]
+        if q < 2:
+            raise GeometryError(f"need q >= 2, got q={q}")
         F, count = GF(q * q), q ** 3 + 1
     else:
         n, q = params["n"], params["q"]
@@ -335,29 +337,19 @@ def lines(space):
 
 # ---- derived point-block structures ------------------------------------------
 
-def unital_blocks(q):
-    """The blocks of the classical unital, as ascending masks: the isotropic
-    points cut by non-degenerate 2-spaces.
-
-    Each block is the perp of a non-isotropic point m, i.e. the q+1 isotropic
-    points x with phi(x, m) = 0, among the q^3 + 1 isotropic points.
-    """
-    space = build_space("hermitian_isotropic", q=q)
+def polar_block(space, m):
+    """Mask of the isotropic points x of a hermitian_isotropic space with
+    phi(x, m) = 0.  For a non-isotropic point m of PG(2,q^2) these are the
+    q+1 points of the unital's block polar to m."""
     F = space.field
-    blocks = set()
-    for m in _projective_points(F, 3):
-        if hermitian_form(F, m, m) == 0:
-            continue
-        mask = mask_of(i for i, x in enumerate(space.points)
-                       if hermitian_form(F, x, m) == 0)
-        if popcount(mask) != q + 1:
-            raise GeometryError("unital block of wrong size")
-        blocks.add(mask)
-    return sorted(blocks)
+    return mask_of(i for i, x in enumerate(space.points)
+                   if hermitian_form(F, x, m) == 0)
 
 
 def standard_baer_subline(q0):
     """(space PG(1,q0^2), mask of the subfield-plus-infinity subline)."""
+    if q0 < 2:
+        raise GeometryError(f"need q0 >= 2, got q0={q0}")
     space = build_space("projective", n=2, q=q0 * q0)
     F = space.field
     sub = set(F.subfield_elements(F.a // 2))

@@ -20,7 +20,7 @@ from ntcodes import cli, codes
 from ntcodes.cli import (UsageError, code_to_json, main, parse_code_dict,
                          parse_group_spec)
 from ntcodes.johnson import Code
-from ntcodes.perm import mask_of
+from ntcodes.perm import PermGroup, mask_of
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -201,6 +201,75 @@ def test_construct_beyond_the_old_parameter_text(capsys, argv, shape):
     assert (rc, err) == (0, "")
     data = json.loads(out)
     assert (data["v"], data["k"], len(data["codewords"])) == shape
+
+
+# a group of degree over 4096 ended in a PermError traceback and exit 1;
+# the utype call first scanned all C(5000,2) 2-subsets
+@pytest.mark.parametrize("argv", [
+    ["intransitive", "--v", "5000", "--u", "1", "--k", "2"],
+    ["blowup", "--a", "1000", "--b", "5", "--k0", "2"],
+    ["utype", "--a", "100", "--b", "50", "--line", "3", "--k", "2"]])
+def test_construct_over_the_degree_cap_exits_2(capsys, argv):
+    rc, out, err = run(capsys, "construct", "--family", *argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: construct: degree 5000 exceeds cap 4096\n"
+
+
+# q0 and q are squared into the field order: q0 = -3 built the q0 = 3 code,
+# and a negative q failed only at the isotropic point count
+@pytest.mark.parametrize("argv,message", [
+    (["construct", "--family", "baer_subline", "--q0", "-3"],
+     "construct: need q0 >= 2, got q0=-3"),
+    (["construct", "--family", "baer_subline", "--q0", "1"],
+     "construct: need q0 >= 2, got q0=1"),
+    (["construct", "--family", "unital", "--q", "-2"],
+     "construct: need q >= 2, got q=-2"),
+    (["construct", "--family", "unital", "--q", "0"],
+     "construct: need q >= 2, got q=0"),
+    (["search", "--group", "pgu:-3", "--k", "2", "--predicate",
+      "code_transitive"], "group spec 'pgu:-3': need q >= 2, got q=-3"),
+    (["search", "--group", "pgammau:1", "--k", "2", "--predicate",
+      "code_transitive"], "group spec 'pgammau:1': need q >= 2, got q=1")])
+def test_squared_parameter_below_2_exits_2(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def capped_walk(monkeypatch, cap):
+    """Every PermGroup.subset_orbit walk under the given cap, with the
+    build memo emptied so that each family is built again."""
+    walk = PermGroup.subset_orbit
+    monkeypatch.setattr(PermGroup, "subset_orbit",
+                        lambda self, mask, **kw: walk(self, mask,
+                                                      **{**kw, "cap": cap}))
+    monkeypatch.setattr(codes, "_BUILD_CACHE", {})
+
+
+@pytest.mark.parametrize("family", sorted(codes.FAMILIES))
+def test_construct_walks_its_orbits_under_the_cap(capsys, monkeypatch,
+                                                  family):
+    # every family but blowup is built as orbits of a group; the largest
+    # catalog code of each has an orbit of more than 2 members
+    params = max((p for f, p in codes.CATALOG if f == family),
+                 key=lambda p: len(codes.build(family, **p)[0]))
+    capped_walk(monkeypatch, 2)
+    argv = [f"--{name}={value}" for name, value in params.items()]
+    rc, out, err = run(capsys, "construct", "--family", family, *argv)
+    if family == "blowup":
+        assert (rc, err) == (0, "")
+    else:
+        assert (rc, out) == (3, "")
+        assert err == "resource cap exceeded: orbit exceeds cap 2\n"
+
+
+def test_construct_over_the_orbit_cap_exits_3(capsys, monkeypatch):
+    # 6-subsets of 40 points that hold 6 of 33 fixed ones: 1,107,568
+    # codewords, over the default cap of 10^6 as this is over 10^4
+    capped_walk(monkeypatch, 10 ** 4)
+    rc, out, err = run(capsys, "construct", "--family", "intransitive",
+                       "--v", "40", "--u", "33", "--k", "6")
+    assert (rc, out) == (3, "")
+    assert err == "resource cap exceeded: orbit exceeds cap 10000\n"
 
 
 # ---- verify --------------------------------------------------------------------

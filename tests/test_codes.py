@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -203,6 +204,76 @@ def test_utype_gamma1_type_and_delta(params, delta):
     assert min_distance(code) == delta
     rep = check_properties(code, G)
     assert rep.flags["incidence_transitive"] is True, params
+
+
+def outcome(builder, **params):
+    """(v, k, codewords, name, params, notes) of builder's code, or the
+    text of the ConstructionError it raises."""
+    try:
+        code, _ = builder(**params)
+    except ConstructionError as exc:
+        return str(exc)
+    return (code.v, code.k, code.codewords, code.name, dict(code.params),
+            code.notes)
+
+
+def utype_by_scan(a, b, line, k=None, c=None):
+    """build_utype as a scan of J(ab,k) by u_type."""
+    if a < 2 or b < 2:
+        raise ConstructionError("need a > 1 and b > 1")
+    target, k = utype_target(a, b, line, k=k, c=c)
+    parts = geometry.partition_blocks(a, b)
+    words = [m for m in (all_ksubsets(a * b, k) if k >= 0 else [])
+             if u_type(m, parts) == target]
+    if not words:
+        raise ConstructionError("type class is empty")
+    return Code(a * b, k, words, name=f"utype(a={a},b={b},line={line},k={k})",
+                params={"a": a, "b": b, "line": line, "k": k, "c": c}), None
+
+
+def intransitive_by_combinations(v, u, k):
+    """build_intransitive as three lists of combinations."""
+    if not (0 < u < v) or not (2 <= k <= v - 2):
+        raise ConstructionError("need 0 < u < v and 2 <= k <= v-2")
+    if u > k:
+        words, variant = [mask_of(c) for c in combinations(range(u), k)], "a"
+    elif u == k:
+        words, variant = [mask_of(range(u))], "b"
+    else:
+        words = [mask_of(range(u)) | mask_of(c)
+                 for c in combinations(range(u, v), k - u)]
+        variant = "c"
+    return Code(v, k, words, name=f"intransitive(v={v},u={u},k={k})",
+                params={"v": v, "u": u, "k": k, "variant": variant}), None
+
+
+def test_utype_orbit_matches_the_scan():
+    # every a, b with ab <= 12, every line 1-8 and every k (c on line 5),
+    # the absent one included: the same code or the same error text
+    cases = 0
+    for a in range(1, 13):
+        for b in range(1, 12 // a + 1):
+            for line in range(1, 9):
+                for x in [None] + list(range(-3, a * b + 3)):
+                    params = {"a": a, "b": b, "line": line,
+                              "c" if line == 5 else "k": x}
+                    got = outcome(codes.build_utype, **params)
+                    assert got == outcome(utype_by_scan, **params), params
+                    cases += not isinstance(got, str)
+    assert cases > 100
+
+
+def test_intransitive_orbit_matches_combinations():
+    cases = 0
+    for v in range(1, 11):
+        for u in range(-1, v + 2):
+            for k in range(-1, v + 2):
+                params = {"v": v, "u": u, "k": k}
+                got = outcome(codes.build_intransitive, **params)
+                assert got == outcome(intransitive_by_combinations,
+                                      **params), params
+                cases += not isinstance(got, str)
+    assert cases > 100
 
 
 # ---- blow-up family -------------------------------------------------------------
@@ -467,7 +538,7 @@ def test_unitary_bases_are_three_unital_blocks():
     # each codeword is the union of the blocks polar to a self-polar
     # triangle's three points
     code, _ = build("unitary_bases")
-    blocks = geometry.unital_blocks(3)
+    blocks = build("unital", q=3)[0].codewords
     for w in code.codewords:
         inside = [b for b in blocks if b & w == b]
         assert len(inside) == 3

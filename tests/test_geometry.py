@@ -1,6 +1,7 @@
 """Finite geometry and group construction tests."""
 
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -8,8 +9,7 @@ from ntcodes import codes, geometry
 from ntcodes.geometry import (GeometryError, build_space,
                               group_generators, hermitian_form,
                               hyperoval_setting, lines,
-                              restrict_group, standard_baer_subline,
-                              unital_blocks)
+                              restrict_group, standard_baer_subline)
 from ntcodes.perm import Permutation, bits, mask_of
 
 
@@ -189,20 +189,53 @@ def test_wreath_blocks():
 
 # ---- derived structures ---------------------------------------------------------
 
+def unital_by_scan(q):
+    """The blocks of the classical unital by the all-pairs scan: for each
+    non-isotropic point m of PG(2,q^2), the isotropic points x with
+    phi(x, m) = 0, as ascending masks."""
+    space = build_space("hermitian_isotropic", q=q)
+    F = space.field
+    blocks = set()
+    for m in product(F.elements(), repeat=3):
+        if not any(m) or next(e for e in m if e) != 1:
+            continue
+        if hermitian_form(F, m, m) == 0:
+            continue
+        blocks.add(mask_of(i for i, x in enumerate(space.points)
+                           if hermitian_form(F, x, m) == 0))
+    return sorted(blocks)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_unital_orbit_matches_the_scan(q):
+    code, _ = codes.build("unital", q=q)
+    assert code.codewords == tuple(unital_by_scan(q))
+    assert (code.v, code.k, len(code)) == (q ** 3 + 1, q + 1,
+                                           q * q * (q * q - q + 1))
+
+
 @pytest.mark.parametrize("q,blocks", [(3, 63), (4, 208)])
 def test_unital_block_counts(q, blocks):
-    masks = unital_blocks(q)
-    assert masks == sorted(set(masks))
+    masks = codes.build("unital", q=q)[0].codewords
     assert all(m >> (q ** 3 + 1) == 0 for m in masks)
     assert {len(list(bits(m))) for m in masks} == {q + 1}
     assert len(masks) == blocks
 
 
 def test_unital_is_a_2_design():
-    masks = unital_blocks(3)
+    masks = codes.build("unital", q=3)[0].codewords
     for pair in combinations(range(28), 2):
         pm = mask_of(pair)
         assert sum(1 for b in masks if b & pm == pm) == 1
+
+
+def test_unital_q7_is_a_2_design():
+    # 2,107 blocks of 8 points carry 2,107 * 28 = C(344,2) pairs, so every
+    # pair of points lies on one block when no pair is counted twice
+    code, _ = codes.build("unital", q=7)
+    assert (code.v, code.k, len(code)) == (344, 8, 2107)
+    pairs = {pair for b in code.codewords for pair in combinations(bits(b), 2)}
+    assert len(pairs) == len(code) * comb(8, 2) == comb(344, 2)
 
 
 def test_baer_sublines():

@@ -15,7 +15,8 @@ def parity(*argv):
 
 def test_parity_lists_every_call():
     names = parity(ROOT, ROOT, "--list").stdout.split("\n")[:-1]
-    assert len(names) == len(set(names)) == 25 * 4 + 2 + 15 * 3 + 7 + 3 + 2 + 1 + 4
+    assert len(names) == len(set(names)) == (
+        25 * 4 + 4 + 2 + 15 * 3 + 7 + 3 + 2 + 1 + 5)
     assert sum(n.startswith("search gens ") for n in names) == 15
 
 

@@ -11,6 +11,9 @@ code, standard output, standard error and ``-o`` file bytes.  The calls:
   ``perfbench/workloads.py``, each once to standard output and once with
   ``-o``; ``verify`` reads the code file that OLD's ``construct`` wrote,
   and the hyperoval group is passed as a ``gens:@file``;
+- ``construct`` of four codes beyond the catalog, built as group orbits:
+  ``unital --q 4`` and ``--q 5``, a u-type code of line 4 and an
+  intransitive code of variant c;
 - ``verify`` of two codes beyond the catalog whose codeword stabilizers
   have many Schreier generators: ``unital --q 4`` under ``pgammau:4`` and
   ``affine_subspace --n 3 --q 3 --s 1`` under ``agammal:3,3``;
@@ -27,8 +30,8 @@ code, standard output, standard error and ``-o`` file bytes.  The calls:
   with both partition flags ``null``;
 - one ``verify`` of the hyperoval under the generators each side builds;
 - the outputs the family table drives: ``catalog``, ``construct -h`` and
-  two ``construct`` usage errors, a parameter the family does not take and
-  a family that does not exist.
+  three ``construct`` usage errors, a parameter the family does not take,
+  a family that does not exist and a u-type class that is empty.
 
 The generator and code files are written once, by OLD, and both sides read
 the same files, except for the hyperoval under each side's generators:
@@ -78,6 +81,14 @@ EXTRA_SEARCHES = [
     ("wreath:3,4", 11, "neighbour_transitive", 1),
     ("pgu:4", 4, "neighbour_transitive", 1),
     ("pgammau:4", 3, "strongly_incidence_transitive", 1),
+]
+
+# (family, params) of the construct calls beyond the catalog's
+EXTRA_CONSTRUCTS = [
+    ("unital", {"q": 4}),
+    ("unital", {"q": 5}),
+    ("utype", {"a": 4, "b": 3, "line": 4, "k": 10}),
+    ("intransitive", {"v": 12, "u": 7, "k": 9}),
 ]
 
 # (family, params, group spec) of the verify calls beyond the catalog's
@@ -147,6 +158,10 @@ def calls(files):
                 (f"verify {key}", ["verify", code, "--group", spec]),
                 (f"verify {key} -o",
                  ["verify", code, "--group", spec, "-o", OUTPUT])]
+    out += [(f"construct {key}", ["construct", *argv])
+            for key, argv, _ in code_entries(
+                [(family, params, None)
+                 for family, params in EXTRA_CONSTRUCTS])]
     out += [(f"verify {key} {spec}",
              ["verify", code_file(files, key), "--group", spec])
             for key, _, spec in code_entries(EXTRA_VERIFIES)]
@@ -188,7 +203,10 @@ def calls(files):
     out += [("catalog", ["catalog"]), ("construct -h", ["construct", "-h"]),
             ("construct unital --v 3",
              ["construct", "--family", "unital", "--v", "3"]),
-            ("construct no_such", ["construct", "--family", "no_such"])]
+            ("construct no_such", ["construct", "--family", "no_such"]),
+            ("construct utype --line 6 --k 1",
+             ["construct", "--family", "utype", "--a", "3", "--b", "2",
+              "--line", "6", "--k", "1"])]
     return out
 
 
