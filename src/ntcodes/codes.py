@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 
 from . import geometry, johnson
-from .johnson import Code, min_distance
+from .johnson import Code
 from .perm import (DEFAULT_ORBIT_CAP, PermGroup, Permutation,
                    ResourceCapError, bits, mask_of, popcount)
 
@@ -578,18 +578,16 @@ def check_properties(code, G, cap_orbit=DEFAULT_ORBIT_CAP,
                 raise ValueError(
                     "group does not preserve the code (not an automorphism "
                     f"group: generator moves a codeword out of the code)")
-    # the whole quotient within cap_partition, else only the orbits that
-    # the flags reach from the code; past either cap the partition flags
-    # are None
+    # the whole quotient within the caps, else only the orbits that the
+    # flags reach from the code, and the partition flags are None
     quotient = johnson.OrbitQuotient(G, code.k, cap_orbit)
     partition_error = None
     try:
-        johnson.check_partition_cap(code.v, code.k, cap_partition)
-        quotient.fill()
+        quotient.fill(cap_partition)
     except ResourceCapError as exc:
         partition_error = exc
-    facts = _Facts(G, quotient, quotient.orbits_of(code.codewords),
-                   partition_error)
+    chosen = quotient.orbits_of(code.codewords)
+    facts = _Facts(G, quotient, chosen, partition_error)
     flags = {}
     witnesses = {}
     for name in PropertyReport.FLAG_ORDER:
@@ -601,6 +599,11 @@ def check_properties(code, G, cap_orbit=DEFAULT_ORBIT_CAP,
         notes.append(f"distance partition not computed: {partition_error}")
     intersection_numbers = (facts.regularity[1]
                             if flags["completely_regular"] else None)
+    # G preserves distance and moves each codeword onto its orbit's rep
+    # r, so delta is the least k - |r meet c| over those r and c != r
+    delta = (code.k - max(popcount(quotient.reps[i] & c) for i in chosen
+                          for c in code.codewords if c != quotient.reps[i])
+             if len(code) > 1 else None)
 
     # a 2-transitive group is primitive, so primitivity's v-1 block
     # searches run only for a group that is not
@@ -612,7 +615,7 @@ def check_properties(code, G, cap_orbit=DEFAULT_ORBIT_CAP,
         "two_transitive_on_V": two_transitive,
     }
     return PropertyReport(code, G.order(), flags, witnesses,
-                          min_distance(code), facts.gamma1_size, group_facts,
+                          delta, facts.gamma1_size, group_facts,
                           intersection_numbers=intersection_numbers,
                           notes=notes)
 
@@ -675,11 +678,8 @@ PREDICATES["strong"] = PREDICATES["strongly_incidence_transitive"]
 
 def subset_orbits(G, k, cap=DEFAULT_ORBIT_CAP):
     """The OrbitQuotient of J(v,k) by G with every orbit found, numbered in
-    ascending order of smallest member; C(v,k) over cap raises."""
-    total = comb(G.degree, k)
-    if total > cap:
-        raise ResourceCapError(f"C({G.degree},{k}) = {total} exceeds cap {cap}")
-    return johnson.OrbitQuotient(G, k, cap).fill()
+    ascending order of smallest member; cap bounds its fill and its walks."""
+    return johnson.OrbitQuotient(G, k, cap).fill(cap)
 
 
 def classify_search(G, k, predicate, max_union=1, cap=DEFAULT_ORBIT_CAP):

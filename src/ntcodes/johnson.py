@@ -16,11 +16,11 @@ members of an orbit are walked only when members asks for them.
 """
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from types import MappingProxyType
 
-from .perm import PermGroup, ResourceCapError, bits, popcount
+from .perm import PermGroup, ResourceCapError, UnionFind, bits, popcount
 
 DEFAULT_PARTITION_CAP = 10 ** 6
 
@@ -49,13 +49,8 @@ def ksubsets_ascending(v, k):
 
 def vertex_neighbours(mask, v):
     """All k-subsets at distance 1 from mask: swap one point in for one out."""
-    out = []
     comp = ((1 << v) - 1) ^ mask
-    for u in bits(mask):
-        base = mask ^ (1 << u)
-        for w in bits(comp):
-            out.append(base | (1 << w))
-    return set(out)
+    return {mask ^ (1 << u) | (1 << w) for u in bits(mask) for w in bits(comp)}
 
 
 class Code:
@@ -150,21 +145,12 @@ class DistancePartition:
     def covering_index(self):
         return len(self.cells)
 
-    def __iter__(self):
-        return iter(self.cells)
-
-
-def check_partition_cap(v, k, cap):
-    """The vertex count C(v,k) of J(v,k); raises if it is over cap."""
-    total = comb(v, k)
-    if total > cap:
-        raise ResourceCapError(
-            f"J({v},{k}) has {total} vertices, over cap {cap}")
-    return total
-
 
 def distance_partition(code, cap=DEFAULT_PARTITION_CAP):
-    total = check_partition_cap(code.v, code.k, cap)
+    total = comb(code.v, code.k)
+    if total > cap:
+        raise ResourceCapError(
+            f"J({code.v},{code.k}) has {total} vertices, over cap {cap}")
     cells = [set(code.codewords)]
     seen = set(code.codewords)
     while len(seen) < total:
@@ -235,18 +221,17 @@ class OrbitQuotient:
       stopped by the cap leaves index as it was.  All the walks together
       apply each generator to at most size = C(v,k) vertices, which sizes
       the walk for G's subset tables.
-    - fill() finds every orbit of a fresh quotient, numbered in ascending
-      order of smallest member, by one route that G and k choose.  For a
-      G transitive on the points and 0 < k < v it walks only the set X of
-      the k-sets through one point a under its stabilizer, the first rung
-      of Schmalz's ladder, and sizes each orbit O by counting its flags,
-      |O| = v |O meet X| / k (see _fill_through_a_point); it walks no
-      orbit, and an orbit over cap raises ResourceCapError with no orbit
-      found.  Otherwise it scans J(v,k) in ascending order and walks each
-      orbit on demand with G.subset_walker(size), which may be a
-      generating pair of G, stopping once index holds all C(v,k)
-      vertices; an orbit over cap raises ResourceCapError and the orbits
-      before it stay found.
+    - fill(cap) finds every orbit of a fresh quotient, numbered in
+      ascending order of smallest member, by one route that G and k
+      choose.  For a G transitive on the points and 0 < k < v it walks
+      only the set X of the k-sets through one point a under its
+      stabilizer, the first rung of Schmalz's ladder, and sizes each orbit
+      O by counting its flags, |O| = v |O meet X| / k (see
+      _fill_through_a_point); it walks no orbit.  Otherwise it scans
+      J(v,k) in ascending order and walks each orbit on demand with
+      G.subset_walker(size), which may be a generating pair of G, stopping
+      once index holds all C(v,k) vertices; an orbit over the quotient's
+      cap raises ResourceCapError and the orbits before it stay found.
 
     An orbit partition is equitable (Godsil-Royle, Algebraic Graph Theory,
     9.3): every member of orbit i has the same number row(i)[j] of
@@ -291,8 +276,13 @@ class OrbitQuotient:
     def members(self, numbers):
         """The members of the orbits numbered numbers, a sorted tuple of
         masks for each number in turn.  The orbits that no walk has listed
-        yet are walked once, with G.subset_walker sized to all of them."""
+        yet are walked once, with G.subset_walker sized to all of them;
+        more than cap members in all raise ResourceCapError first."""
         numbers = list(numbers)
+        total = sum(self.sizes[i] for i in set(numbers))
+        if total > self.cap:
+            raise ResourceCapError(f"the orbits asked for have {total} "
+                                   f"members, over cap {self.cap}")
         todo = sorted(set(numbers).difference(self._members))
         walk = sum(self.sizes[i] for i in todo)
         walker = self.G.subset_walker(walk)
@@ -301,9 +291,26 @@ class OrbitQuotient:
                                                    walk=walk)
         return [self._members[i] for i in numbers]
 
-    def fill(self):
-        if 0 < self.k < self.v and self.G.is_transitive():
-            self._fill_through_a_point()
+    def fill(self, cap):
+        """Finds every orbit, or raises ResourceCapError with no orbit
+        numbered when the k-sets it holds and scans would exceed cap: C(v,k)
+        on the walk of J(v,k), |X| plus the numbering scan through a point."""
+        v, k = self.v, self.k
+        through = 0 < k < v and self.G.is_transitive()
+        inside = 2 * k <= v
+        held = comb(v - 1, k - inside) if through else self.size
+        over = f"J({v},{k}) has {held} " + (
+            f"{k}-sets {'through' if inside else 'off'} a point"
+            if through else "vertices")
+        if held > cap:
+            raise ResourceCapError(f"{over}, over cap {cap}")
+        if through:
+            self._fill_through_a_point(
+                inside, held, islice(ksubsets_ascending(v, k), cap - held))
+            if self._through is None:
+                raise ResourceCapError(
+                    f"{over}, and its orbits need a scan of more than "
+                    f"{cap - held} {k}-sets, over cap {cap}")
         else:
             index, size = self.index, self.size
             self._walker = self.G.subset_walker(size)
@@ -314,40 +321,38 @@ class OrbitQuotient:
                     self.orbit_of(mask)
         return self
 
-    def _fill_through_a_point(self):
+    def _fill_through_a_point(self, inside, xsize, scan):
         """fill() for a G transitive on the points and 0 < k < v, through
         the stabilizer G_a of a = base[0] of G's chain: the first rung of
         Schmalz's ladder (B. Schmalz, Leiterspiel, Bayreuther Math. Schr.
         1990).
 
-        X is the set of k-sets through a or, when 2k > v, the smaller set
-        of k-sets that miss a; inside tells which.  G_a = <level_gens[1]>,
-        of order |G|/v, walks X with G_a.subset_walker.  Every G-orbit O
-        meets X in a union of G_a-orbits.  The flags (p, S) of O, p in S
-        (not in S when outside), are G-images of the flags (a, S'), S' in
-        O meet X; and (p, S) is the image by u_p of (a, u_p^-1(S)), u_p
-        the coset rep of transversals[0] that maps a to p.  So the
-        union-find that joins each G_a-orbit, with first member r, to the
-        G_a-orbit of u_p^-1(r) for every p in r (not in r) other than a
-        gives the G-orbits.  Counting O's flags by their points and by
-        their sets (Seress, Permutation Group Algorithms, 4.1) gives
-        |O| = v |O meet X| / k, or v |O meet X| / (v - k).  A size over
-        cap raises ResourceCapError before any orbit is numbered.
+        X is the set of the xsize k-sets through a or, when 2k > v, the
+        smaller set of k-sets that miss a; inside tells which.  G_a =
+        <level_gens[1]>, of order |G|/v, walks X with G_a.subset_walker.
+        Every G-orbit O meets X in a union of G_a-orbits.  The flags (p, S)
+        of O, p in S (not in S when outside), are G-images of the flags
+        (a, S'), S' in O meet X; and (p, S) is the image by u_p of
+        (a, u_p^-1(S)), u_p the coset rep of transversals[0] that maps a
+        to p.  So the union-find that joins each G_a-orbit, with first
+        member r, to the G_a-orbit of u_p^-1(r) for every p in r (not in
+        r) other than a gives the G-orbits.  Counting O's flags by their
+        points and by their sets (Seress, Permutation Group Algorithms,
+        4.1) gives |O| = v |O meet X| / k, or v |O meet X| / (v - k).
 
         A mask S lies in the orbit of u_p^-1(S), p = _flag_point(S), a
-        k-set in X; so the scan of J(v,k) in ascending order meets each
-        orbit first at its smallest member, and numbers the orbits as the
-        walk of J(v,k) does, stopping at the last orbit.  _through keeps
-        inside, the actions into = [u_p^-1], the G_a-orbit of each k-set
-        in X, and each G_a-orbit's orbit number, for orbit_of.
+        k-set in X; so scan, J(v,k) in ascending order, meets each orbit
+        first at its smallest member and numbers the orbits as the walk of
+        J(v,k) does, unless scan ends before the last orbit.  _through
+        then stays None; else it keeps inside, the actions into = [u_p^-1],
+        the G_a-orbit of each k-set in X, and each G_a-orbit's orbit
+        number, for orbit_of.
         """
         G, v, k = self.G, self.v, self.k
         base, level_gens, _ = G.bsgs()
         a = base[0]
-        inside = 2 * k <= v
         # the k-sets of X, from the ascending (k-1)-sets, or k-sets, of
         # the points other than a: the points above a move up by one
-        xsize = comb(v - 1, k - inside)
         below, with_a = (1 << a) - 1, (1 << a) if inside else 0
         stab = PermGroup(v, level_gens[1] if len(base) > 1 else [],
                          order=G.order() // v)
@@ -364,32 +369,22 @@ class OrbitQuotient:
         # fuse the G_a-orbits into G-orbits
         into = [u.apply_mask
                 for _, u in sorted(G.coset_inverses()[0].items())]
-        parent = list(range(len(firsts)))
-
-        def find(j):
-            while parent[j] != j:
-                parent[j] = parent[parent[j]]
-                j = parent[j]
-            return j
-
+        sets = UnionFind(len(firsts))
         full = (1 << v) - 1
         for j, r in enumerate(firsts):
             for p in bits(r if inside else full ^ r):
                 if p != a:
-                    ra, rb = find(j), find(xindex[into[p](r)])
-                    parent[max(ra, rb)] = min(ra, rb)
-        root = [find(j) for j in parent]
+                    sets.union(j, xindex[into[p](r)])
+        root = [sets.find(j) for j in range(len(firsts))]
         meet = [0] * len(firsts)  # |O meet X|, at the root of each G-orbit O
         for j, n in enumerate(counts):
             meet[root[j]] += n
         per_flag = k if inside else v - k
-        if v * max(meet) // per_flag > self.cap:
-            raise ResourceCapError(f"orbit exceeds cap {self.cap}")
         # number the G-orbits by the ascending scan
         number = {}
         reps, sizes = [], []
         orbits = len(set(root))
-        for mask in ksubsets_ascending(v, k):
+        for mask in scan:
             j = xindex.get(mask)
             if j is None:
                 j = xindex[into[_flag_point(mask, inside)](mask)]
@@ -399,8 +394,9 @@ class OrbitQuotient:
                 sizes.append(v * meet[root[j]] // per_flag)
                 if len(reps) == orbits:
                     break
-        self.reps, self.sizes = reps, sizes
-        self._through = (inside, into, xindex, [number[r] for r in root])
+        if len(reps) == orbits:
+            self.reps, self.sizes = reps, sizes
+            self._through = (inside, into, xindex, [number[r] for r in root])
 
     def in_order(self, numbers):
         """Orbit numbers, ascending by smallest member."""

@@ -197,6 +197,28 @@ class Permutation:
         return hash(self.images)
 
 
+class UnionFind:
+    """Disjoint sets of 0..n-1: find halves the path to the root, and union
+    hangs the larger root under the smaller and returns it (None if one)."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = sorted((self.find(a), self.find(b)))
+        if ra == rb:
+            return None
+        self.parent[rb] = ra
+        return rb
+
+
 def schreier_orbit(start, moves, domain=None, cap=None, on_revisit=None):
     """Breadth-first orbit of start under the image functions in moves.
 
@@ -778,35 +800,17 @@ class PermGroup:
 
     def minimal_block(self, x):
         """Smallest block of imprimitivity containing {0, x} (Atkinson)."""
-        n = self.degree
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return None
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            return rb
-
-        union(0, x)
+        sets = UnionFind(self.degree)
+        sets.union(0, x)
         queue = [x]
         while queue:
             y = queue.pop()
-            r = find(y)
+            r = sets.find(y)
             for g in self.generators:
-                merged = union(g.images[y], g.images[r])
+                merged = sets.union(g.images[y], g.images[r])
                 if merged is not None:
                     queue.append(merged)
-        block = {i for i in range(n) if find(i) == find(0)}
-        return block
+        return {i for i in range(self.degree) if sets.find(i) == sets.find(0)}
 
     def primitivity(self):
         """('intransitive'|'imprimitive'|'primitive', witness block or None)."""

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from ntcodes import cli, codes
 from ntcodes.cli import (UsageError, code_to_json, main, parse_code_dict,
                          parse_group_spec)
-from ntcodes.johnson import Code
+from ntcodes.johnson import Code, vertex_neighbours
 from ntcodes.perm import PermGroup, mask_of
 
 
@@ -336,15 +336,17 @@ def test_verify_caps_give_none_flags(tmp_path, capsys):
 
 def test_verify_orbit_cap_between_orbits(tmp_path, capsys):
     # J(12,6) under S_3 wr S_4 has orbits of 6, 216, 108, 108 and 486
-    # vertices.  At --cap-orbit 300 the fill stops at the fifth and the
-    # flags that need only the code and its neighbours are decided; at 200
-    # it stops at the second, which the neighbour flags need whole, so the
-    # call ends at the cap rather than read a part-walked orbit
+    # vertices.  At --cap-partition 461, one below the 462 6-sets through
+    # a point, the fill stops and the orbits are walked on demand.  At
+    # --cap-orbit 300 the flags that need only the code and its neighbours
+    # are decided; at 200 the walk stops at the second orbit, which the
+    # neighbour flags need whole, so the call ends at the cap rather than
+    # read a part-walked orbit
     code, _ = codes.build("blowup", a=3, b=4, k0=2)
     path = tmp_path / "c.json"
     path.write_text(code_to_json(code))
     rc, out, err = run(capsys, "verify", str(path), "--group", "wreath:3,4",
-                       "--cap-orbit", "300")
+                       "--cap-partition", "461", "--cap-orbit", "300")
     assert (rc, err) == (0, "")
     payload = json.loads(out[out.index("{"):])
     assert payload["neighbour_set_size"] == 216
@@ -352,9 +354,65 @@ def test_verify_orbit_cap_between_orbits(tmp_path, capsys):
     assert payload["completely_transitive"] is None
     assert payload["completely_regular"] is None
     rc, out, err = run(capsys, "verify", str(path), "--group", "wreath:3,4",
-                       "--cap-orbit", "200")
+                       "--cap-partition", "461", "--cap-orbit", "200")
     assert (rc, out) == (3, "")
     assert err == "resource cap exceeded: orbit exceeds cap 200\n"
+
+
+def _distance(code, mask):
+    """The Johnson distance from mask to the code, by popcount."""
+    return code.k - max((mask & c).bit_count() for c in code.codewords)
+
+
+def test_verify_decides_the_unital_q4(tmp_path, capsys):
+    # J(65,5) under PGammaU(3,4): at the default caps both partition flags
+    # are False.  Each witness is re-checked by popcount: the two vertices
+    # of the split cell lie at one distance from the code, and the second
+    # is not in the first's orbit, walked here on the generators' images;
+    # the two vertices of the unequal row lie in cell i and have the
+    # numbers of neighbours in cell j that the witness states
+    code, G = codes.build("unital", q=4)
+    path = tmp_path / "c.json"
+    path.write_text(code_to_json(code))
+    rc, out, err = run(capsys, "verify", str(path), "--group", "pgammau:4")
+    assert (rc, err) == (0, "")
+    payload = json.loads(out[out.index("{"):])
+    assert payload["completely_transitive"] is False
+    assert payload["completely_regular"] is False
+    assert payload["notes"] == []
+    a, b = map(int, payload["witnesses"]["completely_transitive"])
+    assert _distance(code, a) == _distance(code, b)
+    orbit, todo = {a}, [a]
+    for x in todo:
+        for g in G.generators:
+            y = mask_of(g.images[p] for p in range(code.v) if x >> p & 1)
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    assert b not in orbit
+    i, j, a, b, count_a, count_b = map(
+        int, payload["witnesses"]["completely_regular"])
+    assert _distance(code, a) == _distance(code, b) == i
+    assert count_a != count_b
+    for x, count in ((a, count_a), (b, count_b)):
+        assert sum(_distance(code, y) == j
+                   for y in vertex_neighbours(x, code.v)) == count
+
+
+def test_verify_decides_the_lines_of_ag53(tmp_path, capsys):
+    # the 9,801 lines of AG(5,3) under AGammaL(5,3): Gamma_1 is one orbit
+    # of 2,352,240 3-sets, over --cap-orbit, which the fill through a point
+    # sizes without a walk, so every flag is decided at the default caps
+    code, _ = codes.build("affine_subspace", n=5, q=3, s=1)
+    path = tmp_path / "c.json"
+    path.write_text(code_to_json(code))
+    rc, out, err = run(capsys, "verify", str(path), "--group", "agammal:5,3")
+    assert (rc, err) == (0, "")
+    payload = json.loads(out[out.index("{"):])
+    assert [payload[flag] for flag in codes.PropertyReport.FLAG_ORDER] == [
+        True] * 6
+    assert (payload["neighbour_set_size"], payload["min_distance"]) == (
+        2352240, 2)
 
 
 @pytest.mark.parametrize("v,k", [(v, k) for v in (4, 5, 6)
@@ -816,8 +874,9 @@ def test_fuzzed_argv_exits_cleanly(call):
 
 
 def test_search_over_the_orbit_cap_exits_3():
-    # the search the fuzzed groups leave out: C(65,4) = 677,040 4-sets are
-    # over the cap, so it stops before any orbit is walked
+    # the search the fuzzed groups leave out: every orbit of the 677,040
+    # 4-sets is code-transitive, so the orbits to print are over the cap,
+    # and members stops before any orbit is walked
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = main(["search", "--group", "pgu:4", "--k", "4", "--predicate",

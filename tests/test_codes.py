@@ -15,8 +15,9 @@ from ntcodes.codes import (CATALOG, ConstructionError, PREDICATES, blowup_code,
                            build, check_properties, check_theorem_consistency,
                            classify_search, subset_orbits,
                            utype_gamma1_target, utype_target)
-from ntcodes.johnson import (Code, all_ksubsets, min_distance, neighbour_set,
-                             u_type, vertex_neighbours)
+from ntcodes.johnson import (Code, all_ksubsets, complement_code,
+                             min_distance, neighbour_set, u_type,
+                             vertex_neighbours)
 from ntcodes.perm import (PermGroup, Permutation, ResourceCapError, bits,
                           mask_of)
 
@@ -611,10 +612,11 @@ def test_partition_cap_yields_none_flags_with_note():
 
 def test_orbit_cap_stops_the_fill_between_whole_orbits(monkeypatch):
     # J(12,6) under S_3 wr S_4 has orbits of 6, 216, 108, 108 and 486
-    # vertices; at --cap-orbit 300 the fill through a point stops at the
-    # sizes, with no orbit found.  The quotient then walks, on demand, the
-    # code's orbit and Gamma_1's, 222 masks, and the flags that need only
-    # the code and its neighbours are decided
+    # vertices; at --cap-partition 461 the fill through a point, which
+    # holds the 462 6-sets through a point, stops with no orbit found.  The
+    # quotient then walks, on demand under --cap-orbit 300, the code's
+    # orbit and Gamma_1's, 222 masks, and the flags that need only the
+    # code and its neighbours are decided
     code, G = build("blowup", a=3, b=4, k0=2)
     quotients = []
     init = johnson.OrbitQuotient.__init__
@@ -623,7 +625,8 @@ def test_orbit_cap_stops_the_fill_between_whole_orbits(monkeypatch):
         init(self, *args)
         quotients.append(self)
     monkeypatch.setattr(johnson.OrbitQuotient, "__init__", recording_init)
-    report = check_properties(code, G, cap_orbit=300).as_dict()
+    report = check_properties(code, G, cap_orbit=300,
+                              cap_partition=461).as_dict()
     [quotient] = quotients
     assert [len(o) for o in all_orbits(quotient)] == [6, 216]
     moves = [g.apply_mask for g in G.generators]
@@ -641,7 +644,37 @@ def test_orbit_cap_stops_the_fill_between_whole_orbits(monkeypatch):
         "incidence_transitive": True, "strongly_incidence_transitive": True,
         "completely_transitive": None, "completely_regular": None,
         "witnesses": {},
-        "notes": ["distance partition not computed: orbit exceeds cap 300"]}
+        "notes": ["distance partition not computed: J(12,6) has 462 6-sets "
+                  "through a point, over cap 461"]}
+
+
+def test_delta_matches_the_pair_loop_on_catalog():
+    # the report's delta against johnson.min_distance, the least distance
+    # over every pair of codewords, on every CATALOG code and on its
+    # complement under the same group
+    for family, params in CATALOG:
+        code, G = build(family, **params)
+        for c in (code, complement_code(code)):
+            assert (check_properties(c, G).delta
+                    == min_distance(c)), (family, params, c.k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_delta_matches_the_pair_loop_on_search_unions(data):
+    # every union of at most two orbits that a search finds, on the groups
+    # of three benchmark searches
+    from ntcodes.cli import parse_group_spec
+    G = parse_group_spec(data.draw(st.sampled_from(
+        ["wreath:3,3", "agammal:1,16", "pgammau:3"]), label="group"))
+    v = G.degree
+    k = data.draw(st.sampled_from([k for k in range(1, v)
+                                   if comb(v, k) <= 13000]), label="k")
+    predicate = data.draw(st.sampled_from(sorted(PREDICATES)),
+                          label="predicate")
+    max_union = data.draw(st.integers(1, 2), label="max_union")
+    for code in classify_search(G, k, predicate, max_union=max_union):
+        assert check_properties(code, G).delta == min_distance(code)
 
 
 COMPLEMENT_INVARIANT = ("code_size", "neighbour_set_size", "min_distance",
@@ -812,15 +845,20 @@ def test_orbit_quotient_matches_vertex_engine(data):
 
 
 def test_orbit_flags_match_vertex_path_on_catalog():
-    # cap_partition = C(v,k) - 1 decides every orbit flag on a quotient that
-    # holds only the orbits reached from the code; all but the partition
-    # flags, their witnesses and the notes must agree
+    # a cap_partition one below the k-sets the fill holds, |X| = C(v-1,k-1)
+    # or C(v-1,k) through a point for a transitive G and C(v,k) otherwise,
+    # decides every orbit flag on a quotient that holds only the orbits
+    # reached from the code; all but the partition flags, their witnesses
+    # and the notes must agree
     partition_keys = ("completely_transitive", "completely_regular")
     for family, params in CATALOG:
         code, G = build(family, **params)
-        total = comb(code.v, code.k)
+        v, k = code.v, code.k
+        held = (comb(v - 1, k - (2 * k <= v)) if G.is_transitive()
+                else comb(v, k))
         default = check_properties(code, G).as_dict()
-        vertex = check_properties(code, G, cap_partition=total - 1).as_dict()
+        vertex = check_properties(code, G, cap_partition=held - 1).as_dict()
+        assert vertex["completely_regular"] is None, (family, params)
         for d in (default, vertex):
             for key in partition_keys:
                 d.pop(key)
@@ -967,9 +1005,10 @@ def test_search_strong_agammal16():
 
 
 def test_search_decides_partition_flags_past_the_partition_cap(monkeypatch):
-    # search walks every orbit under its own cap, so its partition flags
-    # never meet the partition cap of verify: with that cap check made to
-    # fail, search still finds the orbits that verify finds within the cap
+    # search bounds its fill by its own cap, so its partition flags never
+    # meet the partition cap of verify: with that cap below the fill, where
+    # verify leaves both flags None, search still finds the orbits that
+    # verify finds within the cap, and fills under the search cap alone
     G = geometry.group_generators("agammal", n=1, q=16)
     orbits = all_orbits(subset_orbits(G, 4))
     flags = ("completely_regular", "completely_transitive")
@@ -980,13 +1019,21 @@ def test_search_decides_partition_flags_past_the_partition_cap(monkeypatch):
     assert sub.codewords in expected["completely_regular"]
     assert sub.codewords not in expected["completely_transitive"]
 
-    def over_cap(v, k, cap):
-        raise ResourceCapError(f"J({v},{k}) over cap {cap}")
-    monkeypatch.setattr(johnson, "check_partition_cap", over_cap)
+    # the fill through a point holds the C(15,3) = 455 4-sets through it
+    below = check_properties(Code(16, 4, sub.codewords), G, cap_partition=454)
+    assert [below.flags[name] for name in flags] == [None, None]
+    caps = []
+    fill = johnson.OrbitQuotient.fill
+
+    def recording_fill(self, cap):
+        caps.append(cap)
+        return fill(self, cap)
+    monkeypatch.setattr(johnson.OrbitQuotient, "fill", recording_fill)
     for name in flags:
         found = classify_search(G, 4, name)
         assert ([c.codewords for c in found]
                 == sorted(expected[name], key=lambda o: (len(o), o))), name
+    assert caps == [perm.DEFAULT_ORBIT_CAP] * len(flags)
 
 
 def test_verify_past_the_partition_cap_finds_only_the_orbits_it_needs(

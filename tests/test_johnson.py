@@ -1,6 +1,7 @@
 """Johnson graph layer tests."""
 
 import random
+import re
 from itertools import combinations
 from math import comb
 
@@ -159,9 +160,10 @@ def test_not_completely_regular_witness():
 
 
 def test_orbit_quotient_of_trivial_group_is_the_graph():
-    # one orbit per vertex: the rows are the adjacency of J(6,3) itself
+    # one orbit per vertex: the rows are the adjacency of J(6,3) itself;
+    # the walk of J(6,3) holds its 20 vertices, and members lists them
     v, k = 6, 3
-    quotient = johnson.OrbitQuotient(PermGroup(v, []), k, 1).fill()
+    quotient = johnson.OrbitQuotient(PermGroup(v, []), k, 20).fill(20)
     orbits = quotient.members(range(len(quotient.reps)))
     assert orbits == [(m,) for m in all_ksubsets(v, k)]
     for i, (m,) in enumerate(orbits):
@@ -179,7 +181,7 @@ def test_orbit_quotient_of_trivial_group_is_the_graph():
 def test_orbit_quotient_rejects_a_code_that_splits_an_orbit():
     # two of the ten 2-subsets, on the whole quotient of J(5,2) by Sym(5)
     v, k = 5, 2
-    quotient = johnson.OrbitQuotient(PermGroup.symmetric(v), k, 10).fill()
+    quotient = johnson.OrbitQuotient(PermGroup.symmetric(v), k, 10).fill(10)
     assert quotient.reps == [all_ksubsets(v, k)[0]]
     assert quotient.members([0]) == [tuple(all_ksubsets(v, k))]
     with pytest.raises(JohnsonError, match="union of orbits"):
@@ -231,11 +233,12 @@ def _union_find_orbits(G, k):
 @given(st.data())
 def test_fill_matches_union_find(data):
     # the one-pass fill against a union-find, at degrees on both sides of
-    # each chunk edge and of the table degree bound; a cap between the
-    # orbit sizes stops the fill, and index then holds exactly the members
-    # of the orbits found before the one over the cap: none for a group
-    # transitive on the points with 0 < k < v, whose fill through a point
-    # sizes every orbit before it numbers one
+    # each chunk edge and of the table degree bound; an orbit cap between
+    # the orbit sizes stops the walk of J(v,k), and index then holds
+    # exactly the members of the orbits found before the one over the cap.
+    # A fill through a point, for a group transitive on the points with
+    # 0 < k < v, walks no orbit and finds them all.  members then lists
+    # each orbit within the cap and refuses each one over it
     v = data.draw(st.sampled_from([1, 11, 12, 22, 23, 33, 34, 64, 65]),
                   label="degree")
     k = data.draw(st.sampled_from([k for k in range(v + 1)
@@ -253,20 +256,27 @@ def test_fill_matches_union_find(data):
     expected = _union_find_orbits(G, k)
     cap = data.draw(st.integers(1, max(map(len, expected))), label="cap")
     quotient = johnson.OrbitQuotient(G, k, cap)
+    through = 0 < k < v and _is_transitive(G)
     try:
-        quotient.fill()
+        quotient.fill(10 ** 6)
     except ResourceCapError as exc:
-        assert str(exc) == f"orbit exceeds cap {cap}"
+        assert str(exc) == f"orbit exceeds cap {cap}" and not through
         first_over = next(i for i, o in enumerate(expected) if len(o) > cap)
-        if 0 < k < v and _is_transitive(G):
-            first_over = 0
         expected = expected[:first_over]
     else:
-        assert max(map(len, expected)) <= cap
+        assert through or max(map(len, expected)) <= cap
     assert quotient.reps == [o[0] for o in expected]
-    assert quotient.members(range(len(expected))) == expected
-    assert quotient.index == {m: i for i, o in enumerate(expected)
-                              for m in o}
+    assert quotient.sizes == [len(o) for o in expected]
+    assert quotient.index == ({} if through else {
+        m: i for i, o in enumerate(expected) for m in o})
+    for i, o in enumerate(expected):
+        if len(o) > cap:
+            with pytest.raises(ResourceCapError, match=(
+                    f"^the orbits asked for have {len(o)} members, "
+                    f"over cap {cap}$")):
+                quotient.members([i])
+        else:
+            assert quotient.members([i]) == [o]
 
 
 @pytest.mark.parametrize("v,k", [(0, 0), (1, 0), (1, 1), (5, 0), (5, 2),
@@ -301,7 +311,7 @@ def test_fill_by_the_pair_matches_union_find(spec, k, paired):
     # G's orbits against a union-find on G's own generators
     from ntcodes.cli import parse_group_spec
     G = parse_group_spec(spec)
-    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill(10 ** 6)
     assert quotient._through is not None and quotient.index == {}
     _assert_orbits(quotient, _union_find_orbits(G, k))
     assert (G.subset_walker(quotient.size) is not G) == paired
@@ -314,7 +324,7 @@ def test_fill_scans_to_the_last_orbit(v, points, k):
     # a stabilizer of the top points start late in the scan
     from ntcodes.cli import parse_group_spec
     for G in (parse_group_spec(f"stab:{v}:{points}"), PermGroup(v, [])):
-        quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+        quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill(10 ** 6)
         _assert_orbits(quotient, _union_find_orbits(G, k))
 
 
@@ -338,7 +348,7 @@ def test_fill_through_a_point_matches_union_find(spec, k):
     # transitive and walks J(v,k); k = 0 and k = v walk J(v,k) too
     from ntcodes.cli import parse_group_spec
     G = parse_group_spec(spec)
-    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill(10 ** 6)
     assert (quotient._through is not None) == (
         0 < k < G.degree and G.is_transitive())
     _assert_orbits(quotient, _union_find_orbits(G, k))
@@ -354,7 +364,7 @@ def test_fill_through_a_point_on_random_groups(data):
                                max_size=3), label="generators")
     G = PermGroup(n, [Permutation(p) for p in perms])
     k = data.draw(st.integers(0, n), label="k")
-    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill(10 ** 6)
     _assert_orbits(quotient, _union_find_orbits(G, k))
 
 
@@ -377,8 +387,8 @@ def test_fill_is_invariant_under_relabelling(spec, k, seed):
     H = PermGroup(v, [Permutation([sigma[g.images[inverse[y]]]
                                    for y in range(v)])
                       for g in G.generators])
-    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
-    relabelled = johnson.OrbitQuotient(H, k, 10 ** 6).fill()
+    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill(10 ** 6)
+    relabelled = johnson.OrbitQuotient(H, k, 10 ** 6).fill(10 ** 6)
     assert relabelled._through is not None
     assert sorted(relabelled.sizes) == sorted(quotient.sizes)
     for rep, size in zip(quotient.reps, quotient.sizes):
@@ -407,7 +417,7 @@ def test_fill_takes_one_route_per_group(spec, tmp_path):
     for k in range(G.degree + 1):
         if comb(G.degree, k) > 5000:
             continue
-        quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+        quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill(10 ** 6)
         assert (quotient._through is not None) == (
             transitive and 0 < k < G.degree), k
         _assert_orbits(quotient, _union_find_orbits(G, k))
@@ -418,18 +428,59 @@ def test_fill_takes_one_route_per_group(spec, tmp_path):
                                         ("agammal:1,16", 13, 400)])
 def test_fill_through_a_point_over_cap_finds_no_orbit(spec, k, cap,
                                                        monkeypatch):
-    # a transitive G whose largest orbit is over cap: the sizes tell so
-    # before any orbit is numbered or walked, so the fill raises with no
-    # orbit found and G itself walks no subset orbit
+    # a transitive G whose largest orbit is over the quotient's cap: the
+    # fill through a point finds every orbit with no orbit walked, and
+    # members, asked for orbits over the cap in all, raises before it
+    # walks any, so G itself walks no subset orbit
     from ntcodes.cli import parse_group_spec
     G = parse_group_spec(spec)
-    assert max(map(len, _union_find_orbits(G, k))) > cap
+    expected = _union_find_orbits(G, k)
+    assert max(map(len, expected)) > cap
     walks = []
     monkeypatch.setattr(G, "subset_orbit",
                         lambda *args, **kw: walks.append(args))
-    quotient = johnson.OrbitQuotient(G, k, cap)
-    with pytest.raises(ResourceCapError, match=f"^orbit exceeds cap {cap}$"):
-        quotient.fill()
+    quotient = johnson.OrbitQuotient(G, k, cap).fill(10 ** 6)
+    assert quotient.reps == [o[0] for o in expected]
+    assert quotient.sizes == [len(o) for o in expected]
+    with pytest.raises(ResourceCapError, match=(
+            f"^the orbits asked for have {comb(G.degree, k)} members, "
+            f"over cap {cap}$")):
+        quotient.members(range(len(expected)))
+    assert quotient.index == {} and quotient._members == {}
+    assert walks == [] and G._pair is None
+
+
+@pytest.mark.parametrize("spec,k,cap,message", [
+    # J(12,6): X is the C(11,5) = 462 6-sets through a point, and the
+    # scan meets the last orbit at the 93rd 6-set
+    ("wreath:3,4", 6, 461, "J(12,6) has 462 6-sets through a point, over "
+                           "cap 461"),
+    ("wreath:3,4", 6, 554, "J(12,6) has 462 6-sets through a point, and its "
+                           "orbits need a scan of more than 92 6-sets, over "
+                           "cap 554"),
+    # J(16,13): X is the C(15,13) = 105 13-sets that miss a point, and the
+    # scan meets the last orbit at the 5th 13-set
+    ("agammal:1,16", 13, 104, "J(16,13) has 105 13-sets off a point, over "
+                              "cap 104"),
+    ("agammal:1,16", 13, 109, "J(16,13) has 105 13-sets off a point, and its "
+                              "orbits need a scan of more than 4 13-sets, "
+                              "over cap 109"),
+    # the walk of J(v,k) holds every vertex
+    ("stab:8:0,1,2", 3, 55, "J(8,3) has 56 vertices, over cap 55"),
+], ids=["wreath:3,4-6-461", "wreath:3,4-6-554", "agammal:1,16-13-104",
+        "agammal:1,16-13-109", "stab:8:0,1,2-3-55"])
+def test_fill_over_its_own_cap_numbers_no_orbit(spec, k, cap, message,
+                                                monkeypatch):
+    # the k-sets the fill holds and scans, one past cap: it raises, naming
+    # them, with no orbit numbered and G itself walking no subset orbit
+    from ntcodes.cli import parse_group_spec
+    G = parse_group_spec(spec)
+    walks = []
+    monkeypatch.setattr(G, "subset_orbit",
+                        lambda *args, **kw: walks.append(args))
+    quotient = johnson.OrbitQuotient(G, k, 10 ** 6)
+    with pytest.raises(ResourceCapError, match=f"^{re.escape(message)}$"):
+        quotient.fill(cap)
     assert quotient.reps == [] and quotient.sizes == []
     assert quotient.index == {} and quotient._through is None
     assert walks == [] and G._pair is None
@@ -445,7 +496,7 @@ def test_fill_of_an_intransitive_group_keeps_the_orbits_before_the_cap():
     assert first_over > 0
     quotient = johnson.OrbitQuotient(G, 3, 20)
     with pytest.raises(ResourceCapError, match="^orbit exceeds cap 20$"):
-        quotient.fill()
+        quotient.fill(10 ** 6)
     assert quotient._through is None
     _assert_orbits(quotient, expected[:first_over])
     assert quotient.index == {m: i for i, o in enumerate(expected[:first_over])
@@ -467,7 +518,7 @@ def test_members_walks_each_orbit_at_most_once(spec, k, monkeypatch):
         members = walk(self, mask, *args, **kw)
         walked.append(members[0])
         return members
-    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill(10 ** 6)
     monkeypatch.setattr(PermGroup, "subset_orbit", counted)
     assert quotient.members([2, 0, 2]) == [expected[2], expected[0],
                                            expected[2]]
@@ -540,7 +591,7 @@ def check_partition_against_networkx(code, G=None):
     assert part.cells == cells
     assert johnson.equitable_matrix(part, code.v) == expected
     if G is not None:
-        quotient = johnson.OrbitQuotient(G, code.k, 10 ** 6).fill()
+        quotient = johnson.OrbitQuotient(G, code.k, 10 ** 6).fill(10 ** 6)
         qpart = quotient.distance_partition(
             quotient.orbits_of(code.codewords))
         assert [set().union(*quotient.members(cell))
@@ -575,7 +626,7 @@ def test_random_invariant_unions_match_networkx():
     for _ in range(40):
         G = rng.choice(pool)
         k = rng.randint(2, G.degree - 2)
-        quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill()
+        quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill(10 ** 6)
         orbits = quotient.members(range(len(quotient.reps)))
         if len(orbits) < 2:
             continue
@@ -650,3 +701,43 @@ def test_degenerate_flags():
     assert Code(5, 2, all_ksubsets(5, 2)).degenerate
     assert Code(5, 1, [1]).degenerate  # k < 2
     assert not Code(5, 2, [mask_of([0, 1])]).degenerate
+
+
+def test_fill_cap_edges_on_a_cyclic_group():
+    # C_60 on the 3-sets of 60 points, with the orbits found by rotating
+    # masks in ascending order: the fill through a point holds the
+    # C(59,2) = 1,711 3-sets through it and scans up to the smallest member
+    # of the last orbit, the 10,071st 3-set, so it completes at a cap of
+    # 1,711 + 10,071 and raises, with no orbit numbered, one below that
+    # and one below 1,711
+    v, k = 60, 3
+    full = (1 << v) - 1
+    G = PermGroup(v, [Permutation([(x + 1) % v for x in range(v)])])
+    seen, firsts, sizes, last = set(), [], [], 0
+    for position, mask in enumerate(sorted(
+            mask_of(s) for s in combinations(range(v), k)), 1):
+        if mask in seen:
+            continue
+        orbit = {mask}
+        image = ((mask << 1) | (mask >> (v - 1))) & full
+        while image not in orbit:
+            orbit.add(image)
+            image = ((image << 1) | (image >> (v - 1))) & full
+        seen |= orbit
+        firsts.append(mask)
+        sizes.append(len(orbit))
+        last = position
+    held = comb(v - 1, k - 1)
+    assert (held, last, len(firsts)) == (1711, 10071, 571)
+    for cap, message in [
+            (held - 1, "J(60,3) has 1711 3-sets through a point, over cap "
+                       "1710"),
+            (held + last - 1, "J(60,3) has 1711 3-sets through a point, and "
+                              "its orbits need a scan of more than 10070 "
+                              "3-sets, over cap 11781")]:
+        quotient = johnson.OrbitQuotient(G, k, 10 ** 6)
+        with pytest.raises(ResourceCapError, match=f"^{re.escape(message)}$"):
+            quotient.fill(cap)
+        assert quotient.reps == [] and quotient._through is None
+    quotient = johnson.OrbitQuotient(G, k, 10 ** 6).fill(held + last)
+    assert quotient.reps == firsts and quotient.sizes == sizes

@@ -16,14 +16,15 @@ def parity(*argv):
 def test_parity_lists_every_call():
     names = parity(ROOT, ROOT, "--list").stdout.split("\n")[:-1]
     assert len(names) == len(set(names)) == (
-        25 * 4 + 4 + 2 + 15 * 3 + 7 + 3 + 2 + 1 + 5)
+        25 * 4 + 4 + 3 + 15 * 3 + 8 + 3 + 2 + 1 + 5)
     assert sum(n.startswith("search gens ") for n in names) == 15
 
 
 def test_parity_of_a_checkout_with_itself():
     # a code file and a gens:@file written by the first side, to standard
     # output and to -o, a hyperoval gens:@file written by each side, a call
-    # that exits 3 and two that stop their fill at --cap-orbit and exit 0
+    # that exits 3, one whose fill completes past --cap-orbit and one that
+    # stops its fill at --cap-orbit and exits 0
     proc = parity(ROOT, ROOT, "--only", "construct subfield_line*",
                   "--only", "verify hyperoval_ag24*",
                   "--only", "search gens agammal:1,16 k=2 *",

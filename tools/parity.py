@@ -14,20 +14,24 @@ code, standard output, standard error and ``-o`` file bytes.  The calls:
 - ``construct`` of four codes beyond the catalog, built as group orbits:
   ``unital --q 4`` and ``--q 5``, a u-type code of line 4 and an
   intransitive code of variant c;
-- ``verify`` of two codes beyond the catalog whose codeword stabilizers
-  have many Schreier generators: ``unital --q 4`` under ``pgammau:4`` and
-  ``affine_subspace --n 3 --q 3 --s 1`` under ``agammal:3,3``;
+- ``verify`` of three codes beyond the catalog whose codeword stabilizers
+  have many Schreier generators: ``unital --q 4`` under ``pgammau:4``,
+  ``affine_subspace --n 3 --q 3 --s 1`` under ``agammal:3,3`` and the
+  lines of AG(5,3), whose neighbour set is one orbit over ``--cap-orbit``,
+  under ``agammal:5,3``;
 - the 15 benchmark searches (``search_orbits`` and ``search_regular``), to
   standard output and with ``-o``;
 - the same searches with each group written as a ``gens:@file``, a group
   of no known order;
 - searches on the routes of the orbit quotient's fill that the benchmark
   does not take: a group that is not transitive on the points, k = 1 and
-  k = v - 1 for it and for a transitive group, and two larger quotients,
-  J(65,4) under PGU(3,4) and J(65,3) under PGammaU(3,4);
-- calls that stop at ``--cap-orbit`` and exit 3, and two ``verify`` calls
-  whose fill, one by each route, stops at ``--cap-orbit`` and that exit 0
-  with both partition flags ``null``;
+  k = v - 1 for it and for a transitive group, and three larger
+  quotients, J(65,4) under PGU(3,4), J(65,3) under PGammaU(3,4) and
+  J(28,7) under PGammaU(3,3);
+- calls that stop at ``--cap-orbit`` and exit 3, a ``verify`` call whose
+  fill through a point completes with orbits over ``--cap-orbit``, and
+  one whose walk of J(v,k) stops at ``--cap-orbit`` and that exits 0 with
+  both partition flags ``null``;
 - one ``verify`` of the hyperoval under the generators each side builds;
 - the outputs the family table drives: ``catalog``, ``construct -h`` and
   three ``construct`` usage errors, a parameter the family does not take,
@@ -81,6 +85,7 @@ EXTRA_SEARCHES = [
     ("wreath:3,4", 11, "neighbour_transitive", 1),
     ("pgu:4", 4, "neighbour_transitive", 1),
     ("pgammau:4", 3, "strongly_incidence_transitive", 1),
+    ("pgammau:3", 7, "neighbour_transitive", 1),
 ]
 
 # (family, params) of the construct calls beyond the catalog's
@@ -95,6 +100,7 @@ EXTRA_CONSTRUCTS = [
 EXTRA_VERIFIES = [
     ("unital", {"q": 4}, "pgammau:4"),
     ("affine_subspace", {"n": 3, "q": 3, "s": 1}, "agammal:3,3"),
+    ("affine_subspace", {"n": 5, "q": 3, "s": 1}, "agammal:5,3"),
 ]
 
 
@@ -186,8 +192,9 @@ def calls(files):
             ("cap verify unital(q=3)",
              ["verify", code_file(files, "unital(q=3)"),
               "--group", "pgammau:3", "--cap-orbit", "50"]),
-            # the fill through a point, then the walk of J(v,k), stopped
-            # at --cap-orbit: both partition flags null, exit 0
+            # the fill through a point, which walks no orbit, completes
+            # past --cap-orbit; the walk of J(v,k) stops at it: both
+            # partition flags null, exit 0
             ("cap verify blowup(a=3,b=4,k0=2)",
              ["verify", code_file(files, "blowup(a=3,b=4,k0=2)"),
               "--group", "wreath:3,4", "--cap-orbit", "300"]),
