@@ -9,7 +9,7 @@ silently false flag.
 
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, factorial, perm, prod
 
 from . import geometry, johnson
 from .johnson import Code
@@ -34,7 +34,8 @@ def build_intransitive(v, u, k):
     variant = "a" if u > k else "b" if u == k else "c"
     return _orbit_code(geometry.subset_stabilizer(v, range(u)),
                        mask_of(range(k)), f"intransitive(v={v},u={u},k={k})",
-                       {"v": v, "u": u, "k": k, "variant": variant})
+                       {"v": v, "u": u, "k": k, "variant": variant},
+                       size=comb(u, k) if u >= k else comb(v - u, k - u))
 
 
 def utype_target(a, b, line, k=None, c=None):
@@ -98,18 +99,22 @@ def build_utype(a, b, line, k=None, c=None):
     the partition stabilizer S_a wr S_b, of the k-set that meets part i of
     the b consecutive a-blocks in its first target[i] points.  The class is
     empty unless the target has at most b entries, each in 1..a, summing
-    to k."""
+    to k.  Its size is prod C(a, t_i) * b! / ((b - r)! prod m_j!) over the
+    r entries t_i of the target, m_j the multiplicity of each value."""
     if a < 2 or b < 2:
         raise ConstructionError("need a > 1 and b > 1")
     target, k = utype_target(a, b, line, k=k, c=c)
     if (len(target) > b or not 0 < min(target) <= max(target) <= a
             or sum(target) != k):
         raise ConstructionError("type class is empty")
+    size = (prod(comb(a, t) for t in target) * perm(b, len(target))
+            // prod(factorial(target.count(t)) for t in set(target)))
     return _orbit_code(geometry.wreath_stabilizer(a, b),
                        mask_of(i * a + j for i, t in enumerate(target)
                                for j in range(t)),
                        f"utype(a={a},b={b},line={line},k={k})",
-                       {"a": a, "b": b, "line": line, "k": k, "c": c})
+                       {"a": a, "b": b, "line": line, "k": k, "c": c},
+                       size=size)
 
 
 def blowup_code(a, gamma0):
@@ -137,8 +142,12 @@ def build_blowup(a, b, k0):
     return blowup_code(a, gamma0), geometry.wreath_stabilizer(a, b)
 
 
-def _orbit_code(G, rep, name, params, notes=None):
-    """(the G-orbit of the subset rep as a code in J(G.degree, |rep|), G)."""
+def _orbit_code(G, rep, name, params, notes=None, size=None):
+    """(the G-orbit of the subset rep as a code in J(G.degree, |rep|), G).
+    size, the orbit's size where the parameters give it, raises the walk's
+    ResourceCapError before any walk when over DEFAULT_ORBIT_CAP."""
+    if size is not None and size > DEFAULT_ORBIT_CAP:
+        raise ResourceCapError(f"orbit exceeds cap {DEFAULT_ORBIT_CAP}")
     return Code(G.degree, popcount(rep), G.subset_orbit(rep), name=name,
                 params=params, notes=notes), G
 

@@ -218,9 +218,7 @@ class OrbitQuotient:
       most cap members, see PermGroup.subset_orbit) and gives it the next
       number; index maps every vertex walked to its orbit, and the walk
       writes each member's number into index as it finds it, so a walk
-      stopped by the cap leaves index as it was.  All the walks together
-      apply each generator to at most size = C(v,k) vertices, which sizes
-      the walk for G's subset tables.
+      stopped by the cap leaves index as it was.
     - fill(cap) finds every orbit of a fresh quotient, numbered in
       ascending order of smallest member, by one route that G and k
       choose.  For a G transitive on the points and 0 < k < v it walks
@@ -266,8 +264,7 @@ class OrbitQuotient:
         i = self.index.get(mask)
         if i is None:
             i = len(self.reps)
-            members = self._walker.subset_orbit(mask, self.cap, self.index,
-                                                i, walk=self.size)
+            members = self._walker.subset_orbit(mask, self.cap, self.index, i)
             self._members[i] = members
             self.reps.append(members[0])
             self.sizes.append(len(members))
@@ -284,11 +281,9 @@ class OrbitQuotient:
             raise ResourceCapError(f"the orbits asked for have {total} "
                                    f"members, over cap {self.cap}")
         todo = sorted(set(numbers).difference(self._members))
-        walk = sum(self.sizes[i] for i in todo)
-        walker = self.G.subset_walker(walk)
+        walker = self.G.subset_walker(sum(self.sizes[i] for i in todo))
         for i in todo:
-            self._members[i] = walker.subset_orbit(self.reps[i], self.cap,
-                                                   walk=walk)
+            self._members[i] = walker.subset_orbit(self.reps[i], self.cap)
         return [self._members[i] for i in numbers]
 
     def fill(self, cap):
@@ -365,7 +360,7 @@ class OrbitQuotient:
             if x not in xindex:
                 firsts.append(x)
                 counts.append(len(walker.subset_orbit(
-                    x, xsize, xindex, len(counts), walk=xsize)))
+                    x, xsize, xindex, len(counts))))
         # fuse the G_a-orbits into G-orbits
         into = [u.apply_mask
                 for _, u in sorted(G.coset_inverses()[0].items())]

@@ -31,10 +31,10 @@ The bulk subset routines act on masks through chunk image tables, built on
 first use up to degree TABLE_DEGREE: the domain is cut into
 ceil(degree / CHUNK_BITS) chunks of near-equal width w, and each generator
 has one 2^w-entry table per chunk, so no table has more than 2^CHUNK_BITS
-entries and a mask's image is one lookup per chunk.  A walk that will move
-fewer points per generator than those tables have entries, over
-ENTRIES_PER_STEP, and finds them not yet built, acts by
-Permutation.apply_mask instead (_tables_pay).
+entries and a mask's image is one lookup per chunk.  Above TABLE_DEGREE
+they act by Permutation.apply_mask, one step per point, and
+PermGroup.subset_orbit walks the complements of a subset of more than
+half the points.
 """
 
 import re
@@ -48,10 +48,6 @@ DEFAULT_ORBIT_CAP = 10 ** 6
 TABLE_DEGREE = 64
 # A chunk table has at most 2^CHUNK_BITS entries.
 CHUNK_BITS = 11
-# One loop step of Permutation.apply_mask, which moves one point of a mask,
-# costs about as much time as building this many chunk table entries
-# (measured at 2.0-3.9 at degrees 16-64).
-ENTRIES_PER_STEP = 2.5
 # PermGroup.subset_walker: the cost of one try at a generating pair, in
 # subset images per unit of degree^2 * L^3 (measured at 0.1-1.3 on 19
 # groups of degree 9-65), and the number of pairs tried.
@@ -660,33 +656,21 @@ class PermGroup:
                                  for g in self.generators)
         return self._tables
 
-    def _tables_pay(self, steps):
-        """Whether a walk acts on masks through the chunk tables: up to
-        degree TABLE_DEGREE, when they are built already, or when steps,
-        the number of points each generator is to move (masks times their
-        size), is unknown (None) or at least nchunks * 2^w / ENTRIES_PER_STEP,
-        nchunks * 2^w being the most entries one generator's tables hold.
-        A shorter walk costs less by Permutation.apply_mask, one step per
-        point, than the tables cost to build, in time and in memory."""
-        return self.degree <= TABLE_DEGREE and (
-            self._tables is not None or steps is None
-            or steps * ENTRIES_PER_STEP >= self._nchunks << self._width)
-
-    def mask_moves(self, steps=None):
-        """Each generator's action on bitmask subsets, for a walk of steps
-        point moves as in _tables_pay: the action of its chunk tables,
-        built on first use, when they pay, and Permutation.apply_mask
-        otherwise."""
+    def mask_moves(self):
+        """Each generator's action on bitmask subsets, built on first use:
+        the action of its chunk tables up to degree TABLE_DEGREE, and
+        Permutation.apply_mask above it."""
         if self._mask_moves is None:
-            if not self._tables_pay(steps):
-                return tuple(g.apply_mask for g in self.generators)
-            self._mask_moves = tuple(
-                _table_action(t[:self._nchunks], self._width)
-                for t in self._chunk_tables())
+            if self.degree > TABLE_DEGREE:
+                self._mask_moves = tuple(g.apply_mask for g in self.generators)
+            else:
+                self._mask_moves = tuple(
+                    _table_action(t[:self._nchunks], self._width)
+                    for t in self._chunk_tables())
         return self._mask_moves
 
     def subset_orbit(self, mask, cap=DEFAULT_ORBIT_CAP, index=None,
-                     number=None, walk=None):
+                     number=None):
         """The orbit of a bitmask subset under the induced action on
         subsets, as a tuple of masks in ascending order.
 
@@ -694,24 +678,22 @@ class PermGroup:
         transversals or a stabilizer is walked by schreier_orbit.  When
         index, a dict that does not hold mask, is given, it is the seen-set:
         each member is written into it with the value number as it is
-        found.  walk is the number of masks each generator is to act on
-        while these tables are in use: the orbit's size, or the number of
-        k-subsets for a walk over all of them; walk times the size of mask
-        is the walk's steps in _tables_pay.  Up to degree 3 * CHUNK_BITS,
-        when the chunk tables pay, each member is cut into its three chunks
-        once and every image is three lookups in the generators' chunk
-        tables; otherwise the images come from mask_moves.  More than cap
-        members raise ResourceCapError, after the members written into
-        index are deleted from it again.
+        found.  Up to degree 3 * CHUNK_BITS each member is cut into its
+        three chunks once and every image is three lookups in the
+        generators' chunk tables; otherwise the images come from
+        mask_moves, and above TABLE_DEGREE a mask of more than half the
+        points moves by its complement, m -> full ^ g(full ^ m), so each
+        image costs at most degree / 2 steps.  More than cap members raise
+        ResourceCapError, after the members written into index are deleted
+        from it again.
         """
         if mask >> self.degree:
             raise PermError("subset not contained in the domain")
         members = [mask]
         seen = {} if index is None else index
         seen[mask] = number
-        steps = None if walk is None else walk * popcount(mask)
         try:
-            if self.degree <= 3 * CHUNK_BITS and self._tables_pay(steps):
+            if self.degree <= 3 * CHUNK_BITS:
                 width = self._width
                 low, width2 = (1 << width) - 1, 2 * width
                 tables = self._chunk_tables()
@@ -726,7 +708,10 @@ class PermGroup:
                                 raise ResourceCapError(
                                     f"orbit exceeds cap {cap}")
             else:
-                moves = self.mask_moves(steps)
+                moves = self.mask_moves()
+                if 2 * popcount(mask) > self.degree > TABLE_DEGREE:
+                    full = (1 << self.degree) - 1
+                    moves = [lambda m, g=g: full ^ g(full ^ m) for g in moves]
                 for x in members:
                     for move in moves:
                         y = move(x)
@@ -749,13 +734,10 @@ class PermGroup:
         """Stabilizer of a subset (as bitmask), with only the Schreier
         generators that grow it; see stabilizer for cap and orbit_size, the
         exact size of the subset's orbit when known, with which the walk
-        computes |G| to stop early.  The orbit is walked by mask_moves for
-        orbit_size masks of the subset's size, so a short one builds no
-        tables."""
+        computes |G| to stop early."""
         if mask >> self.degree:
             raise PermError("subset not contained in the domain")
-        steps = None if orbit_size is None else orbit_size * popcount(mask)
-        return self.stabilizer(mask, self.mask_moves(steps),
+        return self.stabilizer(mask, self.mask_moves(),
                                orbit_size=orbit_size, cap=cap)
 
     # ---- transitivity and primitivity --------------------------------------
@@ -767,14 +749,10 @@ class PermGroup:
         """None when the induced action on the non-empty subset collection
         masks is transitive; otherwise (the smallest mask, a mask outside
         its orbit): the first image that escapes masks, or else the
-        smallest mask the orbit misses.
-
-        The walk applies each generator to at most len(masks) members, of
-        the size of the smallest."""
+        smallest mask the orbit misses."""
         masks = set(masks)
         start = min(masks)
-        members, _, escape = schreier_orbit(
-            start, self.mask_moves(len(masks) * popcount(start)), masks)
+        members, _, escape = schreier_orbit(start, self.mask_moves(), masks)
         if escape is not None:
             return start, escape
         if len(members) < len(masks):

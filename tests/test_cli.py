@@ -263,13 +263,22 @@ def test_construct_walks_its_orbits_under_the_cap(capsys, monkeypatch,
 
 
 def test_construct_over_the_orbit_cap_exits_3(capsys, monkeypatch):
-    # 6-subsets of 40 points that hold 6 of 33 fixed ones: 1,107,568
-    # codewords, over the default cap of 10^6 as this is over 10^4
-    capped_walk(monkeypatch, 10 ** 4)
-    rc, out, err = run(capsys, "construct", "--family", "intransitive",
-                       "--v", "40", "--u", "33", "--k", "6")
-    assert (rc, out) == (3, "")
-    assert err == "resource cap exceeded: orbit exceeds cap 10000\n"
+    # the orbit's size follows from the parameters, so the builder stops
+    # at the default cap of 10^6 with the walk's message, and walks nothing
+    def refuse(*args, **kw):
+        raise AssertionError("walked an orbit over the cap")
+
+    monkeypatch.setattr(PermGroup, "subset_orbit", refuse)
+    monkeypatch.setattr(codes, "_BUILD_CACHE", {})
+    for argv in (
+            # 6-subsets of 33 fixed points out of 40: C(33,6) = 1,107,568
+            ["intransitive", "--v", "40", "--u", "33", "--k", "6"],
+            # transversal 6-sets, on 6 of 7 parts of 10 points each:
+            # 10^6 * 7 = 7,000,000
+            ["utype", "--a", "10", "--b", "7", "--line", "3", "--k", "6"]):
+        rc, out, err = run(capsys, "construct", "--family", *argv)
+        assert (rc, out) == (3, ""), argv
+        assert err == "resource cap exceeded: orbit exceeds cap 1000000\n"
 
 
 # ---- verify --------------------------------------------------------------------

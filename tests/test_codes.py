@@ -248,9 +248,24 @@ def intransitive_by_combinations(v, u, k):
                 params={"v": v, "u": u, "k": k, "variant": variant}), None
 
 
-def test_utype_orbit_matches_the_scan():
+def recorded_sizes(monkeypatch):
+    """The size that each codes._orbit_code call is given, in call order."""
+    sizes = []
+    orbit_code = codes._orbit_code
+
+    def record(*args, size=None, **kw):
+        sizes.append(size)
+        return orbit_code(*args, size=size, **kw)
+
+    monkeypatch.setattr(codes, "_orbit_code", record)
+    return sizes
+
+
+def test_utype_orbit_matches_the_scan(monkeypatch):
     # every a, b with ab <= 12, every line 1-8 and every k (c on line 5),
-    # the absent one included: the same code or the same error text
+    # the absent one included: the same code or the same error text, and
+    # the closed-form size checked before the walk is the code's size
+    sizes = recorded_sizes(monkeypatch)
     cases = 0
     for a in range(1, 13):
         for b in range(1, 12 // a + 1):
@@ -260,11 +275,14 @@ def test_utype_orbit_matches_the_scan():
                               "c" if line == 5 else "k": x}
                     got = outcome(codes.build_utype, **params)
                     assert got == outcome(utype_by_scan, **params), params
-                    cases += not isinstance(got, str)
-    assert cases > 100
+                    if not isinstance(got, str):
+                        assert sizes.pop() == len(got[2]), params
+                        cases += 1
+    assert cases > 100 and not sizes
 
 
-def test_intransitive_orbit_matches_combinations():
+def test_intransitive_orbit_matches_combinations(monkeypatch):
+    sizes = recorded_sizes(monkeypatch)
     cases = 0
     for v in range(1, 11):
         for u in range(-1, v + 2):
@@ -273,8 +291,10 @@ def test_intransitive_orbit_matches_combinations():
                 got = outcome(codes.build_intransitive, **params)
                 assert got == outcome(intransitive_by_combinations,
                                       **params), params
-                cases += not isinstance(got, str)
-    assert cases > 100
+                if not isinstance(got, str):
+                    assert sizes.pop() == len(got[2]), params
+                    cases += 1
+    assert cases > 100 and not sizes
 
 
 # ---- blow-up family -------------------------------------------------------------

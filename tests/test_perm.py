@@ -1,6 +1,7 @@
 """Permutation group engine tests."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -103,11 +104,28 @@ def test_apply_mask_matches_pointwise():
     assert p.apply_mask(mask_of([0, 1])) == mask_of([1, 2])
 
 
+def _witness_by_apply_mask(gens, masks):
+    """PermGroup.transitive_witness as a breadth-first walk by apply_mask."""
+    start = min(masks)
+    members, seen = [start], {start}
+    for x in members:
+        for g in gens:
+            y = g.apply_mask(x)
+            if y not in masks:
+                return start, y
+            if y not in seen:
+                seen.add(y)
+                members.append(y)
+    missed = masks.difference(seen)
+    return (start, min(missed)) if missed else None
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_table_action_matches_apply_mask(data):
     # chunk tables take one, two or three, and more than three chunks on
-    # separate paths; a group above TABLE_DEGREE keeps the bit loop
+    # separate paths; mask_moves is the tables' action exactly up to
+    # TABLE_DEGREE and the bit loop above it, whatever the walk
     n = data.draw(st.one_of(st.sampled_from([1, 7, 8, 9, 11, 12, 16, 22, 23,
                                              28, 33, 34, 64, 65]),
                             st.integers(1, 130)), label="degree")
@@ -117,8 +135,36 @@ def test_table_action_matches_apply_mask(data):
     width = perm.chunk_width(n)
     table = perm._table_action(perm.chunk_tables(p, width), width)
     move = PermGroup(n, [p]).mask_moves()[0]
+    assert (move == p.apply_mask) == (n > perm.TABLE_DEGREE)
     for m in masks:
         assert table(m) == move(m) == p.apply_mask(m)
+    if n > 65:
+        return
+    # the orbit, the stabilizer's generators and the witness that the
+    # group's own subset action gives are those of a walk by apply_mask;
+    # dense generators only on few points, so that the groups stay small
+    gens = [_random_generator(data, n, dense=n <= 12)
+            for _ in range(data.draw(st.integers(0, 3), label="ngens"))]
+    G = PermGroup(n, gens)
+    apply = [g.apply_mask for g in gens]
+    mask = masks[0]
+    bound = 300
+    try:
+        orbit = perm.schreier_orbit(mask, apply, cap=bound)[0]
+    except ResourceCapError:
+        with pytest.raises(ResourceCapError,
+                           match=f"^orbit exceeds cap {bound}$"):
+            G.subset_orbit(mask, cap=bound)
+        return
+    assert G.subset_orbit(mask) == tuple(sorted(orbit))
+    stab = G.stabilizer(mask, apply)
+    assert G.setwise_stabilizer(mask).generators == stab.generators
+    assert G.setwise_stabilizer(mask, orbit_size=len(orbit)).generators \
+        == stab.generators
+    for extra in masks:
+        collection = set(orbit) | {extra}
+        assert G.transitive_witness(collection) \
+            == _witness_by_apply_mask(gens, collection)
 
 
 def test_chunk_tables_are_bounded():
@@ -377,10 +423,11 @@ def test_subset_orbit_cap():
         PermGroup.symmetric(20).subset_orbit(mask_of(range(10)), cap=100)
 
 
-def _random_generator(data, n):
-    # any permutation, or one of a few points anywhere in range(n), so
-    # that orbits can stay small while every chunk of the domain is reached
-    if data.draw(st.booleans(), label="dense"):
+def _random_generator(data, n, dense=True):
+    # any permutation (when dense), or one of a few points anywhere in
+    # range(n), so that orbits can stay small while every chunk of the
+    # domain is reached
+    if dense and data.draw(st.booleans(), label="dense"):
         return Permutation(data.draw(st.permutations(range(n)),
                                      label="images"))
     support = data.draw(st.lists(st.integers(0, n - 1), unique=True,
@@ -437,75 +484,49 @@ def test_subset_orbit_is_the_sorted_schreier_orbit(data):
         G.subset_orbit(mask | outside)
 
 
-@settings(max_examples=100, deadline=None)
+def _orbit_by_union_find(gens, v, k, mask):
+    """The orbit of mask among the k-sets of v points with v - k at most
+    2, from a union-find of every k-set with its images by apply_mask."""
+    full = (1 << v) - 1
+    ksets = sorted(full ^ mask_of(c)
+                   for c in itertools.combinations(range(v), v - k))
+    number = {m: i for i, m in enumerate(ksets)}
+    sets = perm.UnionFind(len(ksets))
+    for m in ksets:
+        for g in gens:
+            sets.union(number[m], number[g.apply_mask(m)])
+    root = sets.find(number[mask])
+    return tuple(m for m in ksets if sets.find(number[m]) == root)
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_short_walks_build_no_tables(data):
-    # a walk that moves fewer points per generator than one generator's
-    # chunk tables have entries, over ENTRIES_PER_STEP, acts by apply_mask
-    # and builds no tables, with the same orbit and witness as a walk
-    # through the tables; tables once built serve every later walk
-    n = data.draw(st.sampled_from([1, 5, 11, 12, 21, 28, 33, 34, 64, 65]),
-                  label="degree")
-    gens = [_random_generator(data, n)
-            for _ in range(data.draw(st.integers(1, 3), label="ngens"))]
-    points = data.draw(st.sets(st.integers(0, n - 1), max_size=2),
-                       label="points")
-    mask = mask_of(points)
-    width = perm.chunk_width(n)
-    entries = -(-n // width) << width
-    # the fewest steps, and the fewest masks of len(points) points, that
-    # pay for the tables; a walk of the empty set moves no point
-    steps = math.ceil(entries / perm.ENTRIES_PER_STEP)
-    walk = math.ceil(steps / len(points)) if points else entries
-    tabled = n <= perm.TABLE_DEGREE
-    G = PermGroup(n, gens)
-    orbit = G.subset_orbit(mask)
-    assert (G._tables is not None) == tabled
-    short = PermGroup(n, gens)
-    assert short.subset_orbit(mask, walk=walk - 1) == orbit
-    assert short.mask_moves(steps - 1) == tuple(g.apply_mask for g in gens)
-    other = mask_of(range(len(points))) if points else 0
-    masks = set(orbit) | {other}
-    assert short._tables is None
-    # the witness walk moves at most len(masks) masks of the smallest's size
-    assert short.transitive_witness(masks) == G.transitive_witness(masks)
-    assert (short._tables is not None) == (
-        tabled and len(masks) * min(masks).bit_count() >= steps)
-    long = PermGroup(n, gens)
-    assert long.subset_orbit(mask, walk=walk) == orbit
-    assert (long._tables is not None) == (tabled and bool(points))
-    assert (long.mask_moves(0) != tuple(g.apply_mask for g in gens)) \
-        == (tabled and bool(points))
-
-
-def test_table_rule_counts_points():
-    # degree 28 has three chunks of 10 points, 3,072 table entries per
-    # generator, which pay from 3,072 / ENTRIES_PER_STEP = 1,228.8 points
-    # moved on: 307 4-sets move 1,228 points and walk by apply_mask, 308
-    # move 1,232 and build the tables, with the same orbit
-    assert perm.ENTRIES_PER_STEP == 2.5
-    mask = mask_of(range(4))
-    short, long = PermGroup.symmetric(28), PermGroup.symmetric(28)
-    assert short.subset_orbit(mask, walk=307) \
-        == long.subset_orbit(mask, walk=308)
-    assert short._tables is None and long._tables is not None
-
-
-def test_setwise_stabilizer_sizes_its_walk():
-    # the 28 pairs of S8 move 56 points, worth 140 of its 256-entry
-    # tables, and walk by apply_mask; the 70 4-sets move 280 points, worth
-    # 700 entries, and build the tables.  The stabilizer is the one a table
-    # walk finds
-    for points, size, pays in (([0, 1], 28, False),
-                               ([0, 1, 2, 3], 70, True)):
-        mask = mask_of(points)
-        tabled = PermGroup.symmetric(8)
-        stab = tabled.setwise_stabilizer(mask)
-        assert tabled._tables is not None
-        short = PermGroup.symmetric(8)
-        assert short.setwise_stabilizer(mask, orbit_size=size).generators \
-            == stab.generators
-        assert (short._tables is not None) == pays
+def test_complement_walk_matches_union_find(data):
+    # above TABLE_DEGREE a k-set with 2k > v is walked by its complement:
+    # the same orbit as the union-find of all k-sets, the same numbers
+    # written into an index, and the same rollback on the cap
+    v = data.draw(st.one_of(st.sampled_from([65, 66, 91]),
+                            st.integers(65, 91)), label="degree")
+    k = v - data.draw(st.integers(1, 2), label="v - k")
+    gens = [_random_generator(data, v)
+            for _ in range(data.draw(st.integers(0, 3), label="ngens"))]
+    G = PermGroup(v, gens)
+    missed = data.draw(st.sets(st.integers(0, v - 1), min_size=v - k,
+                               max_size=v - k), label="missed")
+    mask = ((1 << v) - 1) ^ mask_of(missed)
+    expected = _orbit_by_union_find(gens, v, k, mask)
+    assert G.subset_orbit(mask) == expected
+    before = {1 << v: 0}
+    index = dict(before)
+    assert G.subset_orbit(mask, len(expected), index, 2) == expected
+    assert index == {**before, **dict.fromkeys(expected, 2)}
+    if len(expected) > 1:
+        cap = data.draw(st.integers(1, len(expected) - 1), label="cap")
+        index = dict(before)
+        with pytest.raises(ResourceCapError,
+                           match=f"^orbit exceeds cap {cap}$"):
+            G.subset_orbit(mask, cap, index, 2)
+        assert index == before
 
 
 # ---- transitivity tests ---------------------------------------------------------

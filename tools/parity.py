@@ -11,23 +11,27 @@ code, standard output, standard error and ``-o`` file bytes.  The calls:
   ``perfbench/workloads.py``, each once to standard output and once with
   ``-o``; ``verify`` reads the code file that OLD's ``construct`` wrote,
   and the hyperoval group is passed as a ``gens:@file``;
-- ``construct`` of four codes beyond the catalog, built as group orbits:
-  ``unital --q 4`` and ``--q 5``, a u-type code of line 4 and an
-  intransitive code of variant c;
-- ``verify`` of three codes beyond the catalog whose codeword stabilizers
+- ``construct`` of six codes beyond the catalog, built as group orbits:
+  ``unital --q 4`` and ``--q 5``, a u-type code of line 4, an
+  intransitive code of variant c, a u-type code of 66 of 68 points, walked
+  by complements, and an intransitive code whose size is over the orbit
+  cap, which exits 3;
+- ``verify`` of four codes beyond the catalog whose codeword stabilizers
   have many Schreier generators: ``unital --q 4`` under ``pgammau:4``,
-  ``affine_subspace --n 3 --q 3 --s 1`` under ``agammal:3,3`` and the
+  ``affine_subspace --n 3 --q 3 --s 1`` under ``agammal:3,3``, the
   lines of AG(5,3), whose neighbour set is one orbit over ``--cap-orbit``,
-  under ``agammal:5,3``;
+  under ``agammal:5,3``, and the 57 lines of PG(2,7) under
+  ``pgammal:3,7``;
 - the 15 benchmark searches (``search_orbits`` and ``search_regular``), to
   standard output and with ``-o``;
 - the same searches with each group written as a ``gens:@file``, a group
   of no known order;
 - searches on the routes of the orbit quotient's fill that the benchmark
   does not take: a group that is not transitive on the points, k = 1 and
-  k = v - 1 for it and for a transitive group, and three larger
-  quotients, J(65,4) under PGU(3,4), J(65,3) under PGammaU(3,4) and
-  J(28,7) under PGammaU(3,3);
+  k = v - 1 for it and for a transitive group, and four larger
+  quotients, J(65,4) under PGU(3,4), J(65,3) under PGammaU(3,4),
+  J(28,7) under PGammaU(3,3) and J(64,2) under AGammaL(3,4), the last at
+  the largest degree with chunk tables;
 - calls that stop at ``--cap-orbit`` and exit 3, a ``verify`` call whose
   fill through a point completes with orbits over ``--cap-orbit``, and
   one whose walk of J(v,k) stops at ``--cap-orbit`` and that exits 0 with
@@ -86,6 +90,7 @@ EXTRA_SEARCHES = [
     ("pgu:4", 4, "neighbour_transitive", 1),
     ("pgammau:4", 3, "strongly_incidence_transitive", 1),
     ("pgammau:3", 7, "neighbour_transitive", 1),
+    ("agammal:3,4", 2, "strongly_incidence_transitive", 1),
 ]
 
 # (family, params) of the construct calls beyond the catalog's
@@ -94,6 +99,8 @@ EXTRA_CONSTRUCTS = [
     ("unital", {"q": 5}),
     ("utype", {"a": 4, "b": 3, "line": 4, "k": 10}),
     ("intransitive", {"v": 12, "u": 7, "k": 9}),
+    ("utype", {"a": 17, "b": 4, "line": 2, "k": 66}),
+    ("intransitive", {"v": 40, "u": 33, "k": 6}),
 ]
 
 # (family, params, group spec) of the verify calls beyond the catalog's
@@ -101,6 +108,7 @@ EXTRA_VERIFIES = [
     ("unital", {"q": 4}, "pgammau:4"),
     ("affine_subspace", {"n": 3, "q": 3, "s": 1}, "agammal:3,3"),
     ("affine_subspace", {"n": 5, "q": 3, "s": 1}, "agammal:5,3"),
+    ("projective_subspace", {"n": 3, "q": 7, "s": 2}, "pgammal:3,7"),
 ]
 
 
