@@ -11,8 +11,9 @@ Exit codes:
   1     verification findings (a structural consistency check failed)
   2     usage errors (bad parameters, malformed files, an unwritable -o path)
   3     resource-cap aborts
-  -13   killed by SIGPIPE: standard output was closed by its reader (141 in
-        a shell); only through run(), the console entry point
+  -13   killed by SIGPIPE: standard output or standard error was closed by
+        its reader (141 in a shell); only through run(), the console entry
+        point
 
 Arguments are read by one table, VERBS, which gives each verb its handler,
 positionals and options; the -h/--help text comes from the same table. The
@@ -23,11 +24,15 @@ number. A usage error prints one line, "error: ...", on stderr.
 
 main() is the in-process API and returns the exit code; run() is the
 console entry point, which ends the process with that code.
+
+A call imports only what its verb uses: json is imported by verify alone,
+where it reads the code file and writes the report; construct and search
+write their code files by hand. signal is imported only once a write to a
+gone reader has failed, and re only to read a token that may be a negative
+number or a gens:@file.
 """
 
-import json
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -129,6 +134,30 @@ def _read_generators(path):
 
 # ---- JSON code files ---------------------------------------------------------
 
+_JSON_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f",
+                 "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _json_string(s):
+    """json.dumps(s) for a str s, without importing json: printable ASCII
+    as itself, the short escapes, and every other character as \\uXXXX, a
+    surrogate pair above U+FFFF (CPython's py_encode_basestring_ascii)."""
+    out = []
+    for c in s:
+        if c in _JSON_ESCAPES:
+            out.append(_JSON_ESCAPES[c])
+        elif " " <= c <= "~":
+            out.append(c)
+        else:
+            n = ord(c)
+            if n > 0xFFFF:
+                n -= 0x10000
+                out.append(f"\\u{0xD800 | n >> 10:04x}")
+                n = 0xDC00 | n & 0x3FF
+            out.append(f"\\u{n:04x}")
+    return '"' + "".join(out) + '"'
+
+
 def _code_json(code, indent):
     """json.dumps(code.as_dict(), indent=2) for an object that opens at
     the given indent, written from the masks: each codeword's points
@@ -139,7 +168,7 @@ def _code_json(code, indent):
     words = [f"[{''.join(map(item.__getitem__, w))[1:]}\n{i2}]" if w else "[]"
              for w in sorted(map(tuple, map(bits, code.codewords)))]
     return (f'{{\n{i1}"v": {code.v},\n{i1}"k": {code.k},\n{i1}"name": '
-            f'{json.dumps(code.name)},\n{i1}"codewords": [\n{i2}'
+            f'{_json_string(code.name)},\n{i1}"codewords": [\n{i2}'
             + f",\n{i2}".join(words) + f"\n{i1}]\n{indent}}}")
 
 
@@ -156,6 +185,7 @@ def codes_to_json(codes):
 
 
 def parse_code_file(path):
+    import json
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -217,6 +247,8 @@ def _write_output(text, path):
         try:
             with open(path, "w") as fh:
                 fh.write(text)
+        except BrokenPipeError:
+            raise  # a gone reader, not a bad path: run() ends by SIGPIPE
         except OSError as exc:
             raise UsageError(f"cannot write output file: {exc}")
     else:
@@ -263,6 +295,7 @@ def cmd_verify(args):
     payload = report.as_dict()
     payload["consistency_ok"] = passed
     payload["consistency_failures"] = failures
+    import json
     text = json.dumps(payload, indent=2) + "\n"
     if args.output:
         # the report file first, so that an unwritable path prints nothing
@@ -369,7 +402,6 @@ VERBS = {
 }
 
 HELP = ("-h", "--help")
-_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
 def _option(token, flags):
@@ -398,7 +430,10 @@ def _option(token, flags):
                          + ", ".join(f for f, _ in hits))
     if hits:
         return hits[0]
-    if _NEGATIVE_NUMBER.fullmatch(token) or " " in token:
+    # argparse's negative-number pattern; re is imported only here, for a
+    # token that starts with '-' and names no flag
+    import re
+    if re.fullmatch(r"-\d+|-\d*\.\d+", token) or " " in token:
         return None
     return None, token
 
@@ -552,18 +587,23 @@ def run(argv=None):
     returns, and a verb that left one open would lose its tail.
 
     An exception that escapes main() ends the process the ordinary way,
-    with its traceback. SIGPIPE is restored to its default action, so a
-    call whose stdout reader has gone ends like any Unix filter: silently,
-    killed by the signal.
+    with its traceback. A call whose stdout or stderr reader has gone ends
+    like any Unix filter: silently, killed by SIGPIPE. Python starts with
+    SIGPIPE ignored, so such a write raises BrokenPipeError, from main() or
+    from the flushes here; only then is signal imported, SIGPIPE's default
+    action restored and the signal sent to this process.
     """
-    # imported here, where it is used: in-process callers of main() need
-    # not pay for building its enums
-    import signal
-    if hasattr(signal, "SIGPIPE"):
+    try:
+        rc = main(argv)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        import signal
+        if not hasattr(signal, "SIGPIPE"):
+            raise
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    rc = main(argv)
-    sys.stdout.flush()
-    sys.stderr.flush()
+        os.kill(os.getpid(), signal.SIGPIPE)
+        raise
     os._exit(rc)
 
 

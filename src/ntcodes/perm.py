@@ -37,7 +37,6 @@ PermGroup.subset_orbit walks the complements of a subset of more than
 half the points.
 """
 
-import re
 from itertools import count
 from math import factorial, lcm, prod
 
@@ -121,6 +120,7 @@ class Permutation:
     @classmethod
     def parse(cls, text, n):
         """Parse cycle notation like "(0 1 2)(3 4)"; "()" is the identity."""
+        import re  # here: of the CLI's inputs, only a gens:@file needs it
         body = text.strip()
         # a cycle is empty or starts with a digit, so each character can
         # match in one way only and a malformed line fails in linear time

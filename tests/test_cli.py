@@ -113,6 +113,20 @@ def test_code_json_is_the_standard_encoding(found):
         [c.as_dict() for c in found], indent=2) + "\n"
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028\ufeff\uffff'
+                    "\ud800\udbff\udc00\udfff\U00010000\U0001f600"
+                    "\U0010ffff"),
+    st.characters(exclude_categories=()))))
+@example("")
+@example("\ud83d\ude00")  # a surrogate pair kept as two lone surrogates
+def test_json_string_is_json_dumps(s):
+    # the code files' name writer, for every str: quotes, backslashes,
+    # control characters, non-ASCII and astral text, lone surrogates
+    assert cli._json_string(s) == json.dumps(s)
+
+
 @pytest.mark.parametrize("mutate,message", [
     (lambda d: d.pop("v"), "missing field"),
     (lambda d: d.update(k=0), "1 <= k < v"),
@@ -962,6 +976,32 @@ def test_cli_import_leaves_out_argparse():
     assert proc.stdout.startswith("usage: ntcodes")
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (["catalog"], set()),
+    (["construct", "--family", "unital", "--q", "3"], set()),
+    (["search", "--group", "pgammau:3", "--k", "4", "--predicate",
+      "code_transitive"], set()),
+    # json imports re, and re enum
+    (["verify", "{code}", "--group", "pgammau:3"], {"json", "re", "enum"}),
+])
+def test_call_imports_only_what_its_verb_uses(tmp_path, argv, expected):
+    # json costs about 1.7 ms and signal 0.9 ms of a call's start-up; -S
+    # keeps out what the host's site module loads
+    code = tmp_path / "unital3.json"
+    code.write_text(code_to_json(codes.build("unital", q=3)[0]))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "ntcodes.cli",
+         *(a.format(code=code) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rpartition("|")[2].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "ntcodes.codes" in imported
+    assert imported & {"json", "re", "signal", "enum"} == expected
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
 @pytest.mark.parametrize("verb", ["catalog", "construct", "verify", "search"])
 def test_closed_stdout_ends_by_sigpipe(tmp_path, verb):
@@ -981,6 +1021,39 @@ def test_closed_stdout_ends_by_sigpipe(tmp_path, verb):
         os.close(write_end)
     assert proc.returncode == -signal.SIGPIPE
     assert proc.stderr == b""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+@pytest.mark.parametrize("name,argv,closed", [
+    # 167 KB of output: the write fails inside main()
+    ("search", ["search", "--group", "pgammau:3", "--k", "3", "--predicate",
+                "completely_regular"], "stdout"),
+    # the report file is written before the summary fails
+    ("verify_to_file", ["verify", "{code}", "--group", "pgammau:3",
+                        "-o", "{out}"], "stdout"),
+    # a code file written to a gone reader is not a bad -o path
+    ("construct_to_stdout", ["construct", "--family", "unital", "--q", "3",
+                             "-o", "/dev/stdout"], "stdout"),
+    ("usage_error", ["search", "--group", "sym:x", "--k", "2",
+                     "--predicate", "code_transitive"], "stderr"),
+])
+def test_closed_pipe_ends_by_sigpipe(tmp_path, name, argv, closed):
+    code, out = tmp_path / "unital3.json", tmp_path / "report.json"
+    code.write_text(code_to_json(codes.build("unital", q=3)[0]))
+    if name == "construct_to_stdout" and not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    other = "stderr" if closed == "stdout" else "stdout"
+    try:
+        proc = _console([a.format(code=code, out=out) for a in argv],
+                        **{closed: write_end, other: subprocess.PIPE})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == -signal.SIGPIPE
+    assert getattr(proc, other) == b""
+    if name == "verify_to_file":
+        assert json.loads(out.read_text())["consistency_ok"] is True
 
 
 def test_console_script_is_run():
