@@ -41,7 +41,7 @@ from . import geometry
 from .gf import FieldError
 from .johnson import DEFAULT_PARTITION_CAP, Code, JohnsonError
 from .perm import (DEFAULT_ORBIT_CAP, PermError, PermGroup, Permutation,
-                   ResourceCapError, bits)
+                   ResourceCapError, bits, mask_of)
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -223,10 +223,7 @@ def parse_code_dict(data):
             raise UsageError(f"code file: {loc} has an index outside 0..{v-1}")
         if any(w[j] >= w[j + 1] for j in range(k - 1)):
             raise UsageError(f"code file: {loc} is not strictly ascending")
-        m = 0
-        for x in w:
-            m |= 1 << x
-        masks.append(m)
+        masks.append(mask_of(w))
     if len(set(masks)) != len(masks):
         raise UsageError("code file: duplicate codeword")
     if any(words[j] > words[j + 1] for j in range(len(words) - 1)):

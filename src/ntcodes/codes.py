@@ -14,7 +14,7 @@ from math import comb, factorial, perm, prod
 from . import geometry, johnson
 from .johnson import Code
 from .perm import (DEFAULT_ORBIT_CAP, PermGroup, Permutation,
-                   ResourceCapError, bits, mask_of, popcount)
+                   ResourceCapError, bits, check_degree, mask_of, popcount)
 
 
 class ConstructionError(ValueError):
@@ -25,22 +25,46 @@ class ConstructionError(ValueError):
 # constructions
 # ---------------------------------------------------------------------------
 
+def _orbit_code(setting, name, params, notes=None, *, size):
+    """(C, G): C the union of the G-orbits of the subsets reps, a code in
+    J(G.degree, |reps[0]|), where setting() gives (G, reps).  size is the
+    code's size in closed form, from parameters the builder has checked;
+    over DEFAULT_ORBIT_CAP it raises the walk's ResourceCapError before
+    setting is called, so no space, group or walk is built, and a walk
+    that finds another number of codewords raises ConstructionError."""
+    if size > DEFAULT_ORBIT_CAP:
+        raise ResourceCapError(f"orbit exceeds cap {DEFAULT_ORBIT_CAP}")
+    G, reps = setting()
+    code = Code(G.degree, popcount(reps[0]),
+                [m for rep in reps for m in G.subset_orbit(rep)],
+                name=name, params=params, notes=notes)
+    if len(code) != size:
+        raise ConstructionError(
+            f"{name}: the orbits have {len(code)} members, not {size}")
+    return code, G
+
+
 def build_intransitive(v, u, k):
     """All k-subsets of a u-set U = {0..u-1} (u>k), U itself (u=k), or all
     k-subsets containing U (u<k): the orbit of {0..k-1} under the group
     Stab(U) = Sym(U) x Sym(rest)."""
     if not (0 < u < v) or not (2 <= k <= v - 2):
         raise ConstructionError("need 0 < u < v and 2 <= k <= v-2")
+    check_degree(v)
     variant = "a" if u > k else "b" if u == k else "c"
-    return _orbit_code(geometry.subset_stabilizer(v, range(u)),
-                       mask_of(range(k)), f"intransitive(v={v},u={u},k={k})",
+    return _orbit_code(lambda: (geometry.subset_stabilizer(v, range(u)),
+                                [mask_of(range(k))]),
+                       f"intransitive(v={v},u={u},k={k})",
                        {"v": v, "u": u, "k": k, "variant": variant},
                        size=comb(u, k) if u >= k else comb(v - u, k - u))
 
 
 def utype_target(a, b, line, k=None, c=None):
-    """The part-intersection type for one line of the type table, and k."""
+    """The part-intersection type for one line of the type table, and k.
+    Line 5 takes c, and k only as c*b; every other line takes k alone."""
     v = a * b
+    if c is not None and line != 5:
+        raise ConstructionError(f"line {line} takes k, not c")
     if line == 1:
         if k is None or not 2 <= k <= a:
             raise ConstructionError("line 1 needs 2 <= k <= a")
@@ -60,6 +84,8 @@ def utype_target(a, b, line, k=None, c=None):
     if line == 5:
         if c is None or not 1 < c <= a - 1:
             raise ConstructionError("line 5 needs 1 < c <= a-1")
+        if k is not None and k != c * b:
+            raise ConstructionError("line 5 needs k = c*b, or no k")
         return (c,) * b, c * b
     if line == 6:
         if b != 2 or a < 3 or k is None or k % 2 == 0:
@@ -103,15 +129,15 @@ def build_utype(a, b, line, k=None, c=None):
     r entries t_i of the target, m_j the multiplicity of each value."""
     if a < 2 or b < 2:
         raise ConstructionError("need a > 1 and b > 1")
+    check_degree(a * b)
     target, k = utype_target(a, b, line, k=k, c=c)
     if (len(target) > b or not 0 < min(target) <= max(target) <= a
             or sum(target) != k):
         raise ConstructionError("type class is empty")
     size = (prod(comb(a, t) for t in target) * perm(b, len(target))
             // prod(factorial(target.count(t)) for t in set(target)))
-    return _orbit_code(geometry.wreath_stabilizer(a, b),
-                       mask_of(i * a + j for i, t in enumerate(target)
-                               for j in range(t)),
+    rep = mask_of(i * a + j for i, t in enumerate(target) for j in range(t))
+    return _orbit_code(lambda: (geometry.wreath_stabilizer(a, b), [rep]),
                        f"utype(a={a},b={b},line={line},k={k})",
                        {"a": a, "b": b, "line": line, "k": k, "c": c},
                        size=size)
@@ -122,47 +148,52 @@ def blowup_code(a, gamma0):
     if a < 2:
         raise ConstructionError("need a >= 2")
     b = gamma0.v
-    parts = geometry.partition_blocks(a, b)
-    words = []
-    for w0 in gamma0.codewords:
-        m = 0
-        for i in bits(w0):
-            m |= parts[i]
-        words.append(m)
+    words = [mask_of(x for i in bits(w0) for x in range(i * a, (i + 1) * a))
+             for w0 in gamma0.codewords]
     return Code(a * b, a * gamma0.k, words,
                 name=f"blowup(a={a},{gamma0.name or 'inner'})",
                 params={"a": a, "b": b, "k0": gamma0.k})
 
 
 def build_blowup(a, b, k0):
-    """Blow-up of the full vertex set of J(b,k0); group = S_a wr S_b."""
+    """Blow-up of the full vertex set of J(b,k0), blowup_code of all of
+    J(b,k0): the C(b,k0) unions of k0 of the b consecutive a-blocks, the
+    orbit of the first k0 under the partition stabilizer S_a wr S_b."""
     if b < 4 or not 1 <= k0 <= b - 1:
         raise ConstructionError("need b >= 4 and 1 <= k0 <= b-1")
-    gamma0 = Code(b, k0, johnson.all_ksubsets(b, k0), name=f"J({b},{k0})")
-    return blowup_code(a, gamma0), geometry.wreath_stabilizer(a, b)
+    if a < 2:
+        raise ConstructionError("need a >= 2")
+    check_degree(a * b)
+    return _orbit_code(lambda: (geometry.wreath_stabilizer(a, b),
+                                [mask_of(range(a * k0))]),
+                       f"blowup(a={a},J({b},{k0}))",
+                       {"a": a, "b": b, "k0": k0}, size=comb(b, k0))
 
 
-def _orbit_code(G, rep, name, params, notes=None, size=None):
-    """(the G-orbit of the subset rep as a code in J(G.degree, |rep|), G).
-    size, the orbit's size where the parameters give it, raises the walk's
-    ResourceCapError before any walk when over DEFAULT_ORBIT_CAP."""
-    if size is not None and size > DEFAULT_ORBIT_CAP:
-        raise ResourceCapError(f"orbit exceeds cap {DEFAULT_ORBIT_CAP}")
-    return Code(G.degree, popcount(rep), G.subset_orbit(rep), name=name,
-                params=params, notes=notes), G
+def _gaussian_binomial(n, s, q):
+    """[n s]_q, the number of s-dimensional subspaces of F_q^n."""
+    return (prod(q ** (n - i) - 1 for i in range(s))
+            // prod(q ** (i + 1) - 1 for i in range(s)))
 
 
 def _subspace(kind, group, n, q, s):
     """The orbit of the span of the first s unit vectors, in the affine or
-    projective space of F_q^n, under the named group on that space."""
+    projective space of F_q^n, under the named group on that space: the
+    [n s]_q subspaces of F_q^n, each with its q^(n-s) cosets when
+    affine."""
     if not 1 <= s < n:
         raise ConstructionError("need 1 <= s < n")
-    space = geometry.build_space(kind, n=n, q=q)
-    rep = mask_of(space.index[pt] for pt in space.points
-                  if all(e == 0 for e in pt[s:]))
-    return _orbit_code(geometry.group_generators(group, n=n, q=q), rep,
-                       f"{kind}_subspace(n={n},q={q},s={s})",
-                       {"n": n, "q": q, "s": s})
+    geometry.point_count(kind, n=n, q=q)
+
+    def setting():
+        space = geometry.build_space(kind, n=n, q=q)
+        return geometry.group_generators(group, n=n, q=q), [mask_of(
+            space.index[pt] for pt in space.points
+            if all(e == 0 for e in pt[s:]))]
+    return _orbit_code(setting, f"{kind}_subspace(n={n},q={q},s={s})",
+                       {"n": n, "q": q, "s": s},
+                       size=_gaussian_binomial(n, s, q)
+                       * (q ** (n - s) if kind == "affine" else 1))
 
 
 def build_affine_subspace(n, q, s):
@@ -176,33 +207,37 @@ def build_projective_subspace(n, q, s):
 
 
 def build_subfield_line():
-    """Orbit of the order-4 subfield of GF(16) under AGammaL(1,16)."""
+    """Orbit of the order-4 subfield of GF(16) under AGammaL(1,16): its
+    16 * 15 / 12 = 20 images x -> ax + b."""
     from .gf import GF
-    return _orbit_code(geometry.group_generators("agammal", n=1, q=16),
-                       mask_of(GF(16).subfield_elements(2)), "subfield_line",
-                       {"q": 16, "subfield": 4})
+    return _orbit_code(
+        lambda: (geometry.group_generators("agammal", n=1, q=16),
+                 [mask_of(GF(16).subfield_elements(2))]),
+        "subfield_line", {"q": 16, "subfield": 4}, size=20)
 
 
 def build_hyperoval_ag24():
     """Orbit of the PG(2,4) hyperoval inside the 16 points off an external
-    line, under the stabilizer of that line in PGammaL(3,4).
+    line, under the stabilizer of that line in PGammaL(3,4): the 48
+    hyperovals of PG(2,4) that miss the line.
 
     Point i is the i-th smallest PG(2,4) point off the line.  The line's
     stabilizer acts on these points as AGammaL(2,4) in the affine chart
     that sends the line to the line at infinity, so G is AGammaL(2,4)
     relabelled through that chart, with its order 16 * |GL(2,4)| * 2 =
     5760 = |PGammaL(3,4)| / 21."""
-    space, hmask, ext, _ = geometry.hyperoval_setting()
-    chart = geometry.affine_chart(space, ext)
-    label = {a: i for i, a in enumerate(chart.values())}
-    A = geometry.group_generators("agammal", n=2, q=4)
-    G = PermGroup(len(chart), [Permutation([label[g.images[a]]
-                                            for a in chart.values()])
-                               for g in A.generators],
-                  order=A.known_order)
-    relabel = {p: i for i, p in enumerate(chart)}
-    rep = mask_of(relabel[p] for p in bits(hmask))
-    return _orbit_code(G, rep, "hyperoval_ag24", {"q": 4})
+    def setting():
+        space, hmask, ext, _ = geometry.hyperoval_setting()
+        chart = geometry.affine_chart(space, ext)
+        label = {a: i for i, a in enumerate(chart.values())}
+        A = geometry.group_generators("agammal", n=2, q=4)
+        G = PermGroup(len(chart), [Permutation([label[g.images[a]]
+                                                for a in chart.values()])
+                                   for g in A.generators],
+                      order=A.known_order)
+        relabel = {p: i for i, p in enumerate(chart)}
+        return G, [mask_of(relabel[p] for p in bits(hmask))]
+    return _orbit_code(setting, "hyperoval_ag24", {"q": 4}, size=48)
 
 
 _BAER_NOTE = ("pairwise subline intersections of size at most 1 would give "
@@ -212,29 +247,39 @@ _BAER_NOTE = ("pairwise subline intersections of size at most 1 would give "
 
 
 def build_baer_subline(q0):
-    """Orbit of the standard Baer subline under PGammaL(2,q0^2)."""
-    _, rep = geometry.standard_baer_subline(q0)
-    return _orbit_code(geometry.group_generators("pgammal", n=2, q=q0 * q0),
-                       rep, f"baer_subline(q0={q0})", {"q0": q0},
-                       [_BAER_NOTE])
+    """Orbit of the standard Baer subline under PGammaL(2,q0^2): the
+    q0(q0^2+1) Baer sublines of PG(1,q0^2)."""
+    if q0 < 2:
+        raise ConstructionError(f"need q0 >= 2, got q0={q0}")
+    geometry.point_count("projective", n=2, q=q0 * q0)
+    return _orbit_code(
+        lambda: (geometry.group_generators("pgammal", n=2, q=q0 * q0),
+                 [geometry.standard_baer_subline(q0)[1]]),
+        f"baer_subline(q0={q0})", {"q0": q0}, [_BAER_NOTE],
+        size=q0 * (q0 * q0 + 1))
 
 
 def build_unital(q):
     """The blocks of the classical unital, the isotropic points polar to a
-    non-isotropic point: one PGammaU(3,q)-orbit, that of the block polar
-    to e2; group = PGammaU(3,q)."""
-    space = geometry.build_space("hermitian_isotropic", q=q)
-    return _orbit_code(geometry.group_generators("pgammau", q=q),
-                       geometry.polar_block(space, (0, 1, 0)),
-                       f"unital(q={q})", {"q": q})
+    non-isotropic point: one PGammaU(3,q)-orbit of q^2(q^2-q+1) blocks,
+    that of the block polar to e2; group = PGammaU(3,q)."""
+    geometry.point_count("hermitian_isotropic", q=q)
+
+    def setting():
+        space = geometry.build_space("hermitian_isotropic", q=q)
+        return (geometry.group_generators("pgammau", q=q),
+                [geometry.polar_block(space, (0, 1, 0))])
+    return _orbit_code(setting, f"unital(q={q})", {"q": q},
+                       size=q * q * (q * q - q + 1))
 
 
 def build_ovoid_circles():
     """The 30 'circles' on a 10-point ovoid: realized as the PGL(2,9)-orbit
     of a Baer subline of PG(1,9), re-checked as a 3-(10,4,1) design."""
-    _, rep = geometry.standard_baer_subline(3)
-    code, G = _orbit_code(geometry.group_generators("pgl", n=2, q=9), rep,
-                          "ovoid_circles", {}, [_BAER_NOTE])
+    code, G = _orbit_code(
+        lambda: (geometry.group_generators("pgl", n=2, q=9),
+                 [geometry.standard_baer_subline(3)[1]]),
+        "ovoid_circles", {}, [_BAER_NOTE], size=30)
     for triple in combinations(range(code.v), 3):
         tm = mask_of(triple)
         if sum(1 for w in code.codewords if w & tm == tm) != 1:
@@ -243,27 +288,27 @@ def build_ovoid_circles():
 
 
 def build_psl2_orbit(q):
-    """One of the two PSL(2,q)-orbits on 3-subsets of PG(1,q), q = 1 mod 4."""
+    """One of the two PSL(2,q)-orbits on 3-subsets of PG(1,q), q = 1 mod 4,
+    each of C(q+1,3)/2."""
     if q % 4 != 1 or q <= 5:
         raise ConstructionError("need q = 1 mod 4 and q > 5")
-    space = geometry.build_space("projective", n=2, q=q)
-    rep = mask_of([space.index[(0, 1)], space.index[(1, 0)],
-                   space.index[(1, 1)]])
-    code, G = _orbit_code(geometry.group_generators("psl2", q=q), rep,
-                          f"psl2_orbit(q={q})", {"q": q})
-    if 2 * len(code) != comb(q + 1, 3):
-        raise ConstructionError("expected two equal orbits on 3-subsets")
-    return code, G
+    geometry.point_count("projective", n=2, q=q)
+
+    def setting():
+        index = geometry.build_space("projective", n=2, q=q).index
+        return geometry.group_generators("psl2", q=q), [mask_of(
+            index[pt] for pt in ((0, 1), (1, 0), (1, 1)))]
+    return _orbit_code(setting, f"psl2_orbit(q={q})", {"q": q},
+                       size=comb(q + 1, 3) // 2)
 
 
 def build_j93():
     """The J(9,3) union code: the 27 transversals of a 3x3 partition plus the
     3 parts, the orbits of {0,3,6} and of {0,1,2}; group = S_3 wr S_3
     (transitive on the neighbour set only)."""
-    G = geometry.wreath_stabilizer(3, 3)
-    words = (G.subset_orbit(mask_of(range(3)))
-             + G.subset_orbit(mask_of((0, 3, 6))))
-    return Code(9, 3, words, name="j93", params={}), G
+    return _orbit_code(lambda: (geometry.wreath_stabilizer(3, 3),
+                                [mask_of(range(3)), mask_of((0, 3, 6))]),
+                       "j93", {}, size=3 + 27)
 
 
 def build_unitary_bases():
@@ -274,15 +319,16 @@ def build_unitary_bases():
     PGammaU(3,3) permutes the 63 of them transitively; the representative
     is the triangle e2, e1+e3, e1-e3.
     """
-    space = geometry.build_space("hermitian_isotropic", q=3)
-    rep = 0
-    for m in (0, 1, 0), (1, 0, 1), (1, 0, space.field.neg(1)):
-        rep |= geometry.polar_block(space, m)
-    if popcount(rep) != 12:
-        raise ConstructionError("a self-polar triangle should cover 12 "
-                                "isotropic points")
-    return _orbit_code(geometry.group_generators("pgammau", q=3), rep,
-                       "unitary_bases", {"q": 3})
+    def setting():
+        space = geometry.build_space("hermitian_isotropic", q=3)
+        rep = 0
+        for m in (0, 1, 0), (1, 0, 1), (1, 0, space.field.neg(1)):
+            rep |= geometry.polar_block(space, m)
+        if popcount(rep) != 12:
+            raise ConstructionError("a self-polar triangle should cover 12 "
+                                    "isotropic points")
+        return geometry.group_generators("pgammau", q=3), [rep]
+    return _orbit_code(setting, "unitary_bases", {"q": 3}, size=63)
 
 
 # family -> (builder, its parameters, what it builds); cli's catalog lists

@@ -16,10 +16,8 @@ from itertools import product
 from math import factorial, gcd, prod
 
 from .gf import GF, FieldError
-from .perm import (MAX_DEGREE, PermError, PermGroup, Permutation, bits,
+from .perm import (MAX_DEGREE, PermGroup, Permutation, bits, check_degree,
                    mask_of)
-
-MAX_POINTS = 4096
 
 
 class GeometryError(ValueError):
@@ -70,38 +68,50 @@ def hermitian_form(F, x, y):
         F.mul(x[1], F.conj(y[1])))
 
 
-def build_space(kind, **params):
-    """The points of AG(n,q), of PG(n-1,q) or of the Hermitian unital in
-    PG(2,q^2).  Their number, q^n, (q^n-1)/(q-1) = 1 + q + ... + q^(n-1)
-    or q^3+1, is checked against MAX_POINTS before any is listed; the count
-    stops growing once it passes the cap, so a huge n costs nothing."""
+def point_count(kind, **params):
+    """The number of points of build_space(kind, **params), q^n,
+    (q^n-1)/(q-1) = 1 + q + ... + q^(n-1) or q^3+1, after the checks that
+    build_space makes before it lists any: the kind, q, its field and at
+    most MAX_DEGREE points.  The count stops growing once it passes the
+    cap, so a huge n costs nothing."""
     if kind not in ("affine", "projective", "hermitian_isotropic"):
         raise GeometryError(f"unknown space kind {kind!r}")
     if kind == "hermitian_isotropic":
         q = params["q"]
         if q < 2:
             raise GeometryError(f"need q >= 2, got q={q}")
-        F, count = GF(q * q), q ** 3 + 1
+        GF(q * q)
+        count = q ** 3 + 1
     else:
         n, q = params["n"], params["q"]
-        F, count = GF(q), 1
+        GF(q)
+        count = 1
         for _ in range(n if kind == "affine" else n - 1):
             count = count * q + (kind == "projective")
-            if count > MAX_POINTS:
+            if count > MAX_DEGREE:
                 break
-    if count > MAX_POINTS:
-        raise GeometryError(f"{kind} space of more than {MAX_POINTS} points")
-    if kind == "affine":
-        return GeometrySpace(kind, sorted(product(F.elements(), repeat=n)),
-                             F, {"n": n, "q": q})
-    if kind == "projective":
-        return GeometrySpace(kind, _projective_points(F, n), F,
-                             {"n": n, "q": q})
-    pts = [p for p in _projective_points(F, 3)
-           if hermitian_form(F, p, p) == 0]
-    if len(pts) != count:
-        raise GeometryError("isotropic point count mismatch")
-    return GeometrySpace(kind, pts, F, {"q": q})
+    if count > MAX_DEGREE:
+        raise GeometryError(f"{kind} space of more than {MAX_DEGREE} points")
+    return count
+
+
+def build_space(kind, **params):
+    """The points of AG(n,q), of PG(n-1,q) or of the Hermitian unital in
+    PG(2,q^2), listed once point_count has checked their number."""
+    count = point_count(kind, **params)
+    if kind == "hermitian_isotropic":
+        q = params["q"]
+        F = GF(q * q)
+        pts = [p for p in _projective_points(F, 3)
+               if hermitian_form(F, p, p) == 0]
+        if len(pts) != count:
+            raise GeometryError("isotropic point count mismatch")
+        return GeometrySpace(kind, pts, F, {"q": q})
+    n, q = params["n"], params["q"]
+    F = GF(q)
+    points = (sorted(product(F.elements(), repeat=n)) if kind == "affine"
+              else _projective_points(F, n))
+    return GeometrySpace(kind, points, F, {"n": n, "q": q})
 
 
 # ---- permutations from (semi)linear maps -----------------------------------
@@ -210,8 +220,7 @@ def partition_blocks(a, b):
 
 def subset_stabilizer(v, subset):
     """Sym(U) x Sym(complement) inside Sym(v)."""
-    if v > MAX_DEGREE:
-        raise PermError(f"degree {v} exceeds cap {MAX_DEGREE}")
+    check_degree(v)
     u = sorted(set(subset))
     rest = sorted(set(range(v)) - set(u))
     gens = []

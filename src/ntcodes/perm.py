@@ -66,6 +66,12 @@ def popcount(mask):
     return mask.bit_count()
 
 
+def check_degree(n):
+    """Raise PermError for a degree over MAX_DEGREE."""
+    if n > MAX_DEGREE:
+        raise PermError(f"degree {n} exceeds cap {MAX_DEGREE}")
+
+
 def mask_of(points):
     m = 0
     for x in points:
@@ -88,8 +94,7 @@ class Permutation:
         images = tuple(images)
         if check:
             n = len(images)
-            if n > MAX_DEGREE:
-                raise PermError(f"degree {n} exceeds cap {MAX_DEGREE}")
+            check_degree(n)
             seen = [False] * n
             for i in images:
                 if not (0 <= i < n) or seen[i]:
@@ -107,8 +112,7 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, n, cycles):
-        if n > MAX_DEGREE:
-            raise PermError(f"degree {n} exceeds cap {MAX_DEGREE}")
+        check_degree(n)
         images = list(range(n))
         for cycle in cycles:
             for i, x in enumerate(cycle):

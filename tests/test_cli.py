@@ -16,7 +16,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ntcodes import cli, codes
+from ntcodes import cli, codes, geometry
 from ntcodes.cli import (UsageError, code_to_json, main, parse_code_dict,
                          parse_group_spec)
 from ntcodes.johnson import Code, vertex_neighbours
@@ -222,11 +222,35 @@ def test_construct_beyond_the_old_parameter_text(capsys, argv, shape):
 @pytest.mark.parametrize("argv", [
     ["intransitive", "--v", "5000", "--u", "1", "--k", "2"],
     ["blowup", "--a", "1000", "--b", "5", "--k0", "2"],
-    ["utype", "--a", "100", "--b", "50", "--line", "3", "--k", "2"]])
+    ["utype", "--a", "100", "--b", "50", "--line", "3", "--k", "2"],
+    # the degree is checked before the line's type, which for line 2 or
+    # 4 is a tuple of b entries
+    ["utype", "--a", "100", "--b", "50", "--line", "1", "--k", "200"],
+    # and before the code's size, here over the orbit cap too
+    ["intransitive", "--v", "5000", "--u", "2500", "--k", "6"],
+    ["blowup", "--a", "200", "--b", "25", "--k0", "12"]])
 def test_construct_over_the_degree_cap_exits_2(capsys, argv):
     rc, out, err = run(capsys, "construct", "--family", *argv)
     assert (rc, out) == (2, "")
     assert err == "error: construct: degree 5000 exceeds cap 4096\n"
+
+
+# a space over the point cap or a q that is no field is a usage error
+# before the code's size, which is over the orbit cap for each of these
+@pytest.mark.parametrize("argv,message", [
+    (["affine_subspace", "--n", "13", "--q", "2", "--s", "6"],
+     "affine space of more than 4096 points"),
+    (["projective_subspace", "--n", "9", "--q", "3", "--s", "4"],
+     "projective space of more than 4096 points"),
+    (["affine_subspace", "--n", "9", "--q", "6", "--s", "4"],
+     "6 is not a prime power"),
+    (["unital", "--q", "64"],
+     "hermitian_isotropic space of more than 4096 points"),
+    (["baer_subline", "--q0", "1000"], "unsupported field size 1000000"),
+    (["psl2_orbit", "--q", "4105"], "unsupported field size 4105")])
+def test_construct_checks_the_space_before_the_size(capsys, argv, message):
+    rc, out, err = run(capsys, "construct", "--family", *argv)
+    assert (rc, out, err) == (2, "", f"error: construct: {message}\n")
 
 
 # q0 and q are squared into the field order: q0 = -3 built the q0 = 3 code,
@@ -262,37 +286,63 @@ def capped_walk(monkeypatch, cap):
 @pytest.mark.parametrize("family", sorted(codes.FAMILIES))
 def test_construct_walks_its_orbits_under_the_cap(capsys, monkeypatch,
                                                   family):
-    # every family but blowup is built as orbits of a group; the largest
-    # catalog code of each has an orbit of more than 2 members
+    # every family is built as orbits of a group; the largest catalog code
+    # of each has an orbit of more than 2 members
     params = max((p for f, p in codes.CATALOG if f == family),
                  key=lambda p: len(codes.build(family, **p)[0]))
     capped_walk(monkeypatch, 2)
     argv = [f"--{name}={value}" for name, value in params.items()]
     rc, out, err = run(capsys, "construct", "--family", family, *argv)
-    if family == "blowup":
-        assert (rc, err) == (0, "")
-    else:
-        assert (rc, out) == (3, "")
-        assert err == "resource cap exceeded: orbit exceeds cap 2\n"
+    assert (rc, out) == (3, "")
+    assert err == "resource cap exceeded: orbit exceeds cap 2\n"
 
 
-def test_construct_over_the_orbit_cap_exits_3(capsys, monkeypatch):
-    # the orbit's size follows from the parameters, so the builder stops
-    # at the default cap of 10^6 with the walk's message, and walks nothing
+# each code's size follows from its parameters, so the builder stops at
+# the default cap of 10^6 with the walk's message, and builds no group
+# and walks nothing; the geometric calls took from 5 s to over 300 s, and
+# the blowup exited 0 with 2,704,156 codewords
+@pytest.mark.parametrize("argv", [
+    # 6-subsets of 33 fixed points out of 40: C(33,6) = 1,107,568
+    ["intransitive", "--v", "40", "--u", "33", "--k", "6"],
+    # transversal 6-sets, on 6 of 7 parts of 10 points each:
+    # 10^6 * 7 = 7,000,000
+    ["utype", "--a", "10", "--b", "7", "--line", "3", "--k", "6"],
+    # C(24,12) = 2,704,156
+    ["blowup", "--a", "2", "--b", "24", "--k0", "12"],
+    # [8 4]_3 = 75,913,222 solids of PG(7,3)
+    ["projective_subspace", "--n", "8", "--q", "3", "--s", "4"],
+    # 2^5 * [9 4]_2 = 105,911,904
+    ["affine_subspace", "--n", "9", "--q", "2", "--s", "4"],
+    # 2^6 * [12 6]_2 = 14,763,161,167,040, on 4,096 points, the most the
+    # degree cap allows
+    ["affine_subspace", "--n", "12", "--q", "2", "--s", "6"],
+    # C(234,3) / 2 = 1,054,092
+    ["psl2_orbit", "--q", "233"]],
+    ids=["intransitive", "utype", "blowup", "projective_subspace",
+         "affine_subspace_9_2_4", "affine_subspace_12_2_6", "psl2_orbit"])
+def test_construct_over_the_orbit_cap_exits_3(capsys, monkeypatch, argv):
     def refuse(*args, **kw):
-        raise AssertionError("walked an orbit over the cap")
+        raise AssertionError("built a group or walked an orbit over the cap")
 
     monkeypatch.setattr(PermGroup, "subset_orbit", refuse)
+    monkeypatch.setattr(geometry, "group_generators", refuse)
     monkeypatch.setattr(codes, "_BUILD_CACHE", {})
-    for argv in (
-            # 6-subsets of 33 fixed points out of 40: C(33,6) = 1,107,568
-            ["intransitive", "--v", "40", "--u", "33", "--k", "6"],
-            # transversal 6-sets, on 6 of 7 parts of 10 points each:
-            # 10^6 * 7 = 7,000,000
-            ["utype", "--a", "10", "--b", "7", "--line", "3", "--k", "6"]):
-        rc, out, err = run(capsys, "construct", "--family", *argv)
-        assert (rc, out) == (3, ""), argv
-        assert err == "resource cap exceeded: orbit exceeds cap 1000000\n"
+    rc, out, err = run(capsys, "construct", "--family", *argv)
+    assert (rc, out) == (3, "")
+    assert err == "resource cap exceeded: orbit exceeds cap 1000000\n"
+
+
+# utype rewrote a k that line 5 does not give and ignored a c on any
+# other line: --line 5 --c 2 --k 4 wrote the k = 6 code
+@pytest.mark.parametrize("argv,message", [
+    (["--line", "5", "--c", "2", "--k", "4"], "line 5 needs k = c*b, or no k"),
+    (["--line", "1", "--c", "2", "--k", "2"], "line 1 takes k, not c"),
+    (["--line", "3", "--c", "2", "--k", "3"], "line 3 takes k, not c")])
+def test_construct_utype_rejects_a_parameter_its_line_does_not_take(
+        capsys, argv, message):
+    rc, out, err = run(capsys, "construct", "--family", "utype", "--a", "3",
+                       "--b", "3", *argv)
+    assert (rc, out, err) == (2, "", f"error: construct: {message}\n")
 
 
 # ---- verify --------------------------------------------------------------------

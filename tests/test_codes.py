@@ -281,6 +281,12 @@ def test_utype_orbit_matches_the_scan(monkeypatch):
     assert cases > 100 and not sizes
 
 
+def test_utype_line_5_accepts_k_equal_to_c_times_b():
+    # any other k is a usage error (tests/test_cli.py)
+    assert build("utype", a=3, b=3, line=5, c=2, k=6)[0] == build(
+        "utype", a=3, b=3, line=5, c=2)[0]
+
+
 def test_intransitive_orbit_matches_combinations(monkeypatch):
     sizes = recorded_sizes(monkeypatch)
     cases = 0
@@ -295,6 +301,41 @@ def test_intransitive_orbit_matches_combinations(monkeypatch):
                     assert sizes.pop() == len(got[2]), params
                     cases += 1
     assert cases > 100 and not sizes
+
+
+@pytest.mark.parametrize("family,params", [
+    *[("affine_subspace", {"n": n, "q": q, "s": s})
+      for n, q in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (2, 5))
+      for s in range(1, n)],
+    *[("projective_subspace", {"n": n, "q": q, "s": s})
+      for n, q in ((2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (3, 4))
+      for s in range(1, n)],
+    *[("psl2_orbit", {"q": q}) for q in (9, 13, 17, 25)],
+    *[("baer_subline", {"q0": q0}) for q0 in (2, 3, 4, 5)],
+    *[("unital", {"q": q}) for q in (2, 3, 4)]],
+    ids=lambda x: x if isinstance(x, str) else
+    ",".join(f"{k}={v}" for k, v in x.items()))
+def test_closed_form_size_is_the_walked_size(monkeypatch, family, params):
+    # the builder checks its closed form against the members it walks, so
+    # each build here checks the formula on parameters beyond the catalog
+    sizes = recorded_sizes(monkeypatch)
+    code, _ = codes.FAMILIES[family][0](**params)
+    assert sizes == [len(code)]
+
+
+def test_a_wrong_closed_form_size_raises(monkeypatch):
+    # a mutation of every family's size, one more or one less codeword,
+    # is caught by the count of the walk's members
+    orbit_code = codes._orbit_code
+    for delta in (1, -1):
+        def wrong(*args, size, **kw):
+            return orbit_code(*args, size=size + delta, **kw)
+
+        monkeypatch.setattr(codes, "_orbit_code", wrong)
+        for family, params in CATALOG:
+            with pytest.raises(ConstructionError,
+                               match=r"the orbits have \d+ members, not"):
+                codes.FAMILIES[family][0](**params)
 
 
 # ---- blow-up family -------------------------------------------------------------
@@ -317,6 +358,20 @@ def test_blowup_delta_law_random():
         assert blown.k == a * k0
         assert min_distance(blown) == a * d0
         cases += 1
+
+
+def test_blowup_orbit_is_the_blowup_of_all_of_jbk0():
+    # the S_a wr S_b-orbit of the first k0 blocks against the delta-law
+    # construction from the listed vertex set of J(b,k0)
+    for a in (2, 3):
+        for b in (4, 5, 6):
+            for k0 in range(1, b):
+                code, _ = codes.build_blowup(a, b, k0)
+                inner = Code(b, k0, all_ksubsets(b, k0), name=f"J({b},{k0})")
+                oracle = blowup_code(a, inner)
+                assert code == oracle
+                assert (code.name, dict(code.params)) == (
+                    oracle.name, dict(oracle.params))
 
 
 def test_blowup_of_full_vertex_set_is_neighbour_transitive():
