@@ -78,7 +78,7 @@ def utype_target(a, b, line, k=None, c=None):
             raise ConstructionError("line 3 needs 2 <= k <= b")
         return (1,) * k, k
     if line == 4:
-        if k is None or not (v - b <= k <= v - 2) or k - v + b < 0:
+        if k is None or not v - b <= k <= v - 2:
             raise ConstructionError("line 4 needs v-b <= k <= v-2")
         return tuple(sorted((a - 1,) * (v - k) + (a,) * (b - v + k))), k
     if line == 5:

@@ -88,7 +88,6 @@ def _find_primitive_polynomial(p, a):
             mod = [(-r) % p, 1]
             if _primitive_cycle(mod, p, a) is not None:
                 return tuple(mod)
-        return (p - 1, 1)  # p in {2, 3}: x - 1 never primitive except p=2
     from itertools import product
     for coeffs in product(range(p), repeat=a):
         if coeffs[0] == 0:

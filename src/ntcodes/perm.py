@@ -7,8 +7,9 @@ domain travel as integer bitmasks throughout.
 The stabilizer chain is built by a deterministic Schreier-Sims: base points
 are the smallest non-fixed points, orbits grow breadth-first in generator
 order, so orders, transversals and element enumeration are reproducible.
-A group built with its known order stops closing the chain once the chain
-reaches that order, with the same result.
+Its one closing routine, PermGroup._extend, extends a chain in place by new
+generators (a group's own chain extends the empty one) and stops closing
+once the chain reaches a known order, with the same result.
 Every orbit that needs a transversal, a stabilizer or an escape test (of
 points, subsets or pairs) is grown by schreier_orbit, and _schreier_images
 forms the Schreier generators during that walk: for each level of the
@@ -16,13 +17,13 @@ chain, which strips them through the deeper levels with _strip, the one
 strip routine, and for every stabilizer (of a point, a subset, or anything
 else the generators move), which is PermGroup.stabilizer.  A stabilizer
 keeps a Schreier generator only when it does not sift to the identity in
-the group of the generators kept before it; that one rule decides how many
-generators a derived group carries.  Each level keeps the inverses of its
-coset reps beside its transversal (coset_inverses), so _strip multiplies
-by them and never inverts; a walk that forms Schreier generators inverts
-each member's coset rep once (_inverse).  The orbit
-quotient reads the first level's inverses to carry a k-set into the k-sets
-through the first base point.
+the group of the generators kept before it, whose one chain each kept
+generator extends; that one rule decides how many generators a derived
+group carries.  Each level keeps the inverses of its coset reps beside its
+transversal (coset_inverses), so _strip multiplies by them and never
+inverts; a walk that forms Schreier generators inverts each member's coset
+rep once (_inverse).  The orbit quotient reads the first level's inverses
+to carry a k-set into the k-sets through the first base point.
 PermGroup.subset_orbit needs only the members, so it walks with a seen-set
 and keeps no Schreier map; given an orbit quotient's index dict, it walks
 with that dict as its seen-set and writes each member's orbit number into
@@ -376,12 +377,12 @@ class PermGroup:
             gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
-        # the group's order when known beforehand; _build_bsgs trusts it
+        # the group's order when known beforehand; _extend trusts it
         # only to stop closing the chain, and raises if a full closure
         # ends at another order
         self.known_order = order
-        self._bsgs = None
-        self._inverses = None
+        # (base, level_gens, transversals, inverses) once built
+        self._chain = None
         self._pair = None
         # the chunk tables' layout: chunk width and number of chunks
         self._width = chunk_width(degree)
@@ -410,41 +411,50 @@ class PermGroup:
 
     # ---- stabilizer chain ------------------------------------------------
 
-    def _build_bsgs(self):
-        """Deterministic Schreier-Sims.  Level i is closed by one walk of
+    def _extend(self, generators):
+        """Deterministic Schreier-Sims: extend the chain in place by
+        generators and close it again; bsgs() extends the empty chain by
+        the group's own generators.  A generator joins levels 0..j, j the
+        first level whose base point it moves (a new last level at its
+        first moved point if it fixes them all), and the closing starts at
+        the deepest level j any of them joins: the levels past j keep
+        their generators and stay closed.  Level i is closed by one walk of
         base[i] under level_gens[i]: each Schreier generator the walk
         offers is stripped from level i+1, and the first non-identity
-        residue joins the strong generators and restarts the closing at the
-        deepest level; a walk with none gives level i's transversal.
+        residue joins the strong generators and restarts the closing at
+        the deepest level it joins; a walk with none gives level i's
+        transversal.
 
         The product of the basic orbits, each base point's orbit under its
         level's generators, never exceeds |G|, and equals it only once the
         chain is complete (Seress, Permutation Group Algorithms, 4.1): from
         then on every Schreier generator strips to the identity, and the
-        closing adds nothing.  So with a known order the builder stops as
-        soon as that product reaches it, and walks every level once more
-        for its transversal: the chain is the one the whole closing gives.
-        A whole closing that ends at another order raises PermError.
+        closing adds nothing.  So with a known order the builder stops
+        forming Schreier generators as soon as that product reaches it,
+        and walks the levels still open only for their transversals: the
+        chain is the one the whole closing gives.  A whole closing that
+        ends at another order raises PermError before the chain is stored,
+        so a group whose build raises has none, and bsgs() raises again.
         """
-        base = []          # base points
-        level_gens = []    # level_gens[i]: strong generators fixing base[:i]
-        transversals = []  # transversals[i]: point -> coset rep (base[i] -> point)
-        inverses = []      # inverses[i]: point -> that coset rep's inverse
+        chain = self._chain or ([], [], [], [])
+        # base points; level_gens[i]: strong generators fixing base[:i];
+        # transversals[i]: point -> coset rep (base[i] -> point);
+        # inverses[i]: point -> that coset rep's inverse
+        base, level_gens, transversals, inverses = chain
         identity = Permutation.identity(self.degree)
         known = self.known_order
-        sizes = []         # sizes[i]: basic orbit size, with a known order
+        sizes = list(map(len, transversals))  # basic orbit sizes
         stale = -1         # sizes[:stale+1] are out of date
 
         def add_gen(g):
-            # g joins levels 0..j, j the first level whose base point it
-            # moves; if it fixes them all, its first moved point is a new one
+            # the deepest level g joins, -1 for the identity
             nonlocal stale
             img = g.images
             j = next((l for l, b in enumerate(base) if img[b] != b), None)
             if j is None:
                 moved = next((x for x, im in enumerate(img) if im != x), None)
                 if moved is None:
-                    return
+                    return -1
                 base.append(moved)
                 level_gens.append([])
                 transversals.append({})
@@ -454,6 +464,7 @@ class PermGroup:
             for l in range(j + 1):
                 level_gens[l].append(g)
             stale = max(stale, j)
+            return j
 
         def complete():
             nonlocal stale
@@ -474,59 +485,48 @@ class PermGroup:
                              i + 1)
             return residue != identity
 
-        def close_level(l, members, schreier):
-            transversals[l] = {pt: _transversal(pt, schreier, gens, cache)
-                               for pt in members}
-            inverses[l] = {pt: _inverse(pt, schreier, gens, cache, inv_cache)
-                           for pt in members}
-
-        for g in self.generators:
-            add_gen(g)
-        i = len(base) - 1
-        while i >= 0 and not complete():
+        i = max(map(add_gen, generators), default=-1)
+        closing = True
+        while i >= 0:
+            # once at the known order, the open levels' walks offer nothing
+            closing = closing and not complete()
             gens = level_gens[i]
             cache = {base[i]: identity}
             inv_cache = {base[i]: identity}
             residue = identity
             members, schreier, _ = schreier_orbit(
-                base[i], _point_moves(gens), on_revisit=offer)
+                base[i], _point_moves(gens),
+                on_revisit=offer if closing else None)
             if residue == identity:
-                close_level(i, members, schreier)
+                transversals[i] = {pt: _transversal(pt, schreier, gens, cache)
+                                   for pt in members}
+                inverses[i] = {pt: _inverse(pt, schreier, gens, cache,
+                                            inv_cache) for pt in members}
                 i -= 1
             else:
-                add_gen(residue)
-                i = len(base) - 1
-        if i >= 0:
-            # stopped at the known order
-            for l, gens in enumerate(level_gens):
-                cache = {base[l]: identity}
-                inv_cache = {base[l]: identity}
-                close_level(l, *schreier_orbit(base[l],
-                                               _point_moves(gens))[:2])
-        elif known is not None and prod(map(len, transversals)) != known:
-            raise PermError(f"group order {prod(map(len, transversals))} "
+                i = add_gen(residue)
+        order = prod(map(len, transversals))
+        if known is not None and order != known:
+            raise PermError(f"group order {order} "
                             f"is not the known order {known}")
-        self._bsgs = (base, level_gens, transversals)
-        self._inverses = inverses
+        self._chain = chain
 
     def bsgs(self):
-        if self._bsgs is None:
-            self._build_bsgs()
-        return self._bsgs
+        """(base, level_gens, transversals) of the chain, built on first
+        use."""
+        if self._chain is None:
+            self._extend(self.generators)
+        return self._chain[:3]
 
     def coset_inverses(self):
         """The inverse coset reps kept beside the chain's transversals:
         coset_inverses()[i][pt] is bsgs()[2][i][pt]^-1, which maps pt to
         base[i]."""
         self.bsgs()
-        return self._inverses
+        return self._chain[3]
 
     def order(self):
-        base, _, transversals = self.bsgs()
-        n = 1
-        for tr in transversals:
-            n *= len(tr)
-        return n
+        return prod(map(len, self.bsgs()[2]))
 
     def sift(self, g):
         """Residue of g after stripping through the chain (identity iff g in G)."""
@@ -571,14 +571,14 @@ class PermGroup:
         the stabilizer (Seress, Permutation Group Algorithms, 4.1).  One is
         kept only when it does not sift to the identity in the group that
         the generators kept before it generate, so each kept generator
-        grows that group, and its chain is rebuilt for the next sift.  The
-        stabilizer has |G| / orbit_size elements, so when orbit_size, the
-        exact size of start's orbit, is given, the walk stops once the kept
-        generators' group has that order: no later Schreier generator would
-        be kept, and the tuple is the one the whole walk returns; the
-        stabilizer then has |G| / orbit_size as its known order.  More than
-        cap members raise ResourceCapError, at once when orbit_size is over
-        cap.
+        grows that group and extends its chain in place (_extend), one
+        chain for the whole walk.  The stabilizer has |G| / orbit_size
+        elements, so when orbit_size, the exact size of start's orbit, is
+        given, the walk stops once the kept generators' group has that
+        order: no later Schreier generator would be kept, and the tuple is
+        the one the whole walk returns; the stabilizer then has
+        |G| / orbit_size as its known order.  More than cap members raise
+        ResourceCapError, at once when orbit_size is over cap.
         """
         order = None
         if orbit_size is not None:
@@ -592,13 +592,13 @@ class PermGroup:
             inverses = dict(cache)
 
             def offer(x, i, y, schreier):
-                nonlocal kept
                 s = Permutation(_schreier_images(x, i, y, schreier,
                                                  generators, cache, inverses),
                                 check=False)
                 if s in kept:
                     return False
-                kept = PermGroup(self.degree, kept.generators + (s,))
+                kept.generators += (s,)
+                kept._extend((s,))
                 return kept.order() == order
 
             schreier_orbit(start, moves, cap=cap, on_revisit=offer)

@@ -468,11 +468,13 @@ def test_hyperoval_group_against_sympy():
 
 @pytest.mark.parametrize("family,params", [
     ("unital", {"q": 3}), ("unitary_bases", {}),
-    ("affine_subspace", {"n": 3, "q": 3, "s": 1})])
+    ("affine_subspace", {"n": 3, "q": 3, "s": 1}),
+    ("utype", {"a": 9, "b": 4, "line": 2, "k": 34})])
 def test_codeword_stabilizer_against_sympy(family, params):
-    # each of these G_gamma once came with 48-225 distinct Schreier
-    # generators; the kept ones generate a group of sympy's order
-    # |G| / |orbit|, and they fix gamma
+    # each of the first three G_gamma once came with 48-225 distinct
+    # Schreier generators, and the u-type one, under wreath:9,4, has a deep
+    # chain; the kept ones generate a group of sympy's order |G| / |orbit|,
+    # and they fix gamma
     combinatorics = pytest.importorskip("sympy.combinatorics")
     code, G = build(family, **params)
     gamma = code.codewords[0]

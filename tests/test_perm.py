@@ -318,16 +318,33 @@ def _conjugation(g):
     return lambda E: frozenset(tuple([gi[e[p]] for p in ginv]) for e in E)
 
 
-def _schreier_generators(G, start, moves):
-    """Every distinct Schreier generator u_x g_i u_y^-1 of the whole walk
-    of start's orbit, with u_x read off schreier_orbit's Schreier map."""
+def _walk_schreier_generators(G, start, moves):
+    """The Schreier generators u_x g_i u_y^-1 of the whole walk of start's
+    orbit, in walk order, with u_x read off schreier_orbit's Schreier
+    map."""
     members, schreier, _ = perm.schreier_orbit(start, moves)
     u = {start: Permutation.identity(G.degree)}
     for x in members[1:]:
         pred, i = schreier[x]
         u[x] = u[pred] * G.generators[i]
-    return {u[x] * g * u[move(x)].inverse()
-            for x in members for g, move in zip(G.generators, moves)}
+    return [u[x] * g * u[move(x)].inverse()
+            for x in members for g, move in zip(G.generators, moves)]
+
+
+def _schreier_generators(G, start, moves):
+    """Every distinct Schreier generator of the whole walk."""
+    return set(_walk_schreier_generators(G, start, moves))
+
+
+def _rebuilt_kept(G, start, moves):
+    """The kept generators as a rebuild per kept generator finds them: a
+    Schreier generator of the whole walk is kept when a group built from
+    scratch on the generators kept before it does not contain it."""
+    kept = ()
+    for s in _walk_schreier_generators(G, start, moves):
+        if s not in PermGroup(G.degree, kept):
+            kept += (s,)
+    return kept
 
 
 @settings(max_examples=150, deadline=None)
@@ -358,11 +375,30 @@ def test_stabilizer_early_stop_keeps_generators(data):
     orbit = perm.schreier_orbit(start, moves)[0]
     early = G.stabilizer(start, moves, orbit_size=len(orbit))
     assert early.generators == G.stabilizer(start, moves).generators
+    assert early.generators == _rebuilt_kept(G, start, moves)
     assert early.order() * len(orbit) == G.order()
     # the kept generators generate the group of every Schreier generator
     kept = PermGroup(n, early.generators)
     assert kept.order() * len(orbit) == G.order()
     assert all(s in kept for s in _schreier_generators(G, start, moves))
+
+
+def test_stabilizer_starts_one_chain(monkeypatch):
+    # the stabilizer extends one kept chain by each generator it keeps: a
+    # group built from scratch per kept generator would start 7 chains
+    code, G = build("utype", a=9, b=4, line=2, k=34)
+    G.order()
+    extend = PermGroup._extend
+    starts = []
+
+    def counted(self, generators):
+        starts.append(self._chain is None)
+        return extend(self, generators)
+
+    monkeypatch.setattr(PermGroup, "_extend", counted)
+    S = G.setwise_stabilizer(code.codewords[0], orbit_size=len(code))
+    assert len(S.generators) == 7
+    assert sum(starts) <= 1
 
 
 def test_stabilizer_early_stop_on_regular_orbit():
@@ -738,6 +774,31 @@ def test_wrong_known_order_raises(make):
         H = PermGroup(G.degree, G.generators, order=wrong)
         with pytest.raises(PermError, match="not the known order"):
             H.order()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extended_chain_matches_a_fresh_build(data):
+    # a chain extended by one permutation at a time has the order and the
+    # members of a group built from scratch on all the generators; a build
+    # with a wrong known order leaves no chain, so every bsgs() raises
+    n = data.draw(st.integers(1, 8), label="degree")
+    perms = st.lists(st.permutations(range(n)).map(Permutation), max_size=4)
+    G = PermGroup(n, data.draw(perms, label="generators"))
+    probes = data.draw(perms, label="probes")
+    G.bsgs()
+    for g in data.draw(perms, label="extra"):
+        G.generators += (g,)
+        G._extend((g,))
+        fresh = PermGroup(n, G.generators)
+        assert G.order() == fresh.order()
+        products = [a * b for a in G.generators for b in G.generators]
+        assert all((h in G) == (h in fresh) for h in probes + products)
+    assert all(g in G for g in G.generators)
+    wrong = PermGroup(n, G.generators, order=G.order() + 1)
+    for _ in range(2):
+        with pytest.raises(PermError, match="not the known order"):
+            wrong.bsgs()
 
 
 def test_stabilizer_passes_its_known_order():

@@ -16,12 +16,13 @@ code, standard output, standard error and ``-o`` file bytes.  The calls:
   intransitive code of variant c, a u-type code of 66 of 68 points, walked
   by complements, and an intransitive code whose size is over the orbit
   cap, which exits 3;
-- ``verify`` of four codes beyond the catalog whose codeword stabilizers
+- ``verify`` of five codes beyond the catalog whose codeword stabilizers
   have many Schreier generators: ``unital --q 4`` under ``pgammau:4``,
   ``affine_subspace --n 3 --q 3 --s 1`` under ``agammal:3,3``, the
   lines of AG(5,3), whose neighbour set is one orbit over ``--cap-orbit``,
-  under ``agammal:5,3``, and the 57 lines of PG(2,7) under
-  ``pgammal:3,7``;
+  under ``agammal:5,3``, the 57 lines of PG(2,7) under ``pgammal:3,7``,
+  and ``utype --a 9 --b 4 --line 2 --k 34`` under ``wreath:9,4``, whose
+  stabilizer's chain is deep;
 - the 15 benchmark searches (``search_orbits`` and ``search_regular``), to
   standard output and with ``-o``;
 - the same searches with each group written as a ``gens:@file``, a group
@@ -109,6 +110,7 @@ EXTRA_VERIFIES = [
     ("affine_subspace", {"n": 3, "q": 3, "s": 1}, "agammal:3,3"),
     ("affine_subspace", {"n": 5, "q": 3, "s": 1}, "agammal:5,3"),
     ("projective_subspace", {"n": 3, "q": 7, "s": 2}, "pgammal:3,7"),
+    ("utype", {"a": 9, "b": 4, "line": 2, "k": 34}, "wreath:9,4"),
 ]
 
 
