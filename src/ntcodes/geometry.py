@@ -198,7 +198,10 @@ def group_generators(family, **params):
 
 def wreath_stabilizer(a, b):
     """Stabilizer of the partition of {0..ab-1} into b consecutive a-blocks."""
+    # each part is the degree of S_a or S_b; a * b alone passes a = b = -1
+    check_degree(min(a, b))
     n = a * b
+    check_degree(n)
     gens = []
     if a >= 2:
         gens.append(Permutation.from_cycles(n, [(0, 1)]))

@@ -4,26 +4,30 @@ Permutations act on {0, ..., degree-1}.  Products compose left to right:
 (p * q) means "apply p, then q", so x^(p*q) = (x^p)^q.  Subsets of the
 domain travel as integer bitmasks throughout.
 
-The stabilizer chain is built by a deterministic Schreier-Sims: base points
-are the smallest non-fixed points, orbits grow breadth-first in generator
-order, so orders, transversals and element enumeration are reproducible.
-Its one closing routine, PermGroup._extend, extends a chain in place by new
-generators (a group's own chain extends the empty one) and stops closing
-once the chain reaches a known order, with the same result.
-Every orbit that needs a transversal, a stabilizer or an escape test (of
-points, subsets or pairs) is grown by schreier_orbit, and _schreier_images
-forms the Schreier generators during that walk: for each level of the
-chain, which strips them through the deeper levels with _strip, the one
-strip routine, and for every stabilizer (of a point, a subset, or anything
-else the generators move), which is PermGroup.stabilizer.  A stabilizer
-keeps a Schreier generator only when it does not sift to the identity in
-the group of the generators kept before it, whose one chain each kept
-generator extends; that one rule decides how many generators a derived
-group carries.  Each level keeps the inverses of its coset reps beside its
+The stabilizer chain is built by a deterministic incremental
+Schreier-Sims: each base point is the smallest point moved by the first
+strong generator that fixes the base before it, and orbits grow in
+generator order, so orders, transversals and element enumeration are
+reproducible.
+Its one closing routine, PermGroup._extend, extends a chain in place by
+new generators (a group's own chain extends the empty one): each level's
+orbit, coset reps and their inverses only gain entries as strong
+generators join it, the Schreier generator of each orbit edge is stripped
+through the deeper levels once by _strip, the one strip routine, and the
+closing stops once the chain reaches a known order, with the same result.
+Every other orbit that needs a transversal, a stabilizer or an escape test
+(of points, subsets or pairs) is grown by schreier_orbit.
+_schreier_images forms the Schreier generators of a chain level's edges
+and of every stabilizer's walk (of a point, a subset, or anything else the
+generators move), which is PermGroup.stabilizer.  A stabilizer keeps a
+Schreier generator only when it does not sift to the identity in the group
+of the generators kept before it, whose one chain each kept generator
+extends; that one rule decides how many generators a derived group
+carries.  Each level keeps the inverses of its coset reps beside its
 transversal (coset_inverses), so _strip multiplies by them and never
-inverts; a walk that forms Schreier generators inverts each member's coset
-rep once (_inverse).  The orbit quotient reads the first level's inverses
-to carry a k-set into the k-sets through the first base point.
+inverts; a stabilizer's walk inverts each member's coset rep once
+(_inverse).  The orbit quotient reads the first level's inverses to carry
+a k-set into the k-sets through the first base point.
 PermGroup.subset_orbit needs only the members, so it walks with a seen-set
 and keeps no Schreier map; given an orbit quotient's index dict, it walks
 with that dict as its seen-set and writes each member's orbit number into
@@ -68,7 +72,9 @@ def popcount(mask):
 
 
 def check_degree(n):
-    """Raise PermError for a degree over MAX_DEGREE."""
+    """Raise PermError for a degree below 1 or over MAX_DEGREE."""
+    if n < 1:
+        raise PermError(f"degree {n} out of range")
     if n > MAX_DEGREE:
         raise PermError(f"degree {n} exceeds cap {MAX_DEGREE}")
 
@@ -322,14 +328,11 @@ def _inverse(x, schreier, generators, cache, inverses):
     return inv
 
 
-def _schreier_images(x, i, y, schreier, generators, cache, inverses):
-    """The images of the Schreier generator u_x g_i u_y^-1 of an orbit
-    edge x -> y = g_i(x), with u and cache as in _transversal and inverses
-    as in _inverse: p -> u_y^-1(g_i(u_x(p)))."""
-    ux = _transversal(x, schreier, generators, cache).images
-    uy_inv = _inverse(y, schreier, generators, cache, inverses).images
-    gi = generators[i].images
-    return tuple([uy_inv[gi[a]] for a in ux])
+def _schreier_images(ux, g, uy_inv):
+    """The images of the Schreier generator u_x g u_y^-1 of an orbit edge
+    x -> y = g(x), given the images of u_x, g and u_y^-1:
+    p -> u_y^-1(g(u_x(p)))."""
+    return tuple([uy_inv[g[a]] for a in ux])
 
 
 def _random_elements(generators, rng):
@@ -368,8 +371,7 @@ class PermGroup:
     """A finitely generated permutation group on {0..degree-1}."""
 
     def __init__(self, degree, generators, order=None):
-        if degree < 1 or degree > MAX_DEGREE:
-            raise PermError(f"degree {degree} out of range")
+        check_degree(degree)
         gens = []
         for g in generators:
             if g.degree != degree:
@@ -392,6 +394,7 @@ class PermGroup:
 
     @classmethod
     def symmetric(cls, n):
+        check_degree(n)
         gens = []
         if n >= 2:
             gens.append(Permutation.from_cycles(n, [(0, 1)]))
@@ -401,6 +404,7 @@ class PermGroup:
 
     @classmethod
     def alternating(cls, n):
+        check_degree(n)
         gens = []
         if n >= 3:
             gens.append(Permutation.from_cycles(n, [(0, 1, 2)]))
@@ -412,29 +416,31 @@ class PermGroup:
     # ---- stabilizer chain ------------------------------------------------
 
     def _extend(self, generators):
-        """Deterministic Schreier-Sims: extend the chain in place by
+        """Sims' incremental Schreier-Sims: extend the chain in place by
         generators and close it again; bsgs() extends the empty chain by
         the group's own generators.  A generator joins levels 0..j, j the
         first level whose base point it moves (a new last level at its
-        first moved point if it fixes them all), and the closing starts at
-        the deepest level j any of them joins: the levels past j keep
-        their generators and stay closed.  Level i is closed by one walk of
-        base[i] under level_gens[i]: each Schreier generator the walk
-        offers is stripped from level i+1, and the first non-identity
-        residue joins the strong generators and restarts the closing at
-        the deepest level it joins; a walk with none gives level i's
-        transversal.
+        first moved point if it fixes them all), and grows each of those
+        basic orbits at once: a new point y = g(x) gets the coset rep
+        u_y = u_x g, and an edge x -> g(x) to a point already in the orbit
+        goes on that level's stack of untried edges.  So the levels only
+        gain points, and a coset rep never changes.  The closing pops the
+        newest untried edge of the deepest level that has one and strips
+        its Schreier generator u_x g u_y^-1 from the next level; a
+        non-identity residue joins the strong generators.  Each edge is
+        tried once: once no edge is left, every Schreier generator of
+        every level lies in the next level's group, and the chain is
+        complete (Schreier's lemma; Sims 1970, Seress, Permutation Group
+        Algorithms, 4.2).
 
-        The product of the basic orbits, each base point's orbit under its
-        level's generators, never exceeds |G|, and equals it only once the
-        chain is complete (Seress, Permutation Group Algorithms, 4.1): from
-        then on every Schreier generator strips to the identity, and the
-        closing adds nothing.  So with a known order the builder stops
-        forming Schreier generators as soon as that product reaches it,
-        and walks the levels still open only for their transversals: the
-        chain is the one the whole closing gives.  A whole closing that
-        ends at another order raises PermError before the chain is stored,
-        so a group whose build raises has none, and bsgs() raises again.
+        The product of the basic orbits never exceeds |G|, and equals it
+        only once the chain is complete (Seress, 4.1): from then on every
+        Schreier generator strips to the identity, and the closing adds
+        nothing.  The orbits grow eagerly, so with a known order the
+        closing stops as soon as that product reaches it: the chain is the
+        one the whole closing gives.  A whole closing that ends at another
+        order raises PermError before the chain is stored, so a group
+        whose build raises has none, and bsgs() raises again.
         """
         chain = self._chain or ([], [], [], [])
         # base points; level_gens[i]: strong generators fixing base[:i];
@@ -443,12 +449,10 @@ class PermGroup:
         base, level_gens, transversals, inverses = chain
         identity = Permutation.identity(self.degree)
         known = self.known_order
-        sizes = list(map(len, transversals))  # basic orbit sizes
-        stale = -1         # sizes[:stale+1] are out of date
+        untried = [[] for _ in base]  # per level: edges (x, g), x -> g(x)
 
         def add_gen(g):
             # the deepest level g joins, -1 for the identity
-            nonlocal stale
             img = g.images
             j = next((l for l, b in enumerate(base) if img[b] != b), None)
             if j is None:
@@ -457,53 +461,40 @@ class PermGroup:
                     return -1
                 base.append(moved)
                 level_gens.append([])
-                transversals.append({})
-                inverses.append({})
-                sizes.append(1)
+                transversals.append({moved: identity})
+                inverses.append({moved: identity})
+                untried.append([])
                 j = len(base) - 1
-            for l in range(j + 1):
-                level_gens[l].append(g)
-            stale = max(stale, j)
+            for gens, tr, inv, edges in zip(level_gens[:j + 1], transversals,
+                                            inverses, untried):
+                # g's edges from the old members, then every generator's
+                # from each new member
+                old = len(tr)
+                gens.append(g)
+                members = list(tr)
+                for n, x in enumerate(members):
+                    for s in (g,) if n < old else gens:
+                        y = s.images[x]
+                        if y in tr:
+                            edges.append((x, s))
+                        else:
+                            u = tr[y] = tr[x] * s
+                            inv[y] = u.inverse()
+                            members.append(y)
             return j
 
-        def complete():
-            nonlocal stale
-            if known is None:
-                return False
-            for l in range(stale + 1):
-                sizes[l] = len(schreier_orbit(
-                    base[l], _point_moves(level_gens[l]))[0])
-            stale = -1
-            return prod(sizes) == known
-
-        def offer(x, k, y, schreier):
-            nonlocal residue
-            s = _schreier_images(x, k, y, schreier, gens, cache, inv_cache)
-            if s == identity.images:
-                return False
+        i = max(map(add_gen, generators), default=-1)
+        while i >= 0 and prod(map(len, transversals)) != known:
+            if not untried[i]:
+                i -= 1
+                continue
+            x, g = untried[i].pop()
+            gi = g.images
+            s = _schreier_images(transversals[i][x].images, gi,
+                                 inverses[i][gi[x]].images)
             residue = _strip(Permutation(s, check=False), base, inverses,
                              i + 1)
-            return residue != identity
-
-        i = max(map(add_gen, generators), default=-1)
-        closing = True
-        while i >= 0:
-            # once at the known order, the open levels' walks offer nothing
-            closing = closing and not complete()
-            gens = level_gens[i]
-            cache = {base[i]: identity}
-            inv_cache = {base[i]: identity}
-            residue = identity
-            members, schreier, _ = schreier_orbit(
-                base[i], _point_moves(gens),
-                on_revisit=offer if closing else None)
-            if residue == identity:
-                transversals[i] = {pt: _transversal(pt, schreier, gens, cache)
-                                   for pt in members}
-                inverses[i] = {pt: _inverse(pt, schreier, gens, cache,
-                                            inv_cache) for pt in members}
-                i -= 1
-            else:
+            if residue != identity:
                 i = add_gen(residue)
         order = prod(map(len, transversals))
         if known is not None and order != known:
@@ -572,13 +563,15 @@ class PermGroup:
         kept only when it does not sift to the identity in the group that
         the generators kept before it generate, so each kept generator
         grows that group and extends its chain in place (_extend), one
-        chain for the whole walk.  The stabilizer has |G| / orbit_size
-        elements, so when orbit_size, the exact size of start's orbit, is
-        given, the walk stops once the kept generators' group has that
-        order: no later Schreier generator would be kept, and the tuple is
-        the one the whole walk returns; the stabilizer then has
-        |G| / orbit_size as its known order.  More than cap members raise
-        ResourceCapError, at once when orbit_size is over cap.
+        chain for the whole walk; an extension strips only the orbit edges
+        that the kept generator and the residues it brings add.  The
+        stabilizer has |G| / orbit_size elements, so when orbit_size, the
+        exact size of start's orbit, is given, the walk stops once the kept
+        generators' group has that order: no later Schreier generator
+        would be kept, and the tuple is the one the whole walk returns; the
+        stabilizer then has |G| / orbit_size as its known order.  More than
+        cap members raise ResourceCapError, at once when orbit_size is over
+        cap.
         """
         order = None
         if orbit_size is not None:
@@ -592,9 +585,11 @@ class PermGroup:
             inverses = dict(cache)
 
             def offer(x, i, y, schreier):
-                s = Permutation(_schreier_images(x, i, y, schreier,
-                                                 generators, cache, inverses),
-                                check=False)
+                s = Permutation(_schreier_images(
+                    _transversal(x, schreier, generators, cache).images,
+                    generators[i].images,
+                    _inverse(y, schreier, generators, cache, inverses).images),
+                    check=False)
                 if s in kept:
                     return False
                 kept.generators += (s,)
@@ -679,7 +674,7 @@ class PermGroup:
         subsets, as a tuple of masks in ascending order.
 
         The walk keeps a seen-set and no Schreier map; an orbit that needs
-        transversals or a stabilizer is walked by schreier_orbit.  When
+        a stabilizer or an escape test is walked by schreier_orbit.  When
         index, a dict that does not hold mask, is given, it is the seen-set:
         each member is written into it with the value number as it is
         found.  Up to degree 3 * CHUNK_BITS each member is cut into its

@@ -592,6 +592,19 @@ def test_group_of_no_dimension_exits_2(capsys, spec):
     assert err == f"error: group spec {spec!r}: need n >= 1\n"
 
 
+@pytest.mark.parametrize("spec,degree", [
+    ("sym:0", 0), ("sym:-1", -1), ("alt:-3", -3), ("wreath:-1,2", -1),
+    ("wreath:3,0", 0), ("wreath:2,0", 0), ("wreath:-1,-1", -1)])
+def test_group_of_degree_below_1_exits_2(capsys, spec, degree):
+    # the degree and the wreath parts are checked before any generator or
+    # order is built: a negative one met factorial(), and wreath:a,0 a
+    # point of a generator
+    rc, out, err = run(capsys, "search", "--group", spec, "--k", "1",
+                       "--predicate", "code_transitive")
+    assert (rc, out) == (2, "")
+    assert err == f"error: group spec {spec!r}: degree {degree} out of range\n"
+
+
 def test_search_resource_cap(capsys):
     rc, _, err = run(capsys, "search", "--group", "sym:24", "--k", "12",
                      "--predicate", "neighbour_transitive",

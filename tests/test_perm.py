@@ -689,20 +689,22 @@ def _hyperoval_line_stabilizer():
 
 # The chain is deterministic: base points, each level's strong generators
 # and each transversal in its dict order fix order(), elements() and every
-# residue, so a change to how the chain is built must keep these digests.
+# residue.  The digests pin the incremental closing, which grows each orbit
+# as a generator joins it and strips the newest untried edge of the deepest
+# level first; a change to that order changes them.
 @pytest.mark.parametrize("make,digest", [
     (lambda: group_generators("pgammau", q=3),
-     "40b2ea89581625025a4f7aa1019a5d2f9c37310030fe1b0d00cd7006465032e8"),
+     "fe67785251fa199a0031c311ef047e263c3d64e98233987ec24cd047dad7db1a"),
     (lambda: wreath_stabilizer(3, 4),
-     "a47a363529a6f01937b4adc08f05cc7d31f299bc14221b98ae539cf19c5cdb1d"),
+     "35c72b3ba269c45019826b9b3d81cc747521e0ddcc10c820ef6e4841de0d9781"),
     (lambda: group_generators("agammal", n=2, q=4),
-     "2bee0e9e6f53940625dceb3d876f26623afb3b2d29e4b73b4ef26764f6e85acb"),
+     "8591595dcd284926fbb150fc821b05ab7888f427b8ad27583659ea7f669fbfb2"),
     (lambda: group_generators("pgammal", n=3, q=3),
-     "afa3f490d7236930cc12d91ae2c31fa8128cc3dff57b409325809bb84072ab25"),
+     "6bfc6f4abd991ff21acd156cacb4645e99743fcd9efdd0d48d961f50b441c1de"),
     (_hyperoval_line_stabilizer,
-     "a621647ceb2cc1632c70f3b8b84b96a95d00fb22ae4eb69db60b7cd87b934ba4"),
+     "26e73dbd0a9b7905ab496addb23d9bf40c890ac123975e2333e5d5d918f92e3a"),
     (lambda: build("hyperoval_ag24")[1],
-     "2691c01353c549b2328a9d5cc8190cd6e0eed6d4074c178c2a389706221d3e8e"),
+     "4f452e710d7a2749171184f61e3b772d6be67d18af2e0b697ac592550fccbc50"),
 ], ids=["pgammau3", "wreath34", "agammal24", "pgammal33", "hyperoval",
         "hyperoval_chart"])
 def test_chain_is_pinned(make, digest):
@@ -776,6 +778,32 @@ def test_wrong_known_order_raises(make):
             H.order()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: wreath_stabilizer(3, 4),
+    lambda: wreath_stabilizer(4, 3),
+    lambda: PermGroup.symmetric(8),
+    lambda: group_generators("pgammau", q=3),
+    lambda: group_generators("agammal", n=2, q=4),
+], ids=["wreath34", "wreath43", "sym8", "pgammau3", "agammal24"])
+def test_closing_strips_each_edge_once(monkeypatch, make):
+    # with no known order the closing runs to the end and strips the
+    # Schreier generator of every orbit edge that is not a tree edge once:
+    # |D| |S| - |D| + 1 at a level of basic orbit D and strong generators S
+    G = make()
+    G = PermGroup(G.degree, G.generators)
+    strip = perm._strip
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return strip(*args)
+
+    monkeypatch.setattr(perm, "_strip", counted)
+    _, level_gens, transversals = G.bsgs()
+    assert len(calls) == sum(len(tr) * len(gens) - len(tr) + 1
+                             for gens, tr in zip(level_gens, transversals))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_extended_chain_matches_a_fresh_build(data):
@@ -788,12 +816,19 @@ def test_extended_chain_matches_a_fresh_build(data):
     probes = data.draw(perms, label="probes")
     G.bsgs()
     for g in data.draw(perms, label="extra"):
+        # the levels only gain points: old base points and coset reps stay
+        base, _, transversals = G.bsgs()
+        old_base, old_reps = list(base), [dict(tr) for tr in transversals]
         G.generators += (g,)
         G._extend((g,))
         fresh = PermGroup(n, G.generators)
         assert G.order() == fresh.order()
         products = [a * b for a in G.generators for b in G.generators]
         assert all((h in G) == (h in fresh) for h in probes + products)
+        base, _, transversals = G.bsgs()
+        assert base[:len(old_base)] == old_base
+        assert all(old.items() <= tr.items()
+                   for old, tr in zip(old_reps, transversals))
     assert all(g in G for g in G.generators)
     wrong = PermGroup(n, G.generators, order=G.order() + 1)
     for _ in range(2):
