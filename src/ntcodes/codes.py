@@ -478,12 +478,9 @@ class _Facts:
 
     @cached_property
     def partition(self):
+        """OrbitQuotient.partition of the code's orbits, or None."""
         if self.partition_error is None:
-            return self.quotient.distance_partition(self.chosen)
-
-    @cached_property
-    def regularity(self):
-        return self.quotient.equitable_matrix(self.partition)
+            return self.quotient.partition(self.chosen)
 
 
 # Each flag maps _Facts to (value, witness): value is True, False, or None
@@ -550,10 +547,11 @@ def _strongly(f):
 def _completely_transitive(f):
     """Every cell of the distance partition is one orbit; the witness is
     the smallest vertex of the first split cell and the smallest member of
-    its second orbit."""
+    its second orbit.  The cells of an early-stopped partition hold that
+    cell (see OrbitQuotient.partition)."""
     if f.partition is None:
         return None, None
-    for cell in f.partition.cells:
+    for cell in f.partition[0]:
         if len(cell) > 1:
             return _one_orbit(f.quotient, cell)
     return True, None
@@ -562,7 +560,7 @@ def _completely_transitive(f):
 def _completely_regular(f):
     if f.partition is None:
         return None, None
-    ok, detail = f.regularity
+    _, ok, detail = f.partition
     return ok, None if ok else detail
 
 
@@ -652,7 +650,7 @@ def check_properties(code, G, cap_orbit=DEFAULT_ORBIT_CAP,
     notes = list(code.notes)
     if partition_error is not None:
         notes.append(f"distance partition not computed: {partition_error}")
-    intersection_numbers = (facts.regularity[1]
+    intersection_numbers = (facts.partition[2]
                             if flags["completely_regular"] else None)
     # G preserves distance and moves each codeword onto its orbit's rep
     # r, so delta is the least k - |r meet c| over those r and c != r

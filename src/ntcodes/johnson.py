@@ -135,8 +135,7 @@ def min_distance(code):
 
 
 class DistancePartition:
-    """BFS layering of all vertices of J(v,k) by distance to a code; an
-    OrbitQuotient's cells hold orbit numbers in place of vertices."""
+    """BFS layering of all vertices of J(v,k) by distance to a code."""
 
     def __init__(self, cells):
         self.cells = cells
@@ -411,50 +410,44 @@ class OrbitQuotient:
                 self.orbit_of, vertex_neighbours(self.reps[i], self.v)))
         return self._rows[i]
 
-    def distance_partition(self, start):
-        """Breadth-first layering of the orbits by distance to the union of
-        the orbits numbered start.
+    def partition(self, start):
+        """The distance partition of the union of the orbits numbered start
+        and its equitability, in one breadth-first pass over the rows.
 
-        Each cell is a list of orbit numbers, in_order; the vertices of a
-        cell are those of distance_partition(code) for that union.
+        Returns (cells, True, matrix) or (cells, False, witness), each cell
+        a list of orbit numbers, in_order, whose vertices are those of
+        distance_partition(code) for that union; matrix and witness are
+        those of equitable_matrix on it.  The neighbours of a vertex in
+        cell c lie in cells c-1, c and c+1, so cell c's counts are checked
+        as soon as cell c+1 is found, and the pass stops at the first cell
+        whose orbits' counts differ: cells then ends at the cell after it,
+        or at it when it is the last.  That cell holds two orbits or more,
+        so cells holds the first cell that is not one orbit whatever the
+        verdict.
         """
         cells = [self.in_order(start)]
-        seen = set(start)
-        while True:
-            layer = {j for i in cells[-1] for j in self.row(i)} - seen
-            if not layer:
-                return DistancePartition(cells)
-            cells.append(self.in_order(layer))
-            seen |= layer
-
-    def equitable_matrix(self, part):
-        """equitable_matrix of the vertex partition that part stands for.
-
-        The matrix and the witness (i, j, vertex_a, vertex_b, count_a,
-        count_b) are the vertex-level ones: vertex_a is the smallest vertex
-        of cell i, vertex_b the smallest member of its first orbit whose
-        cell counts differ from those of the cell's first orbit.
-        """
-        cell_of = {}
-        for c, cell in enumerate(part.cells):
-            for i in cell:
-                cell_of[i] = c
-        r = part.covering_index
+        cell_of = dict.fromkeys(start, 0)
         matrix = []
-        for c, cell in enumerate(part.cells):
+        # cells grows by one cell while its last cell is read
+        for c, cell in enumerate(cells):
+            layer = {j for i in cell for j in self.row(i)}.difference(cell_of)
+            if layer:
+                cells.append(self.in_order(layer))
+                cell_of.update(dict.fromkeys(layer, c + 1))
             row = None
             for i in cell:
-                counts = [0] * r
+                counts = [0] * len(cells)
                 for j, n in self.row(i).items():
                     counts[cell_of[j]] += n
                 if row is None:
                     row = counts
                 elif counts != row:
-                    j = next(j for j in range(r) if counts[j] != row[j])
-                    return False, (c, j, self.reps[cell[0]], self.reps[i],
-                                   row[j], counts[j])
+                    j = next(j for j, n in enumerate(counts) if n != row[j])
+                    return cells, False, (c, j, self.reps[cell[0]],
+                                          self.reps[i], row[j], counts[j])
             matrix.append(row)
-        return True, matrix
+        r = len(cells)
+        return cells, True, [row + [0] * (r - len(row)) for row in matrix]
 
 
 def u_type(mask, partition):

@@ -447,9 +447,12 @@ class PermGroup:
         # transversals[i]: point -> coset rep (base[i] -> point);
         # inverses[i]: point -> that coset rep's inverse
         base, level_gens, transversals, inverses = chain
-        identity = Permutation.identity(self.degree)
+        degree = self.degree
+        identity = Permutation.identity(degree)
         known = self.known_order
-        untried = [[] for _ in base]  # per level: edges (x, g), x -> g(x)
+        # per level: edges gi * degree + x, x -> level_gens[i][gi](x); a
+        # level's generators only grow, so gi stays valid
+        untried = [[] for _ in base]
 
         def add_gen(g):
             # the deepest level g joins, -1 for the identity
@@ -469,14 +472,15 @@ class PermGroup:
                                             inverses, untried):
                 # g's edges from the old members, then every generator's
                 # from each new member
-                old = len(tr)
+                old, last = len(tr), len(gens)
                 gens.append(g)
                 members = list(tr)
                 for n, x in enumerate(members):
-                    for s in (g,) if n < old else gens:
+                    for gi in range(last if n < old else 0, last + 1):
+                        s = gens[gi]
                         y = s.images[x]
                         if y in tr:
-                            edges.append((x, s))
+                            edges.append(gi * degree + x)
                         else:
                             u = tr[y] = tr[x] * s
                             inv[y] = u.inverse()
@@ -488,10 +492,10 @@ class PermGroup:
             if not untried[i]:
                 i -= 1
                 continue
-            x, g = untried[i].pop()
-            gi = g.images
-            s = _schreier_images(transversals[i][x].images, gi,
-                                 inverses[i][gi[x]].images)
+            gi, x = divmod(untried[i].pop(), degree)
+            g = level_gens[i][gi].images
+            s = _schreier_images(transversals[i][x].images, g,
+                                 inverses[i][g[x]].images)
             residue = _strip(Permutation(s, check=False), base, inverses,
                              i + 1)
             if residue != identity:

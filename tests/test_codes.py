@@ -20,6 +20,7 @@ from ntcodes.johnson import (Code, all_ksubsets, complement_code,
                              vertex_neighbours)
 from ntcodes.perm import (PermGroup, Permutation, ResourceCapError, bits,
                           mask_of)
+from test_johnson import check_quotient_cells
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -878,11 +879,12 @@ def vertex_orbit_flags(code, G):
 
 
 def quotient_partition_flags(code, G, quotient):
+    """The partition flags on the quotient, and the cells and the
+    equitability that OrbitQuotient.partition gives."""
     facts = codes._Facts(G, quotient, quotient.orbits_of(code.codewords))
-    cells = [set().union(*quotient.members(cell))
-             for cell in facts.partition.cells]
+    cells, *regular = facts.partition
     return (cells, codes.FLAGS["completely_transitive"](facts),
-            codes.FLAGS["completely_regular"](facts), facts.regularity)
+            codes.FLAGS["completely_regular"](facts), tuple(regular))
 
 
 @settings(max_examples=150, deadline=None)
@@ -903,7 +905,7 @@ def test_orbit_quotient_matches_vertex_engine(data):
     part, transitive, regular = vertex_partition_flags(code, G)
     cells, q_transitive, q_regular, q_regularity = quotient_partition_flags(
         code, G, quotient)
-    assert cells == part.cells
+    check_quotient_cells(quotient, cells, q_regularity, part.cells)
     assert q_transitive == transitive
     assert q_regularity == regular
     assert q_regular == (regular[0], None if regular[0] else regular[1])
@@ -919,6 +921,32 @@ def test_orbit_quotient_matches_vertex_engine(data):
         assert facts.gamma1_size == len(gamma1)
     # on demand, only the orbits of the code and of its neighbours are found
     assert set(on_demand.index) == set(code.codewords) | gamma1
+
+
+@pytest.mark.parametrize("spec,cells,oracle_cells,unequal", [
+    # the first cell is unequal: the pass stops two cells in, of four
+    ("stab:8:0,1,2,3", 2, 4, 0),
+    # the first cell is split but equal, so completely_transitive's
+    # witness comes from cell 0 and completely_regular's from cell 1
+    ("agammal:1,16", 3, 3, 1),
+])
+def test_partition_stops_at_the_first_unequal_cell(spec, cells, oracle_cells,
+                                                   unequal):
+    from ntcodes.cli import parse_group_spec
+    G = parse_group_spec(spec)
+    quotient = subset_orbits(G, 4)
+    chosen = (0, 1)
+    code = Code(G.degree, 4, [m for o in quotient.members(chosen) for m in o])
+    part, transitive, regular = vertex_partition_flags(code, G)
+    found, q_transitive, q_regular, q_regularity = quotient_partition_flags(
+        code, G, quotient)
+    assert (len(found), len(part.cells)) == (cells, oracle_cells)
+    check_quotient_cells(quotient, found, q_regularity, part.cells)
+    assert q_regularity == regular
+    assert regular[0] is False and regular[1][0] == unequal
+    assert q_regular == regular
+    assert transitive[0] is False and q_transitive == transitive
+    assert len(part.cells[0]) > 1
 
 
 def test_orbit_flags_match_vertex_path_on_catalog():

@@ -16,7 +16,7 @@ def parity(*argv):
 def test_parity_lists_every_call():
     names = parity(ROOT, ROOT, "--list").stdout.split("\n")[:-1]
     assert len(names) == len(set(names)) == (
-        25 * 4 + 6 + 5 + 15 * 3 + 9 + 3 + 2 + 1 + 5)
+        25 * 4 + 6 + 5 + 15 * 3 + 9 + 2 + 3 + 2 + 1 + 5)
     assert sum(n.startswith("search gens ") for n in names) == 15
 
 

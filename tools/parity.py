@@ -33,6 +33,11 @@ code, standard output, standard error and ``-o`` file bytes.  The calls:
   quotients, J(65,4) under PGU(3,4), J(65,3) under PGammaU(3,4),
   J(28,7) under PGammaU(3,3) and J(64,2) under AGammaL(3,4), the last at
   the largest degree with chunk tables;
+- two union-heavy searches under the trivial group of degree 8, given as
+  a ``gens:@file`` that holds only the degree, at k = 4 with
+  ``--max-union 2``: one for ``completely_regular`` and one for
+  ``completely_transitive``, which exercise the partition pass's stop
+  at the first unequal cell;
 - calls that stop at ``--cap-orbit`` and exit 3, a ``verify`` call whose
   fill through a point completes with orbits over ``--cap-orbit``, and
   one whose walk of J(v,k) stops at ``--cap-orbit`` and that exits 0 with
@@ -42,10 +47,10 @@ code, standard output, standard error and ``-o`` file bytes.  The calls:
   three ``construct`` usage errors, a parameter the family does not take,
   a family that does not exist and a u-type class that is empty.
 
-The generator and code files are written once, by OLD, and both sides read
-the same files, except for the hyperoval under each side's generators:
-each side writes its own hyperoval ``gens:@file`` into its working
-directory.  ``--only`` keeps the
+The generator and code files are written once, by OLD (the trivial
+group's by this script), and both sides read the same files, except for
+the hyperoval under each side's generators: each side writes its own
+hyperoval ``gens:@file`` into its working directory.  ``--only`` keeps the
 calls whose name matches one of the given fnmatch patterns; ``--list``
 prints the names.  Prints one line per call that differs and a summary
 line; the exit code is 1 when a call differs, else 0.
@@ -79,6 +84,9 @@ for pair in sys.argv[2:]:
 """
 
 OUTPUT = "out.json"
+
+# a gens:@file of the trivial group of degree 8: the degree alone
+TRIVIAL = "trivial8.gens"
 
 # (group spec, k, predicate, max union) of the searches beyond the
 # benchmark's
@@ -193,6 +201,10 @@ def calls(files):
              ["search", "--group", spec, "--k", str(k), "--predicate", pred,
               "--max-union", str(union)])
             for spec, k, pred, union in EXTRA_SEARCHES]
+    out += [(f"search trivial:8 k=4 {pred} max-union=2",
+             ["search", "--group", "gens:@" + os.path.join(files, TRIVIAL),
+              "--k", "4", "--predicate", pred, "--max-union", "2"])
+            for pred in ("completely_regular", "completely_transitive")]
     capped = ["--k", "4", "--predicate", "completely_regular",
               "--cap-orbit", "100"]
     out += [("cap search pgammau:3",
@@ -240,6 +252,9 @@ def prepare(old_src, new_src, files, sides, chosen):
     if pairs:
         subprocess.run([sys.executable, "-c", WRITE_GENS, files, *pairs],
                        env=dict(os.environ, PYTHONPATH=old_src), check=True)
+    if os.path.join(files, TRIVIAL) in read:
+        with open(os.path.join(files, TRIVIAL), "w") as fh:
+            fh.write("8\n")
     own = workloads.gens_filename(workloads.HYPEROVAL)
     if own in read:
         for src, side in zip((old_src, new_src), sides):
