@@ -5,17 +5,21 @@ so the first nonzero coordinate is 1, indexed lexicographically), and the
 Hermitian isotropic points of PG(2,q^2) under the form
 phi(x,y) = x1*conj(y3) + x3*conj(y1) + x2*conj(y2).
 
-Groups are emitted as permutations of the point indices: linear parts from
-elementary transvections and a diagonal torus element, translations for the
-affine case, a Weyl element and Frobenius where needed.  Each group comes
-with its textbook order as its known order (see PermGroup), which a grid
-test checks against the full Schreier-Sims build.
+Groups are emitted as permutations of the point indices: a list of maps
+x -> M(x^(p^frob)) + t, each read off the points by perm_from_map.  The
+linear families list the transvections I + lambda*E_ij, by (i, j, lambda
+over an F_p basis of F_q), then diag(x, 1, ..., 1) unless the group is
+PSL, the translation by e1 on AG(n,q) and the Frobenius map for the
+semilinear ones.  The unitary ones list two root elements, two torus
+elements, a Weyl element and, for PGammaU, the Frobenius map.  Each group
+comes with its textbook order as its known order (see PermGroup), which a
+grid test checks against the full Schreier-Sims build.
 """
 
 from itertools import product
 from math import factorial, gcd, prod
 
-from .gf import GF, FieldError
+from .gf import GF
 from .perm import (MAX_DEGREE, PermGroup, Permutation, bits, check_degree,
                    mask_of)
 
@@ -153,44 +157,25 @@ def perm_from_map(space, matrix=None, frob=0, translation=None):
     return Permutation(images)
 
 
-def _identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _sl_generators(F, n):
-    """Elementary transvections I + lambda*E_ij over an F_p basis of F_q."""
-    basis = [F.pow(F.x, i) for i in range(F.a)] if F.q > 2 else [1]
-    mats = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for lam in basis:
-                M = _identity_matrix(n)
-                M[i][j] = lam
-                mats.append(M)
-    return mats
-
-
-def _gl_extra(F, n):
-    M = _identity_matrix(n)
-    M[0][0] = F.x
-    return M
+def _permutation_group(space, maps, order):
+    """The group of the maps, given as perm_from_map keywords, acting on
+    the points of the space, with its known order."""
+    return PermGroup(len(space), [perm_from_map(space, **m) for m in maps],
+                     order=order)
 
 
 # ---- group families ---------------------------------------------------------
 
 def group_generators(family, **params):
     """A PermGroup for the named family, acting on the matching space."""
-    if family in ("agl", "agammal", "pgl", "pgammal") and params["n"] < 1:
-        raise GeometryError("need n >= 1")
-    if family in ("agl", "agammal"):
-        return _affine_group(params["n"], params["q"], family == "agammal")
-    if family in ("pgl", "pgammal"):
-        return _projective_group(params["n"], params["q"],
-                                 family == "pgammal")
+    if family in ("agl", "agammal", "pgl", "pgammal"):
+        if params["n"] < 1:
+            raise GeometryError("need n >= 1")
+        kind = "affine" if family in ("agl", "agammal") else "projective"
+        return _linear_group(kind, params["n"], params["q"],
+                             semilinear=family in ("agammal", "pgammal"))
     if family == "psl2":
-        return _psl2(params["q"])
+        return _linear_group("projective", 2, params["q"], gl=False)
     if family in ("pgu", "pgammau"):
         return _unitary_group(params["q"], family == "pgammau")
     raise GeometryError(f"unknown group family {family!r}")
@@ -235,84 +220,68 @@ def subset_stabilizer(v, subset):
     return PermGroup(v, gens, order=factorial(len(u)) * factorial(len(rest)))
 
 
-def _gl_order(n, q):
-    """|GL(n,q)| = (q^n - 1)(q^n - q) ... (q^n - q^(n-1))."""
-    return prod(q ** n - q ** i for i in range(n))
+def _linear_group(kind, n, q, gl=True, semilinear=False):
+    """The (semi)linear group of F_q^n on the affine or projective space.
 
-
-def _affine_group(n, q, semilinear):
-    space = build_space("affine", n=n, q=q)
+    Its maps, in order: the transvections I + lambda*E_ij, by (i, j,
+    lambda over the F_p basis x^0, ..., x^(a-1) of F_q), which generate
+    SL(n,q); diag(x, 1, ..., 1) when gl is set; the translation by e1 on
+    the affine space; the Frobenius map when semilinear is set and q is
+    not prime.
+    """
+    space = build_space(kind, n=n, q=q)
     F = space.field
-    gens = []
-    for M in _sl_generators(F, n):
-        gens.append(perm_from_map(space, matrix=M))
-    gens.append(perm_from_map(space, matrix=_gl_extra(F, n)))
-    e1 = tuple([1] + [0] * (n - 1))
-    gens.append(perm_from_map(space, translation=e1))
+
+    def matrix(entries):
+        return [[entries.get((i, j), int(i == j)) for j in range(n)]
+                for i in range(n)]
+
+    basis = [F.pow(F.x, i) for i in range(F.a)]
+    maps = [dict(matrix=matrix({(i, j): lam}))
+            for i in range(n) for j in range(n) if i != j for lam in basis]
+    if gl:
+        maps.append(dict(matrix=matrix({(0, 0): F.x})))
+    if kind == "affine":
+        maps.append(dict(translation=(1,) + (0,) * (n - 1)))
     if semilinear and F.a > 1:
-        gens.append(perm_from_map(space, frob=1))
-    order = q ** n * _gl_order(n, q) * (F.a if semilinear else 1)
-    return PermGroup(len(space), gens, order=order)
-
-
-def _projective_group(n, q, semilinear):
-    space = build_space("projective", n=n, q=q)
-    F = space.field
-    gens = [perm_from_map(space, matrix=M) for M in _sl_generators(F, n)]
-    gens.append(perm_from_map(space, matrix=_gl_extra(F, n)))
-    if semilinear and F.a > 1:
-        gens.append(perm_from_map(space, frob=1))
-    # PG(0,q) is one point, on which the group acts trivially
-    order = (_gl_order(n, q) // (q - 1) * (F.a if semilinear else 1)
-             if n > 1 else 1)
-    return PermGroup(len(space), gens, order=order)
-
-
-def _psl2(q):
-    space = build_space("projective", n=2, q=q)
-    F = space.field
-    gens = [perm_from_map(space, matrix=M) for M in _sl_generators(F, 2)]
-    return PermGroup(len(space), gens,
-                     order=q * (q * q - 1) // gcd(2, q - 1))
-
-
-def _trace_zero_nonzero(F):
-    for e in F.units():
-        if F.add(e, F.conj(e)) == 0:
-            return e
-    raise GeometryError("no nonzero trace-zero element found")
+        maps.append(dict(frob=1))
+    # |GL(n,q)| = (q^n - 1)(q^n - q) ... (q^n - q^(n-1)); |SL| = |GL|/(q-1)
+    order = prod(q ** n - q ** i for i in range(n)) // (1 if gl else q - 1)
+    if kind == "affine":
+        order *= q ** n
+    else:
+        # the scalars: all q - 1 in GL, the n-th roots of unity in SL
+        order //= q - 1 if gl else gcd(n, q - 1)
+    order *= F.a if semilinear else 1
+    if kind == "projective" and n == 1:
+        order = 1  # PG(0,q) is one point, on which the group acts trivially
+    return _permutation_group(space, maps, order)
 
 
 def _unitary_group(q, semilinear):
     """PGU(3,q) (resp. PGammaU(3,q)) on the q^3+1 isotropic points."""
     space = build_space("hermitian_isotropic", q=q)
     F = space.field
-    gens = []
-    # root elements t_{alpha,beta} with alpha + conj(alpha) + beta*conj(beta) = 0
-    a0 = _trace_zero_nonzero(F)
-    gens.append(perm_from_map(space, matrix=[
-        [1, 0, a0], [0, 1, 0], [0, 0, 1]]))
-    beta = 1
-    norm = F.mul(beta, F.conj(beta))
+    # root elements t_{alpha,beta} with alpha + conj(alpha) + beta*conj(beta)
+    # = 0, at beta = 0 (a nonzero alpha of trace 0) and beta = 1
+    a0 = next(e for e in F.units() if F.add(e, F.conj(e)) == 0)
     alpha = next(e for e in F.elements()
-                 if F.add(F.add(e, F.conj(e)), norm) == 0)
-    gens.append(perm_from_map(space, matrix=[
-        [1, F.neg(F.conj(beta)), alpha], [0, 1, beta], [0, 0, 1]]))
+                 if F.add(F.add(e, F.conj(e)), 1) == 0)
     # torus h_{nu,mu} = diag(nu, mu, conj(nu)^-1) with mu*conj(mu) = 1
     xi = F.x
-    gens.append(perm_from_map(space, matrix=[
-        [xi, 0, 0], [0, 1, 0], [0, 0, F.inv(F.conj(xi))]]))
     mu = F.pow(xi, F.sqrt_order - 1)
-    gens.append(perm_from_map(space, matrix=[
-        [1, 0, 0], [0, mu, 0], [0, 0, 1]]))
-    # Weyl element swapping <e1>, <e3>
-    gens.append(perm_from_map(space, matrix=[
-        [0, 0, 1], [0, F.neg(1), 0], [1, 0, 0]]))
+    maps = [dict(matrix=M) for M in (
+        [[1, 0, a0], [0, 1, 0], [0, 0, 1]],
+        [[1, F.neg(1), alpha], [0, 1, 1], [0, 0, 1]],
+        [[xi, 0, 0], [0, 1, 0], [0, 0, F.inv(F.conj(xi))]],
+        [[1, 0, 0], [0, mu, 0], [0, 0, 1]],
+        # Weyl element swapping <e1>, <e3>
+        [[0, 0, 1], [0, F.neg(1), 0], [1, 0, 0]])]
     if semilinear:
-        gens.append(perm_from_map(space, frob=1))
+        maps.append(dict(frob=1))
     # |PGU(3,q)|, times the order 2e of the Frobenius of GF(q^2), q = p^e
     order = q ** 3 * (q ** 3 + 1) * (q * q - 1) * (F.a if semilinear else 1)
-    return PermGroup(len(space), gens, order=order)
+    return _permutation_group(space, maps, order)
 
 
 # ---- lines ------------------------------------------------------------------

@@ -4,6 +4,12 @@ Elements are integer indices 0..q-1: the index's base-p digits are the
 coefficients of the element written on the power basis 1, x, x^2, ... of a
 fixed primitive polynomial with root x.  Multiplication goes through
 log/antilog tables, so everything is O(1) and bit-exact across runs.
+
+The antilog table exp lists x^0, ..., x^(q-2), each power from the one
+before by one product with x: shift the coefficients up one place, then
+take away the top coefficient times the monic modulus.  log inverts exp.
+Negation is the product with -1, the constant p - 1, read off the same
+tables; addition adds the base-p digits mod p.
 """
 
 from functools import lru_cache
@@ -45,40 +51,23 @@ def _is_prime(p):
     return True
 
 
-def _poly_mul_mod(u, v, modulus, p):
-    """Product of coefficient lists u, v reduced mod the monic modulus."""
-    a = len(modulus) - 1
-    prod = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                prod[i + j] = (prod[i + j] + ui * vj) % p
-    # reduce: modulus is monic of degree a
-    for d in range(len(prod) - 1, a - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for j in range(a):
-                prod[d - a + j] = (prod[d - a + j] - c * modulus[j]) % p
-    return prod[:a] + [0] * (a - len(prod))
-
-
 def _primitive_cycle(modulus, p, a):
     """Powers of x modulo the candidate polynomial, as element indices.
 
     Returns the list [x^0, x^1, ...] if x has full order p^a - 1, else None.
+    Each step multiplies by x: shift the coefficients up one place, then
+    take away the top one times the monic modulus.
     """
-    q = p ** a
     one = [1] + [0] * (a - 1)
-    x = ([0, 1] + [0] * (a - 2)) if a > 1 else [(-modulus[0]) % p]
     cur = one
     cycle = []
-    for _ in range(q - 1):
+    for _ in range(p ** a - 1):
         cycle.append(sum(c * p ** i for i, c in enumerate(cur)))
-        cur = _poly_mul_mod(cur, x, modulus, p)
-        if cur == one and len(cycle) < q - 1:
-            return None
-    return cycle if cur == one else None
+        top = cur[-1]
+        cur = [(c - top * m) % p for c, m in zip([0] + cur[:-1], modulus)]
+        if cur == one:
+            break
+    return cycle if cur == one and len(cycle) == p ** a - 1 else None
 
 
 def _find_primitive_polynomial(p, a):
@@ -120,8 +109,9 @@ class Field:
         self.log = [0] * self.q
         for i, e in enumerate(cycle):
             self.log[e] = i
-        self.x = cycle[1 % (self.q - 1)] if self.q > 2 else 1
-        self._neg = [self._digit_neg(e) for e in range(self.q)]
+        self.x = cycle[1 % (self.q - 1)]
+        # -1 is the constant p - 1: x^((q-1)/2) for odd q, 1 when p = 2
+        self._neg = [self.mul(p - 1, e) for e in range(self.q)]
 
     def elements(self):
         return range(self.q)
@@ -130,15 +120,6 @@ class Field:
         return self.exp
 
     # ---- arithmetic -----------------------------------------------------
-
-    def _digit_neg(self, e):
-        out = 0
-        mult = 1
-        for _ in range(self.a):
-            out += ((-e) % self.p) * mult
-            e //= self.p
-            mult *= self.p
-        return out
 
     def add(self, e, f):
         out = 0
@@ -208,14 +189,11 @@ def GF(q):
     """The field of order q (q a prime power up to 4096)."""
     if not 2 <= q <= _MAX_Q:
         raise FieldError(f"unsupported field size {q}")
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            a = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                a += 1
-            if m != 1:
-                raise FieldError(f"{q} is not a prime power")
-            return Field(p, a)
-    raise FieldError(f"{q} is not a prime power")
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # the least is prime
+    a, m = 0, q
+    while m % p == 0:
+        m //= p
+        a += 1
+    if m != 1:
+        raise FieldError(f"{q} is not a prime power")
+    return Field(p, a)

@@ -1206,3 +1206,25 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     assert len(orbits) == 3
     assert counters["codes.unions_tested"] == len(unions)
     assert counters["johnson.vertex_neighbours_calls"] == len(orbits)
+
+
+# ---- runtime dependencies ----------------------------------------------------
+
+def test_import_needs_only_the_standard_library():
+    # the README promises no runtime dependencies: importing the CLI in a
+    # fresh interpreter loads ntcodes' own modules and the standard
+    # library's, nothing installed beside them
+    script = ("import json, sys\n"
+              "before = set(sys.modules)\n"
+              "import ntcodes.cli\n"
+              "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "ntcodes.cli" in loaded
+    foreign = [name for name in loaded
+               if name.partition(".")[0] not in sys.stdlib_module_names
+               and name.partition(".")[0] != "ntcodes"]
+    assert foreign == []

@@ -1,5 +1,6 @@
 """Finite geometry and group construction tests."""
 
+import hashlib
 from itertools import combinations, product
 from math import comb
 
@@ -278,3 +279,59 @@ def test_restrict_group():
     assert small.order() == stab.order() == 5760
     with pytest.raises(GeometryError):
         restrict_group(big, ext)  # not invariant under the full group
+
+
+# ---- pinned generators ------------------------------------------------------------
+
+def _prime_powers(top):
+    return [q for q in range(2, top + 1)
+            if len({p for p in range(2, q + 1)
+                    if q % p == 0 and all(p % d for d in range(2, p))}) == 1]
+
+
+# (family, n, q): the linear families on every space of at most 81 points,
+# psl2 on the projective lines of at most 28 points, and the unitary
+# families on the Hermitian unitals of at most 65 points
+PINNED_SPECS = (
+    [(fam, n, q) for fam in ("agl", "agammal", "pgl", "pgammal")
+     for n in range(1, 7) for q in _prime_powers(81) if q ** n <= 81]
+    + [("psl2", 2, q) for q in _prime_powers(27)]
+    + [(fam, 3, q) for fam in ("pgu", "pgammau") for q in (2, 3, 4)])
+
+
+def _pinned_group(family, n, q):
+    if family in ("psl2", "pgu", "pgammau"):
+        return group_generators(family, q=q)
+    return group_generators(family, n=n, q=q)
+
+
+def test_generators_are_pinned():
+    # chains, stabilizers and witnesses follow from the generators, their
+    # order and the known order, so this digest pins them for every family
+    digest = hashlib.sha256()
+    for family, n, q in PINNED_SPECS:
+        G = _pinned_group(family, n, q)
+        digest.update(repr((family, n, q, G.degree, G.known_order,
+                            [list(g.images) for g in G.generators]))
+                      .encode())
+    assert len(PINNED_SPECS) == 205
+    assert digest.hexdigest() == (
+        "7247fe3496695cd64cbdb3328fe520795705ddd8a2e7262da1710c0b5b0d9d19")
+
+
+def _pinned_degree(family, n, q):
+    if family in ("pgu", "pgammau"):
+        return geometry.point_count("hermitian_isotropic", q=q)
+    return geometry.point_count(
+        "affine" if family in ("agl", "agammal") else "projective", n=n, q=q)
+
+
+@pytest.mark.parametrize(
+    "family,n,q", [spec for spec in PINNED_SPECS if _pinned_degree(*spec) <= 64],
+    ids=lambda v: str(v))
+def test_pinned_orders_against_sympy(family, n, q):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    G = _pinned_group(family, n, q)
+    S = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g.images)) for g in G.generators])
+    assert G.order() == G.known_order == S.order()

@@ -148,3 +148,61 @@ def test_gf16_properties(a, b, c):
     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
     assert F.frobenius(F.mul(a, b)) == F.mul(F.frobenius(a), F.frobenius(b))
     assert F.add(F.add(a, b), F.neg(b)) == a
+
+
+def _prime_power(q):
+    """(p, a) with q = p^a, or None."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    a = 0
+    while q % p == 0:
+        q //= p
+        a += 1
+    return (p, a) if q == 1 else None
+
+
+def _schoolbook_mul_mod(u, v, modulus, p):
+    """u * v mod the monic modulus, on coefficient lists low to high."""
+    a = len(modulus) - 1
+    prod = [0] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            prod[i + j] = (prod[i + j] + ui * vj) % p
+    for d in range(len(prod) - 1, a - 1, -1):
+        c = prod[d]
+        for j in range(a + 1):
+            prod[d - a + j] = (prod[d - a + j] - c * modulus[j]) % p
+    return (prod + [0] * a)[:a]
+
+
+def _digits(e, p, a):
+    return [e // p ** i % p for i in range(a)]
+
+
+def _index(digits, p):
+    return sum(c * p ** i for i, c in enumerate(digits))
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 257) if _prime_power(q)])
+def test_tables_match_schoolbook_arithmetic(q):
+    # the power cycle of the polynomial x and digit-wise addition mod p,
+    # computed here without the field's own tables
+    p, a = _prime_power(q)
+    F = GF(q)
+    assert (F.p, F.a) == (p, a)
+    assert len(F.modulus) == a + 1 and F.modulus[-1] == 1
+    power = [1] + [0] * (a - 1)
+    for i in range(q - 1):
+        assert F.exp[i] == _index(power, p), i
+        assert F.log[F.exp[i]] == i
+        power = _schoolbook_mul_mod(power, [0, 1], F.modulus, p)
+    assert power == [1] + [0] * (a - 1)
+    assert sorted(F.exp) == list(range(1, q))
+    assert F.x == (F.exp[1] if q > 2 else 1)
+    for e in range(q):
+        assert F.neg(e) == _index([-c % p for c in _digits(e, p, a)], p)
+    # every element against a spread of addends that crosses each digit
+    for f in {0, 1, p - 1, q - 1, F.x, p ** (a - 1), q // 2 + 1}:
+        fd = _digits(f, p, a)
+        for e in range(q):
+            assert F.add(e, f) == _index(
+                [(c + d) % p for c, d in zip(_digits(e, p, a), fd)], p)
